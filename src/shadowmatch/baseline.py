@@ -13,10 +13,11 @@ it to 3 + 2*sqrt(2) (about 5.828).
 from __future__ import annotations
 
 import math
-from typing import Callable, Iterable
+from typing import Iterable
 
 from .graph import Edge, EdgeStream
-from .shadow import InsertionDecision, RunMetrics, RunResult
+from .shadow import (DecisionHook, InsertionDecision, RunResult,
+                     ShadowMatcher, check_input, conflict_score, drive)
 
 GAMMA_RATIO_SIX = 1.0
 GAMMA_RATIO_5_828 = 0.7071067811865476  # 1/sqrt(2)
@@ -25,6 +26,10 @@ GAMMA_RATIO_5_828 = 0.7071067811865476  # 1/sqrt(2)
 class BaselineMatcher:
     """Matching-only state for the (1 + gamma) replacement rule."""
 
+    # The driver's per-step counters: one candidate set, no slots.
+    last_candidate_sets = 1
+    parked_edge_count = 0
+
     def __init__(self, gamma: float):
         if not isinstance(gamma, (int, float)) or isinstance(gamma, bool):
             raise ValueError(f"gamma must be a real number, got {gamma!r}")
@@ -32,39 +37,25 @@ class BaselineMatcher:
         if not math.isfinite(gamma) or gamma < 0.0:
             raise ValueError(f"gamma must be finite and >= 0, got {gamma!r}")
         self.gamma = gamma
+        self.threshold = 1.0 + gamma
         self.matching: dict[int, Edge] = {}
         self.matched_edge_count = 0
         self.insertions = 0
         self.last_touched_edges = 0
 
-    def matching_edges(self) -> tuple[Edge, ...]:
-        return tuple(sorted(set(self.matching.values())))
-
-    def matching_weight(self) -> float:
-        return math.fsum(e.w for e in set(self.matching.values()))
+    matching_edges = ShadowMatcher.matching_edges
+    matching_weight = ShadowMatcher.matching_weight
 
     def process_edge(self, e: Edge) -> InsertionDecision:
         """Insert `e` iff it is (1 + gamma)-heavier than what it displaces.
 
         With gamma = 0 this degenerates to "strictly heavier wins".
         """
-        if not e.w > 0 or not math.isfinite(e.w):
-            raise ValueError(f"input edge weight must be positive and finite: {e}")
-        cov = self.matching.get(e.u)
-        if cov is not None and cov.key == e.key:
-            raise ValueError(f"edge {e.u} {e.v} is already in the matching")
-
-        conflicts = {}
-        m = self.matching.get(e.u)
-        if m is not None:
-            conflicts[m.key] = m
-        m = self.matching.get(e.v)
-        if m is not None:
-            conflicts[m.key] = m
-        removed = tuple(sorted(conflicts.values()))
+        check_input(self.matching, e)
+        margin, removed, key = conflict_score(self.matching, (e,),
+                                              self.threshold)
         self.last_touched_edges = 1 + len(removed)
-        margin = e.w - (1.0 + self.gamma) * sum(d.w for d in removed)
-        decision = InsertionDecision((e,), removed, margin, margin > 0.0)
+        decision = InsertionDecision((e,), removed, margin, key > 0)
         if decision.inserted:
             for d in removed:
                 del self.matching[d.u]
@@ -77,21 +68,6 @@ class BaselineMatcher:
 
 
 def run_baseline(stream: EdgeStream | Iterable[Edge], gamma: float, *,
-                 on_decision: Callable[[int, InsertionDecision, BaselineMatcher], None] | None = None,
-                 ) -> RunResult:
+                 on_decision: DecisionHook | None = None) -> RunResult:
     """Feed a whole stream through a fresh baseline matcher."""
-    matcher = BaselineMatcher(gamma)
-    metrics = RunMetrics()
-    for i, e in enumerate(stream):
-        decision = matcher.process_edge(e)
-        metrics.edges_processed += 1
-        metrics.max_candidate_sets = max(metrics.max_candidate_sets, 1)
-        metrics.max_touched_edges = max(metrics.max_touched_edges,
-                                        matcher.last_touched_edges)
-        if matcher.matched_edge_count > metrics.max_stored_edges:
-            metrics.max_stored_edges = matcher.matched_edge_count
-        if on_decision is not None:
-            on_decision(i, decision, matcher)
-    metrics.insertions = matcher.insertions
-    return RunResult(matcher.matching_edges(), matcher.matching_weight(),
-                     None, metrics)
+    return drive(BaselineMatcher(gamma), stream, on_decision=on_decision)

@@ -18,13 +18,12 @@ import json
 import logging
 import sys
 
-from .baseline import GAMMA_RATIO_5_828, GAMMA_RATIO_SIX, run_baseline
+from .baseline import GAMMA_RATIO_SIX, run_baseline
 from .bound import approx_bound, optimal_k, ratio_table
 from .generators import GRAPH_KINDS, WEIGHT_KINDS, GeneratorSpec, WeightSpec, generate
 from .graph import (DenseGraph, StreamFormatError, format_edge, open_stream,
                     write_stream)
-from .harness import (AlgorithmSpec, default_algorithms, emit_report,
-                      run_experiment)
+from .harness import default_algorithms, emit_report, run_experiment
 from .shadow import run_stream, trace_to_dict
 from .verify import check_locally_k_exceeding
 
@@ -115,45 +114,31 @@ def cmd_run(args) -> int:
     try:
         if args.algo == "shadow":
             k = args.k if args.k is not None else _default_k()
-            if args.trace or args.verify:
-                verify = args.verify
 
-                def run_traced():
-                    from .shadow import ShadowMatcher
-                    nonlocal failures
-                    matcher = ShadowMatcher(k)
-                    for i, e in enumerate(stream):
-                        event = matcher.process_edge_traced(e, i)
-                        record = trace_to_dict(event)
-                        if verify and event.decision.inserted:
-                            ok = check_locally_k_exceeding(
-                                event.decision, k).feasible
-                            record["decision"]["allocation_feasible"] = ok
-                            if not ok:
-                                failures += 1
-                        if trace_fh:
-                            trace_fh.write(json.dumps(record, sort_keys=True))
-                            trace_fh.write("\n")
-                    return matcher
+            def sink(event):
+                nonlocal failures
+                record = trace_to_dict(event)
+                if args.verify and event.decision.inserted:
+                    ok = check_locally_k_exceeding(event.decision, k).feasible
+                    record["decision"]["allocation_feasible"] = ok
+                    failures += not ok
+                if trace_fh:
+                    trace_fh.write(json.dumps(record, sort_keys=True) + "\n")
 
-                matcher = run_traced()
-                matching, weight = matcher.matching_edges(), matcher.matching_weight()
-            else:
-                result = run_stream(stream, k)
-                matching, weight = result.matching, result.weight
+            traced = args.trace or args.verify
+            result = run_stream(stream, k, trace=sink if traced else None)
         else:
             if args.k is not None:
                 raise _UsageError("--k applies to the shadow matcher only")
             if args.verify:
                 raise _UsageError("--verify applies to the shadow matcher only")
             result = run_baseline(stream, args.gamma)
-            matching, weight = result.matching, result.weight
     finally:
         if trace_fh:
             trace_fh.close()
 
-    print(f"weight {weight!r}")
-    for e in matching:
+    print(f"weight {result.weight!r}")
+    for e in result.matching:
         print(format_edge(e))
     if args.verify:
         print(f"verifier_failures {failures}")
@@ -227,20 +212,14 @@ def main(argv=None) -> int:
                 "gen": cmd_gen, "bound": cmd_bound}
     try:
         return handlers[args.command](args)
-    except _UsageError as exc:
+    except (_UsageError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return USAGE_ERROR
-    except ValueError as exc:
         # Bad parameter values (k <= 1, malformed specs) are usage
-        # errors; malformed stream text is an input error.
-        if isinstance(exc, StreamFormatError):
-            print(f"error: {exc}", file=sys.stderr)
+        # errors; malformed stream text and unreadable files are input
+        # errors.
+        if isinstance(exc, (StreamFormatError, OSError)):
             return INPUT_ERROR
-        print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return INPUT_ERROR
 
 
 if __name__ == "__main__":

@@ -127,25 +127,8 @@ def generate(spec: GeneratorSpec) -> tuple[DenseGraph, EdgeStream]:
                                  edge_count=len(order),
                                  source=spec.instance_id())
 
-    if spec.kind == "geometric-chain":
-        if n < 2:
-            pairs = []
-        else:
-            pairs = [(i, i + 1) for i in range(n - 1)]
-        weights = [float(spec.q) ** i for i in range(len(pairs))]
-        if spec.weights_list is not None:
-            weights = [float(w) for w in spec.weights_list]
-            if len(weights) != len(pairs):
-                raise ValueError(
-                    f"need {len(pairs)} weights, got {len(weights)}")
-        order = [edge(u, v, w) for (u, v), w in zip(pairs, weights)]
-        graph = DenseGraph.from_edges(order, range(n))
-        return graph, EdgeStream(order, vertex_count=n,
-                                 edge_count=len(order),
-                                 source=spec.instance_id())
-
-    if spec.kind == "path":
-        pairs = [(i, i + 1) for i in range(n - 1)] if n >= 2 else []
+    if spec.kind in ("path", "geometric-chain"):
+        pairs = [(i, i + 1) for i in range(n - 1)]
     elif spec.kind == "cycle":
         if n < 3:
             raise ValueError(f"cycle needs n >= 3, got {n}")
@@ -163,12 +146,15 @@ def generate(spec: GeneratorSpec) -> tuple[DenseGraph, EdgeStream]:
             raise ValueError(
                 f"need {len(pairs)} weights, got {len(spec.weights_list)}")
         weights = [float(w) for w in spec.weights_list]
+    elif spec.kind == "geometric-chain":
+        weights = [float(spec.q) ** i for i in range(len(pairs))]
     else:
         weights = [spec.weights.draw(rng) for _ in pairs]
     edges = [edge(u, v, w) for (u, v), w in zip(pairs, weights)]
     graph = DenseGraph.from_edges(edges, range(n))
     order = list(edges)
-    rng.shuffle(order)
+    if spec.kind != "geometric-chain":
+        rng.shuffle(order)
     return graph, EdgeStream(order, vertex_count=n, edge_count=len(order),
                              source=spec.instance_id())
 

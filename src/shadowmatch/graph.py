@@ -20,6 +20,7 @@ Blank lines are ignored.  Files are UTF-8 with LF or CRLF endings.
 
 from __future__ import annotations
 
+import itertools
 import logging
 import math
 import os
@@ -179,7 +180,9 @@ def open_stream(source: Union[str, "os.PathLike[str]", IO[str]], *,
 
     The optional header line `p <n> <m>` sets the stream's declared
     vertex and edge counts.  Comment (`#`) and blank lines are
-    skipped.  Each edge line must read `u v w`.
+    skipped.  Each edge line must read `u v w`.  When a header is
+    present, the number of edge lines (skipped duplicates included)
+    must equal m; vertex ids are not checked against n.
 
     Parameters
     ----------
@@ -193,7 +196,7 @@ def open_stream(source: Union[str, "os.PathLike[str]", IO[str]], *,
     -------
     EdgeStream
         Parsing is lazy, so format errors surface during iteration
-        with their line numbers.
+        with their line numbers, and a wrong edge count at the end.
     """
     if on_duplicate not in ("error", "skip"):
         raise ValueError(f"on_duplicate must be 'error' or 'skip', got {on_duplicate!r}")
@@ -207,69 +210,63 @@ def open_stream(source: Union[str, "os.PathLike[str]", IO[str]], *,
         name = str(source)
         owns = True
 
+    def lines() -> Iterator[tuple[int, str]]:
+        for n, raw in enumerate(fh, 1):
+            stripped = raw.strip()
+            if stripped and not stripped.startswith("#"):
+                yield n, stripped
+
     # Pull lines up to and including the first meaningful one so a
     # header, if present, is known before anyone iterates.
-    vertex_count = None
-    edge_count = None
-    pushback: list[tuple[int, str]] = []
-    line_no = 0
+    numbered = lines()
+    vertex_count = edge_count = None
     try:
-        for raw in fh:
-            line_no += 1
-            stripped = raw.strip()
-            if not stripped or stripped.startswith("#"):
-                continue
-            if stripped.startswith("p"):
-                parts = stripped.split()
-                if len(parts) != 3 or parts[0] != "p":
-                    raise StreamFormatError(
-                        f"bad header, expected 'p <n> <m>': {stripped!r}", line_no)
-                try:
-                    vertex_count = int(parts[1])
-                    edge_count = int(parts[2])
-                except ValueError:
-                    raise StreamFormatError(
-                        f"header counts must be integers: {stripped!r}",
-                        line_no) from None
-                if vertex_count < 0 or edge_count < 0:
-                    raise StreamFormatError(
-                        f"header counts must be non-negative: {stripped!r}", line_no)
-            else:
-                pushback.append((line_no, stripped))
-            break
+        first = next(numbered, None)
+        if first is not None and first[1].startswith("p"):
+            line_no, stripped = first
+            first = None
+            parts = stripped.split()
+            if len(parts) != 3 or parts[0] != "p":
+                raise StreamFormatError(
+                    f"bad header, expected 'p <n> <m>': {stripped!r}", line_no)
+            try:
+                vertex_count = int(parts[1])
+                edge_count = int(parts[2])
+            except ValueError:
+                raise StreamFormatError(
+                    f"header counts must be integers: {stripped!r}",
+                    line_no) from None
+            if vertex_count < 0 or edge_count < 0:
+                raise StreamFormatError(
+                    f"header counts must be non-negative: {stripped!r}", line_no)
     except Exception:
         if owns:
             fh.close()
         raise
+    pending = [] if first is None else [first]
 
     def edges() -> Iterator[Edge]:
         seen: set[tuple[int, int]] = set()
-        n = line_no
+        read = 0
         try:
-            pending: Iterator[tuple[int, str]] = iter(pushback)
-            for got_no, stripped in pending:
-                yield from emit(got_no, stripped, seen)
-            for raw in fh:
-                n += 1
-                stripped = raw.strip()
-                if not stripped or stripped.startswith("#"):
+            for n, stripped in itertools.chain(pending, numbered):
+                e = parse_edge_line(stripped, n)
+                read += 1
+                if e.key in seen:
+                    if on_duplicate == "error":
+                        raise DuplicateEdgeError(
+                            f"duplicate edge {e.u} {e.v} (weights may differ)", n)
+                    log.warning("%s line %d: skipping duplicate edge %d %d",
+                                name, n, e.u, e.v)
                     continue
-                yield from emit(n, stripped, seen)
+                seen.add(e.key)
+                yield e
         finally:
             if owns:
                 fh.close()
-
-    def emit(n: int, stripped: str, seen: set[tuple[int, int]]) -> Iterator[Edge]:
-        e = parse_edge_line(stripped, n)
-        if e.key in seen:
-            if on_duplicate == "error":
-                raise DuplicateEdgeError(
-                    f"duplicate edge {e.u} {e.v} (weights may differ)", n)
-            log.warning("%s line %d: skipping duplicate edge %d %d",
-                        name, n, e.u, e.v)
-            return
-        seen.add(e.key)
-        yield e
+        if edge_count is not None and read != edge_count:
+            raise StreamFormatError(
+                f"header declares {edge_count} edges, the stream has {read}")
 
     return EdgeStream(edges(), vertex_count=vertex_count,
                       edge_count=edge_count, source=name)

@@ -20,12 +20,13 @@ import json
 import math
 import random
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
+from functools import partial
 from typing import Iterable, Iterator
 
 from .baseline import GAMMA_RATIO_5_828, GAMMA_RATIO_SIX, run_baseline
 from .generators import WeightSpec, stream_orders
-from .graph import DenseGraph, Edge, edge, is_matching, matching_weight
+from .graph import DenseGraph, Edge, edge, is_matching
 from .oracle import OracleCapacityError, max_weight_matching
 from .shadow import run_stream
 from .verify import check_locally_k_exceeding
@@ -113,32 +114,22 @@ def execute(order: Iterable[Edge], algo: AlgorithmSpec, *,
     failures = 0
     monotone = True
     last_weight = 0.0
+    verify = verify and algo.name == "shadow"
+
+    def hook(i, decision, matcher):
+        nonlocal failures, monotone, last_weight
+        if not decision.inserted:
+            return
+        weight = matcher.matching_weight()
+        if not weight > last_weight:
+            monotone = False
+        last_weight = weight
+        if verify and not check_locally_k_exceeding(decision, algo.k).feasible:
+            failures += 1
 
     if algo.name == "shadow":
-        k = algo.k
-
-        def hook(i, decision, matcher):
-            nonlocal failures, monotone, last_weight
-            if not decision.inserted:
-                return
-            weight = matcher.matching_weight()
-            if not weight > last_weight:
-                monotone = False
-            last_weight = weight
-            if verify and not check_locally_k_exceeding(decision, k).feasible:
-                failures += 1
-
-        result = run_stream(order, k, on_decision=hook)
+        result = run_stream(order, algo.k, on_decision=hook)
     else:
-        def hook(i, decision, matcher):
-            nonlocal monotone, last_weight
-            if not decision.inserted:
-                return
-            weight = matcher.matching_weight()
-            if not weight > last_weight:
-                monotone = False
-            last_weight = weight
-
         result = run_baseline(order, algo.gamma, on_decision=hook)
 
     m = result.metrics
@@ -190,15 +181,14 @@ def run_experiment(graph: DenseGraph, algorithms: Iterable[AlgorithmSpec], *,
 
     tasks = [(label, order, algo) for label, order in labeled
              for algo in algorithms]
+    run = partial(execute, verify=verify)
+    orders = [order for _, order, _ in tasks]
+    algos = [algo for _, _, algo in tasks]
     if jobs > 1 and len(tasks) > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            outcomes = list(pool.map(_execute_task,
-                                     [(order, algo, verify)
-                                      for _, order, algo in tasks],
-                                     chunksize=8))
+            outcomes = list(pool.map(run, orders, algos, chunksize=8))
     else:
-        outcomes = [execute(order, algo, verify=verify)
-                    for _, order, algo in tasks]
+        outcomes = list(map(run, orders, algos))
 
     reports = []
     for (label, order, algo), out in zip(tasks, outcomes):
@@ -218,11 +208,6 @@ def run_experiment(graph: DenseGraph, algorithms: Iterable[AlgorithmSpec], *,
     reports.sort(key=lambda r: (r.instance_id, r.order_seed,
                                 r.algorithm, r.k_or_gamma))
     return reports
-
-
-def _execute_task(task) -> RunOutcome:
-    order, algo, verify = task
-    return execute(order, algo, verify=verify)
 
 
 @dataclass(frozen=True)

@@ -27,18 +27,27 @@ where M(A) is the set of matching edges sharing a vertex with A and
 k > 1 is the replacement threshold.  The best-scoring A is inserted
 iff r(A) > 0; M(A) is removed and parked in shadow slots.
 
-Ties on r(A) are broken deterministically: larger w(A) first, then
-fewer edges, then the lexicographically smallest sorted edge list.
-All weight comparisons are exact float comparisons; no epsilon.
+Scores are floats; one within its rounding bound of zero is recomputed
+in exact rationals, so r(A) > 0 agrees with the exact certificate in
+verify.py, and such scores are also ranked exactly.  Ties on r(A) are
+broken deterministically: larger w(A) first, then fewer edges, then the
+lexicographically smallest sorted edge list.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator
+from fractions import Fraction
+from typing import Callable, Iterable
 
-from .graph import Edge, EdgeStream
+from .graph import Edge, EdgeStream, is_matching
+
+# A float score w(A) - t*w(M(A)) sums up to three and up to four weights,
+# then takes one product and one difference: its rounding error is under
+# 8 units of 2**-53 times w(A) + t*w(M(A)), plus a few subnormal units.
+_ROUNDING = 4 * math.ulp(1.0)
+_UNDERFLOW = 8 * math.ulp(0.0)
 
 
 @dataclass(frozen=True, slots=True)
@@ -134,16 +143,54 @@ class TraceEvent:
     decision: InsertionDecision
 
 
-def _pairwise_disjoint(edges: tuple[Edge, ...]) -> bool:
-    if len(edges) == 1:
-        return True
-    seen: set[int] = set()
-    for e in edges:
-        if e.u in seen or e.v in seen:
-            return False
-        seen.add(e.u)
-        seen.add(e.v)
-    return True
+def check_input(matching: dict[int, Edge], e: Edge) -> None:
+    """Raise ValueError unless `e` has a positive finite weight and is
+    not in `matching` already (streams never repeat an edge)."""
+    if not e.w > 0 or not math.isfinite(e.w):
+        raise ValueError(f"input edge weight must be positive and finite: {e}")
+    cov = matching.get(e.u)
+    if cov is not None and cov.key == e.key:
+        raise ValueError(f"edge {e.u} {e.v} is already in the matching")
+
+
+def conflict_score(matching: dict[int, Edge], chosen: tuple[Edge, ...],
+                   t: float) -> tuple[float, tuple[Edge, ...], float | Fraction]:
+    """Score the candidate set `chosen` against `matching` at threshold t.
+
+    Returns (r, removed, key) where removed is the sorted tuple of
+    matching edges sharing a vertex with the set and
+    r = w(set) - t * w(removed) is a float with the exact sign.  `key`
+    ranks candidate sets: it is r, or the exact Fraction when the float
+    lies within its rounding bound of zero.
+    """
+    conflicts = set()
+    w_chosen = 0.0
+    for f in chosen:
+        w_chosen += f.w
+        conflicts.add(matching.get(f.u))
+        conflicts.add(matching.get(f.v))
+    conflicts.discard(None)
+    removed = tuple(sorted(conflicts))
+    w_removed = 0.0
+    for d in removed:
+        w_removed += d.w
+    w_removed *= t
+    r = w_chosen - w_removed
+    if abs(r) > _ROUNDING * (w_chosen + w_removed) + _UNDERFLOW:
+        return r, removed, r
+    exact = (sum(Fraction(f.w) for f in chosen)
+             - Fraction(t) * sum(Fraction(d.w) for d in removed))
+    return _signed_float(exact), removed, exact
+
+
+def _signed_float(q: Fraction) -> float:
+    """`q` as a float of its sign: 0.0 only if q is zero, and an
+    infinity past the float range."""
+    try:
+        r = max(float(abs(q)), math.ulp(0.0)) if q else 0.0
+    except OverflowError:
+        r = math.inf
+    return -r if q < 0 else r
 
 
 def enumerate_augmenting_sets(nb: Neighborhood) -> list[tuple[Edge, ...]]:
@@ -157,7 +204,7 @@ def enumerate_augmenting_sets(nb: Neighborhood) -> list[tuple[Edge, ...]]:
     out = []
     for mask in range(1, 1 << len(cands)):
         subset = tuple(c for i, c in enumerate(cands) if mask >> i & 1)
-        if _pairwise_disjoint(subset):
+        if is_matching(subset):
             out.append(subset)
     return out
 
@@ -181,6 +228,9 @@ class ShadowMatcher:
         Vertex -> parked edge.  A slot exists only at a matched
         vertex, and the parked edge contains that vertex.  No edge is
         ever in the matching and in a slot at the same time.
+    matched_edge_count, parked_edge_count : int
+        Distinct edges in the matching and in the slots, kept by the
+        step so a driver can read the stored-edge count in O(1).
     """
 
     def __init__(self, k: float):
@@ -193,6 +243,7 @@ class ShadowMatcher:
         self.matching: dict[int, Edge] = {}
         self.shadow_slots: dict[int, Edge] = {}
         self.matched_edge_count = 0
+        self.parked_edge_count = 0
         self.insertions = 0
         # Per-step work counters, refreshed by process_edge.
         self.last_candidate_sets = 0
@@ -208,7 +259,8 @@ class ShadowMatcher:
         return math.fsum(e.w for e in set(self.matching.values()))
 
     def stored_edge_count(self) -> int:
-        """Distinct edges held right now (matching plus parked shadows)."""
+        """Distinct edges held right now (matching plus parked shadows),
+        recounted from the slots; `drive` reads the O(1) counters."""
         return self.matched_edge_count + len(set(self.shadow_slots.values()))
 
     # -- the step -----------------------------------------------------
@@ -232,23 +284,9 @@ class ShadowMatcher:
     def gain_of(self, candidate_set: Iterable[Edge]) -> tuple[float, tuple[Edge, ...]]:
         """Score a candidate set against the current state.
 
-        Returns (r, removed) where removed is the sorted tuple of
-        matching edges sharing a vertex with the set and
-        r = w(set) - k * w(removed).
+        Returns (r, removed) as :func:`conflict_score` does, at t = k.
         """
-        chosen = tuple(candidate_set)
-        removed_by_key = {}
-        for f in chosen:
-            m = self.matching.get(f.u)
-            if m is not None:
-                removed_by_key[m.key] = m
-            m = self.matching.get(f.v)
-            if m is not None:
-                removed_by_key[m.key] = m
-        removed = tuple(sorted(removed_by_key.values()))
-        r = (sum(f.w for f in chosen)
-             - self.k * sum(d.w for d in removed))
-        return r, removed
+        return conflict_score(self.matching, tuple(candidate_set), self.k)[:2]
 
     def process_edge(self, e: Edge) -> InsertionDecision:
         """Process one input edge and return what was decided.
@@ -266,35 +304,22 @@ class ShadowMatcher:
         return TraceEvent(index, nb, tuple(scored), decision)
 
     def _step(self, e: Edge):
-        if not e.w > 0 or not math.isfinite(e.w):
-            raise ValueError(f"input edge weight must be positive and finite: {e}")
-        cov = self.matching.get(e.u)
-        if cov is not None and cov.key == e.key:
-            raise ValueError(f"edge {e.u} {e.v} is already in the matching")
-
+        check_input(self.matching, e)
         nb = self.neighborhood(e)
         self.last_touched_edges = len(nb.distinct_edges())
 
-        best: tuple[float, float, tuple[Edge, ...], tuple[Edge, ...]] | None = None
+        # The input edge alone is always the first candidate set.
+        best = None
         scored: list[tuple[tuple[Edge, ...], float]] = []
-        examined = 0
-        cands = nb.candidates()
-        for mask in range(1, 1 << len(cands)):
-            subset = tuple(c for i, c in enumerate(cands) if mask >> i & 1)
-            if not _pairwise_disjoint(subset):
-                continue
-            examined += 1
-            r, removed = self.gain_of(subset)
+        for subset in enumerate_augmenting_sets(nb):
+            r, removed, key = conflict_score(self.matching, subset, self.k)
             scored.append((subset, r))
-            w_subset = sum(f.w for f in subset)
-            if best is None or _better(r, w_subset, subset,
-                                       best[0], best[1], best[2]):
-                best = (r, w_subset, subset, removed)
-        self.last_candidate_sets = examined
+            if best is None or _better(key, subset, best[0], best[2]):
+                best = (key, r, subset, removed)
+        self.last_candidate_sets = len(scored)
 
-        assert best is not None  # the input edge itself is always a candidate
-        r, w_subset, chosen, removed = best
-        decision = InsertionDecision(chosen, removed, r, r > 0.0)
+        key, r, chosen, removed = best
+        decision = InsertionDecision(chosen, removed, r, key > 0)
         if decision.inserted:
             self._apply(chosen, removed)
         return decision, nb, scored
@@ -305,11 +330,15 @@ class ShadowMatcher:
         # park the removed edges next to their replacements.
         matching = self.matching
         slots = self.shadow_slots
+        parked = self.parked_edge_count
         for d in removed:
-            slots.pop(d.u, None)
-            slots.pop(d.v, None)
-            del matching[d.u]
-            del matching[d.v]
+            for x in (d.u, d.v):
+                shadow = slots.pop(x, None)
+                # A parked edge sits in at most two slots and stops
+                # counting when its last one is cleared.
+                if shadow is not None and slots.get(shadow.other(x)) != shadow:
+                    parked -= 1
+                del matching[x]
         for f in chosen:
             matching[f.u] = f
             matching[f.v] = f
@@ -320,15 +349,21 @@ class ShadowMatcher:
                 slots[d.u] = d
             if d.v in matching:
                 slots[d.v] = d
+        # Each removed edge shares a vertex with an inserted one, so it
+        # is parked in one slot or two.
+        self.parked_edge_count = parked + len(removed)
         self.matched_edge_count += len(chosen) - len(removed)
         self.insertions += 1
 
 
-def _better(r: float, w: float, subset: tuple[Edge, ...],
-            best_r: float, best_w: float, best_subset: tuple[Edge, ...]) -> bool:
-    """Strict preference order on scored candidate sets."""
-    if r != best_r:
-        return r > best_r
+def _better(key: float | Fraction, subset: tuple[Edge, ...],
+            best_key: float | Fraction, best_subset: tuple[Edge, ...]) -> bool:
+    """Strict preference order on scored candidate sets, by the ranking
+    keys of :func:`conflict_score`."""
+    if key != best_key:
+        return key > best_key
+    w = sum(f.w for f in subset)
+    best_w = sum(f.w for f in best_subset)
     if w != best_w:
         return w > best_w
     if len(subset) != len(best_subset):
@@ -349,19 +384,51 @@ class RunMetrics:
 
 @dataclass(slots=True)
 class RunResult:
-    """Final matching of a run, with optional trace and work counters."""
+    """Final matching of a run and its work counters."""
 
     matching: tuple[Edge, ...]
     weight: float
-    events: tuple[TraceEvent, ...] | None
     metrics: RunMetrics
 
 
 DecisionHook = Callable[[int, InsertionDecision, "ShadowMatcher"], None]
+TraceSink = Callable[[TraceEvent], None]
+
+
+def drive(matcher, stream: EdgeStream | Iterable[Edge], *,
+          trace: TraceSink | None = None,
+          on_decision: DecisionHook | None = None) -> RunResult:
+    """Feed a whole stream through `matcher`: the package's one per-edge
+    loop, behind run_stream, run_baseline, the harness and the CLI.
+
+    The matcher's counters `last_candidate_sets`, `last_touched_edges`,
+    `matched_edge_count` and `parked_edge_count` keep each step's
+    bookkeeping O(1).  `trace` and `on_decision` are as in run_stream;
+    `trace` needs `matcher.process_edge_traced`.
+    """
+    max_sets = max_touched = max_stored = 0
+    i = -1
+    for i, e in enumerate(stream):
+        if trace is None:
+            decision = matcher.process_edge(e)
+        else:
+            event = matcher.process_edge_traced(e, i)
+            trace(event)
+            decision = event.decision
+        max_sets = max(max_sets, matcher.last_candidate_sets)
+        max_touched = max(max_touched, matcher.last_touched_edges)
+        max_stored = max(max_stored, matcher.matched_edge_count
+                         + matcher.parked_edge_count)
+        if on_decision is not None:
+            on_decision(i, decision, matcher)
+    metrics = RunMetrics(i + 1, matcher.insertions, max_stored, max_sets,
+                         max_touched)
+    return RunResult(matcher.matching_edges(), matcher.matching_weight(),
+                     metrics)
 
 
 def run_stream(stream: EdgeStream | Iterable[Edge], k: float, *,
-               trace: bool = False,
+               trace: TraceSink | None = None,
                on_decision: DecisionHook | None = None) -> RunResult:
     """Feed a whole stream through a fresh matcher.
 
@@ -372,36 +439,15 @@ def run_stream(stream: EdgeStream | Iterable[Edge], k: float, *,
     k
         Replacement threshold, > 1.
     trace
-        Record a TraceEvent per input edge.  Off by default; traces
-        cost memory proportional to the stream.
+        Optional sink called with each step's TraceEvent as soon as the
+        step is done.  Nothing is buffered, so tracing takes O(1)
+        memory; pass `list.append` to keep the events.
     on_decision
         Optional hook called after every step with (index, decision,
         matcher); the matcher is already mutated.  Used for invariant
         checking and verification without paying for a full trace.
     """
-    matcher = ShadowMatcher(k)
-    metrics = RunMetrics()
-    events: list[TraceEvent] | None = [] if trace else None
-    for i, e in enumerate(stream):
-        if trace:
-            event = matcher.process_edge_traced(e, i)
-            events.append(event)
-            decision = event.decision
-        else:
-            decision = matcher.process_edge(e)
-        metrics.edges_processed += 1
-        metrics.max_candidate_sets = max(metrics.max_candidate_sets,
-                                         matcher.last_candidate_sets)
-        metrics.max_touched_edges = max(metrics.max_touched_edges,
-                                        matcher.last_touched_edges)
-        stored = matcher.stored_edge_count()
-        if stored > metrics.max_stored_edges:
-            metrics.max_stored_edges = stored
-        if on_decision is not None:
-            on_decision(i, decision, matcher)
-    metrics.insertions = matcher.insertions
-    return RunResult(matcher.matching_edges(), matcher.matching_weight(),
-                     tuple(events) if events is not None else None, metrics)
+    return drive(ShadowMatcher(k), stream, trace=trace, on_decision=on_decision)
 
 
 def trace_to_dict(event: TraceEvent) -> dict:

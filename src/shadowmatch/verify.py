@@ -115,13 +115,9 @@ def check_locally_k_exceeding(decision: InsertionDecision, k: float) -> Allocati
         # f is zero off the covered set, so missing endpoints drop out.
         constraints.append(row(entries, Fraction(-1)))
     one = Fraction(1)
-    for i in range(nvars):
-        unit = [zero] * nvars
-        unit[i] = one
-        constraints.append((tuple(unit), one))
-        lower = [zero] * nvars
-        lower[i] = -one
-        constraints.append((tuple(lower), zero))
+    for x in covered:
+        constraints.append(row({x: one}, one))
+        constraints.append(row({x: -one}, zero))
 
     values = _fourier_motzkin(constraints, nvars)
     if values is None:
@@ -177,23 +173,15 @@ def _fourier_motzkin(constraints: list[_Constraint], nvars: int
         return None
 
     values = [Fraction(0)] * nvars
+
+    def bound(j: int, coeffs: tuple[Fraction, ...], rhs: Fraction) -> Fraction:
+        residual = rhs - sum(
+            (coeffs[t] * values[t] for t in range(j + 1, nvars)), Fraction(0))
+        return residual / coeffs[j]  # coeffs[j] < 0 flips to a lower bound
+
     for j, pos, neg in reversed(stages):
-        upper: Fraction | None = None
-        lower: Fraction | None = None
-        for coeffs, rhs in pos:
-            residual = rhs - sum(
-                (coeffs[t] * values[t] for t in range(j + 1, nvars)),
-                Fraction(0))
-            bound = residual / coeffs[j]
-            if upper is None or bound < upper:
-                upper = bound
-        for coeffs, rhs in neg:
-            residual = rhs - sum(
-                (coeffs[t] * values[t] for t in range(j + 1, nvars)),
-                Fraction(0))
-            bound = residual / coeffs[j]  # coeffs[j] < 0 flips to a lower bound
-            if lower is None or bound > lower:
-                lower = bound
+        upper = min((bound(j, *c) for c in pos), default=None)
+        lower = max((bound(j, *c) for c in neg), default=None)
         if upper is None and lower is None:
             values[j] = Fraction(0)
         elif upper is None:

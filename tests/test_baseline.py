@@ -2,9 +2,13 @@
 
 from __future__ import annotations
 
+import math
 import random
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import random_edge_list
 from shadowmatch.baseline import (GAMMA_RATIO_5_828, GAMMA_RATIO_SIX,
@@ -101,3 +105,23 @@ def test_run_baseline_deterministic():
     a = run_baseline(list(edges), GAMMA_RATIO_5_828)
     b = run_baseline(list(edges), GAMMA_RATIO_5_828)
     assert a.matching == b.matching and a.weight == b.weight
+
+
+@given(st.data())
+@settings(max_examples=100, deadline=None)
+def test_admission_is_exact_at_float_ties(data):
+    """Weights a few ulps from (1 + gamma) * w(conflicts) are admitted
+    exactly when the rational inequality holds."""
+    gamma = data.draw(st.sampled_from([0.0, GAMMA_RATIO_5_828, GAMMA_RATIO_SIX]))
+    m = BaselineMatcher(gamma)
+    a = data.draw(st.floats(0.1, 10.0))
+    b = data.draw(st.floats(0.1, 10.0))
+    m.process_edge(edge(1, 2, a))
+    m.process_edge(edge(3, 4, b))
+    w = m.threshold * (a + b)
+    steps = data.draw(st.integers(-3, 3))
+    for _ in range(abs(steps)):
+        w = math.nextafter(w, math.inf if steps > 0 else 0.0)
+    d = m.process_edge(edge(2, 3, w))
+    exact = Fraction(w) - Fraction(m.threshold) * (Fraction(a) + Fraction(b))
+    assert d.inserted == (exact > 0)

@@ -185,3 +185,43 @@ def test_bound_grid_and_minimizer(capsys):
 
 def test_bound_rejects_bad_k():
     assert main(["bound", "--k", "1.0"]) == 1
+
+
+def test_run_verify_near_tie_regression(tmp_path, capsys):
+    """The float score of the last edge is +8.9e-16 while its exact score
+    is not positive: it must not be inserted, so every insertion made
+    certifies."""
+    path = tmp_path / "tie.txt"
+    path.write_text("1 2 2.9606534703948366\n3 4 1.0639643575038282\n"
+                    "2 3 6.9110406495271235\n", encoding="utf-8")
+    assert main(["run", str(path), "--verify"]) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == "verifier_failures 0"
+
+
+@pytest.mark.parametrize("text,extra,code", [
+    ("0 1 nan\n", [], 2),
+    ("0 1 inf\n", [], 2),
+    ("0 1 1e309\n", [], 2),
+    ("0 1 -0.0\n", [], 2),
+    ("p 3 3\n0 1 1.0\n1 2 2.0\n", [], 2),
+    ("p 3 1\n0 1 1.0\n1 2 2.0\n", [], 2),
+    ("p 3 3\n0 1 1.0\n0 1 2.0\n1 2 1.0\n", ["--skip-duplicates"], 0),
+    ("p 3 2\n0 1 1.0\n0 1 2.0\n1 2 1.0\n", ["--skip-duplicates"], 2),
+    ("0 1 1e-320\n1 2 3e-320\n2 3 1e-320\n", [], 0),
+    (f"{2 ** 64} {2 ** 64 + 1} 1.5\n{2 ** 64 + 1} {2 ** 65} 4.0\n", [], 0),
+], ids=["nan", "inf", "overflow", "negative-zero", "header-too-many",
+        "header-too-few", "header-counts-skipped-duplicates",
+        "header-without-skipped-duplicates", "subnormal", "ids-above-2**64"])
+def test_run_exit_codes_on_extreme_input(tmp_path, capsys, text, extra, code):
+    path = tmp_path / "inst.txt"
+    path.write_text(text, encoding="utf-8")
+    assert main(["run", str(path), "--verify", *extra]) == code
+    if code == 0:
+        assert capsys.readouterr().out.splitlines()[-1] == "verifier_failures 0"
+
+
+def test_run_empty_file(tmp_path, capsys):
+    path = tmp_path / "empty.txt"
+    path.write_text("", encoding="utf-8")
+    assert main(["run", str(path)]) == 0
+    assert capsys.readouterr().out == "weight 0.0\n"

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from helpers import (brute_force_disjoint, check_matcher_invariants,
                      random_edge_list)
+from shadowmatch.baseline import BaselineMatcher, run_baseline
 from shadowmatch.graph import edge
 from shadowmatch.shadow import (InsertionDecision, ShadowMatcher,
                                 enumerate_augmenting_sets, run_stream,
@@ -323,11 +324,12 @@ def test_run_metrics_bounds():
 def test_run_is_deterministic():
     rng = random.Random(21)
     edges = random_edge_list(rng, max_n=10)
-    a = run_stream(list(edges), 1.717, trace=True)
-    b = run_stream(list(edges), 1.717, trace=True)
+    a_events, b_events = [], []
+    a = run_stream(list(edges), 1.717, trace=a_events.append)
+    b = run_stream(list(edges), 1.717, trace=b_events.append)
     assert a.matching == b.matching
     assert a.weight == b.weight
-    assert a.events == b.events
+    assert a_events == b_events
 
 
 @given(st.data())
@@ -357,6 +359,35 @@ def test_invariants_hold_after_every_step(data):
 
 
 @given(st.data())
+@settings(max_examples=60, deadline=None)
+def test_driver_counters_match_recounts(data):
+    """The O(1) counters the driver reads agree with full recounts."""
+    rng = random.Random(data.draw(st.integers(0, 10 ** 9)))
+    edges = random_edge_list(rng, max_n=12,
+                             integer_weights=data.draw(st.booleans()))
+    if data.draw(st.booleans()):
+        edges.sort(key=lambda e: e.w)  # ascending: most edges insert
+    k = data.draw(st.sampled_from([1.1, 1.5, 1.717, 2.0, 3.0]))
+    gamma = data.draw(st.sampled_from([0.0, 0.7071067811865476, 1.0]))
+
+    m = ShadowMatcher(k)
+    peak = 0
+    for e in edges:
+        m.process_edge(e)
+        assert m.parked_edge_count == len(set(m.shadow_slots.values()))
+        assert m.matched_edge_count + m.parked_edge_count == m.stored_edge_count()
+        peak = max(peak, m.stored_edge_count())
+    assert run_stream(edges, k).metrics.max_stored_edges == peak
+
+    b = BaselineMatcher(gamma)
+    peak = 0
+    for e in edges:
+        b.process_edge(e)
+        peak = max(peak, len(set(b.matching.values())))
+    assert run_baseline(edges, gamma).metrics.max_stored_edges == peak
+
+
+@given(st.data())
 @settings(max_examples=40, deadline=None)
 def test_replay_is_bit_identical(data):
     rng = random.Random(data.draw(st.integers(0, 10 ** 9)))
@@ -374,18 +405,34 @@ def test_replay_is_bit_identical(data):
 # -- tracing ---------------------------------------------------------------
 
 def test_trace_event_contents():
-    res = run_stream([edge(1, 2, 1.0), edge(2, 3, 10.0)], 1.717, trace=True)
-    assert res.events is not None and len(res.events) == 2
-    ev = res.events[1]
+    events = []
+    run_stream([edge(1, 2, 1.0), edge(2, 3, 10.0)], 1.717, trace=events.append)
+    assert len(events) == 2
+    ev = events[1]
     assert ev.index == 1
     assert ev.neighborhood.input_edge == edge(2, 3, 10.0)
     assert len(ev.candidates) >= 1
     assert ev.decision.inserted
 
 
+def test_trace_sink_is_fed_as_the_stream_is_read():
+    rng = random.Random(3)
+    edges = random_edge_list(rng, max_n=10)
+    delivered = []
+
+    def stream():
+        for i, e in enumerate(edges):
+            assert len(delivered) == i  # every earlier step already traced
+            yield e
+
+    run_stream(stream(), 1.717, trace=lambda ev: delivered.append(ev.index))
+    assert delivered == list(range(len(edges)))
+
+
 def test_trace_to_dict_schema():
-    res = run_stream([edge(1, 2, 1.0), edge(2, 3, 10.0)], 1.717, trace=True)
-    rec = trace_to_dict(res.events[1])
+    events = []
+    run_stream([edge(1, 2, 1.0), edge(2, 3, 10.0)], 1.717, trace=events.append)
+    rec = trace_to_dict(events[1])
     assert rec["index"] == 1
     assert rec["input"] == [2, 3, 10.0]
     assert set(rec["S"]) == {"y1y2", "g1y1", "a1g1", "a1c1",
@@ -400,8 +447,9 @@ def test_trace_to_dict_schema():
 def test_trace_candidate_scores_match_decisions():
     rng = random.Random(5)
     edges = random_edge_list(rng, max_n=10)
-    res = run_stream(edges, 1.717, trace=True)
-    for ev in res.events:
+    events = []
+    run_stream(edges, 1.717, trace=events.append)
+    for ev in events:
         best = max(r for _, r in ev.candidates)
         assert ev.decision.gain == best
         assert ev.decision.inserted == (best > 0)

@@ -2,10 +2,13 @@
 
 from __future__ import annotations
 
+import math
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import random_edge_list
 from shadowmatch.graph import edge
@@ -218,3 +221,30 @@ def test_unconstrained_variable_defaults_to_zero():
     cons = [((one, zero), Fraction(1)), ((-one, zero), Fraction(-1))]
     values = _fourier_motzkin(cons, 2)
     assert values == [Fraction(1), Fraction(0)]
+
+
+@given(st.data())
+@settings(max_examples=150, deadline=None)
+def test_insertions_certify_at_float_ties(data):
+    """Input weights a few ulps from k * w(M(e)) are where float scoring
+    and the exact certificate can disagree; every insertion must still
+    certify."""
+    k = data.draw(st.sampled_from([1.1, 1.5, 1.717191779457857, 2.0, 3.0]))
+    rng = random.Random(data.draw(st.integers(0, 10 ** 9)))
+    m = ShadowMatcher(k)
+    seen = set()
+    for _ in range(40):
+        u, v = sorted(rng.sample(range(8), 2))
+        if (u, v) in seen:
+            continue
+        seen.add((u, v))
+        conflicts = {x for x in (m.matching.get(u), m.matching.get(v)) if x}
+        w = k * sum(x.w for x in conflicts)
+        if w == 0:
+            w = rng.uniform(0.5, 4.0)
+        steps = data.draw(st.integers(-3, 3))
+        for _ in range(abs(steps)):
+            w = math.nextafter(w, math.inf if steps > 0 else 0.0)
+        d = m.process_edge(edge(u, v, w))
+        if d.inserted:
+            assert check_locally_k_exceeding(d, k).feasible
