@@ -115,18 +115,30 @@ def cmd_run(args) -> int:
         if args.algo == "shadow":
             k = args.k if args.k is not None else _default_k()
 
-            def sink(event):
+            def certify(decision) -> bool:
                 nonlocal failures
+                ok = check_locally_k_exceeding(decision, k).feasible
+                failures += not ok
+                return ok
+
+            def sink(event):
                 record = trace_to_dict(event)
                 if args.verify and event.decision.inserted:
-                    ok = check_locally_k_exceeding(event.decision, k).feasible
-                    record["decision"]["allocation_feasible"] = ok
-                    failures += not ok
-                if trace_fh:
-                    trace_fh.write(json.dumps(record, sort_keys=True) + "\n")
+                    record["decision"]["allocation_feasible"] = certify(
+                        event.decision)
+                trace_fh.write(json.dumps(record, sort_keys=True) + "\n")
 
-            traced = args.trace or args.verify
-            result = run_stream(stream, k, trace=sink if traced else None)
+            def check(_index, decision, _matcher):
+                if decision.inserted:
+                    certify(decision)
+
+            # Without a trace file the untraced step serves, and --verify
+            # certifies from the decision hook.
+            if trace_fh:
+                result = run_stream(stream, k, trace=sink)
+            else:
+                result = run_stream(stream, k,
+                                    on_decision=check if args.verify else None)
         else:
             if args.k is not None:
                 raise _UsageError("--k applies to the shadow matcher only")

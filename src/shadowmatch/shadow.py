@@ -16,7 +16,11 @@ Processing one input edge looks at a bounded local neighborhood only:
 * and the matching edges covering the far ends of those shadows.
 
 That is at most seven edges, so each step costs constant time and the
-whole pass stores at most 3 * floor(n/2) edges.
+whole pass stores at most 3 * floor(n/2) edges.  `process_edge` reads
+them straight from the matching and slot dicts and builds no view
+object; the Neighborhood, with its seven named roles, exists for
+`process_edge_traced` and for tests.  Both steps share one decision
+routine, so they decide alike.
 
 An insertion candidate A (a set of one to three pairwise disjoint
 non-matching edges from the neighborhood) is scored by
@@ -29,8 +33,11 @@ iff r(A) > 0; M(A) is removed and parked in shadow slots.
 
 Scores are floats; one within its rounding bound of zero is recomputed
 in exact rationals, so r(A) > 0 agrees with the exact certificate in
-verify.py, and such scores are also ranked exactly.  Ties on r(A) are
-broken deterministically: larger w(A) first, then fewer edges, then the
+verify.py, and such scores are also ranked exactly.  A winning set of
+two or three edges is also compared exactly against its own subsets
+whose float scores lie within rounding of its own, so an edge whose
+exact marginal is negative is never inserted.  Ties on r(A) are broken
+deterministically: larger w(A) first, then fewer edges, then the
 lexicographically smallest sorted edge list.
 """
 
@@ -41,7 +48,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable
 
-from .graph import Edge, EdgeStream, is_matching
+from .graph import Edge, EdgeStream
 
 # A float score w(A) - t*w(M(A)) sums up to three and up to four weights,
 # then takes one product and one difference: its rounding error is under
@@ -178,9 +185,22 @@ def conflict_score(matching: dict[int, Edge], chosen: tuple[Edge, ...],
     r = w_chosen - w_removed
     if abs(r) > _ROUNDING * (w_chosen + w_removed) + _UNDERFLOW:
         return r, removed, r
-    exact = (sum(Fraction(f.w) for f in chosen)
-             - Fraction(t) * sum(Fraction(d.w) for d in removed))
+    exact = _exact_score(chosen, removed, t)
     return _signed_float(exact), removed, exact
+
+
+def _exact_score(chosen: tuple[Edge, ...], removed: tuple[Edge, ...],
+                 t: float) -> Fraction:
+    """w(chosen) - t * w(removed) in exact rationals."""
+    return (sum(Fraction(f.w) for f in chosen)
+            - Fraction(t) * sum(Fraction(d.w) for d in removed))
+
+
+def _rounding_bound(chosen: tuple[Edge, ...], removed: tuple[Edge, ...],
+                    t: float) -> float:
+    """How far the float score of `chosen` can lie from the exact one."""
+    return _ROUNDING * (sum(f.w for f in chosen)
+                        + t * sum(d.w for d in removed))
 
 
 def _signed_float(q: Fraction) -> float:
@@ -200,12 +220,26 @@ def enumerate_augmenting_sets(nb: Neighborhood) -> list[tuple[Edge, ...]]:
     sorted candidates, so replays are bit-identical.  At most three
     candidates exist, hence at most seven subsets.
     """
-    cands = nb.candidates()
+    return _disjoint_subsets(nb.candidates())
+
+
+def _disjoint_subsets(cands: tuple[Edge, ...]) -> list[tuple[Edge, ...]]:
+    """The non-empty pairwise-disjoint subsets of the sorted `cands`,
+    in subset bitmask order.
+
+    Bitmask order puts the subsets holding the j-th candidate right
+    after those of the first j - 1: first the j-th alone, then each
+    earlier subset plus it.  A subset that is not disjoint has no
+    disjoint superset, so it is dropped as soon as it appears.
+    """
+    if len(cands) == 1:
+        return [cands]
     out = []
-    for mask in range(1, 1 << len(cands)):
-        subset = tuple(c for i, c in enumerate(cands) if mask >> i & 1)
-        if is_matching(subset):
-            out.append(subset)
+    for x in cands:
+        grown = [s + (x,) for s in out
+                 if not any(x.shares_vertex(f) for f in s)]
+        out.append((x,))
+        out += grown
     return out
 
 
@@ -294,35 +328,107 @@ class ShadowMatcher:
         Preconditions: `e` has positive weight and its endpoint pair is
         not already in the matching (streams never repeat an edge).
         Violations raise ValueError.
+
+        The view is read straight from the dicts, without building the
+        Neighborhood: a shadow always differs from the input edge (its
+        pair would be the matching edge at the anchor) and from every
+        matching edge, so only the two shadows can coincide.
         """
-        decision, _, _ = self._step(e)
-        return decision
+        matching = self.matching
+        u, v = e.u, e.v
+        m1 = matching.get(u)
+        m2 = matching.get(v)
+        # One matching edge covers both endpoints iff e is already in.
+        if not 0.0 < e.w < math.inf or (m1 is not None and m1 == m2):
+            check_input(matching, e)
+        slots = self.shadow_slots
+        cands = [e]
+        far_covers = []
+        for matched, anchor in ((m1, u), (m2, v)):
+            if matched is None:
+                continue
+            partner = matched.v if matched.u == anchor else matched.u
+            shadow = slots.get(partner)
+            if shadow is None:
+                continue
+            if shadow not in cands:
+                cands.append(shadow)
+            cover = matching.get(shadow.v if shadow.u == partner else shadow.u)
+            if cover is not None:
+                far_covers.append(cover)
+        if len(cands) == 1:
+            self.last_touched_edges = 1 + (m1 is not None) + (m2 is not None)
+        else:
+            view = {m1, m2, *cands, *far_covers}
+            view.discard(None)
+            self.last_touched_edges = len(view)
+            cands.sort()
+        return self._decide(tuple(cands), None)
 
     def process_edge_traced(self, e: Edge, index: int) -> TraceEvent:
         """Like process_edge, but capture the full step for tracing."""
-        decision, nb, scored = self._step(e)
-        return TraceEvent(index, nb, tuple(scored), decision)
-
-    def _step(self, e: Edge):
         check_input(self.matching, e)
         nb = self.neighborhood(e)
         self.last_touched_edges = len(nb.distinct_edges())
-
-        # The input edge alone is always the first candidate set.
-        best = None
         scored: list[tuple[tuple[Edge, ...], float]] = []
-        for subset in enumerate_augmenting_sets(nb):
-            r, removed, key = conflict_score(self.matching, subset, self.k)
-            scored.append((subset, r))
+        decision = self._decide(nb.candidates(), scored)
+        return TraceEvent(index, nb, tuple(scored), decision)
+
+    def _decide(self, cands: tuple[Edge, ...],
+                scored: list | None) -> InsertionDecision:
+        """Score every disjoint subset of the sorted candidate edges,
+        insert the best one if its score is positive, and append each
+        (subset, r) to `scored` when it is a list."""
+        matching = self.matching
+        k = self.k
+        best = None
+        sets = _disjoint_subsets(cands)
+        for subset in sets:
+            r, removed, key = conflict_score(matching, subset, k)
+            if scored is not None:
+                scored.append((subset, r))
             if best is None or _better(key, subset, best[0], best[2]):
                 best = (key, r, subset, removed)
-        self.last_candidate_sets = len(scored)
+        self.last_candidate_sets = len(sets)
 
         key, r, chosen, removed = best
-        decision = InsertionDecision(chosen, removed, r, key > 0)
-        if decision.inserted:
+        inserted = key > 0
+        if inserted and len(chosen) > 1:
+            r, chosen, removed = self._settle_near_ties(r, chosen, removed)
+        decision = InsertionDecision(chosen, removed, r, inserted)
+        if inserted:
             self._apply(chosen, removed)
-        return decision, nb, scored
+        return decision
+
+    def _settle_near_ties(self, r: float, chosen: tuple[Edge, ...],
+                          removed: tuple[Edge, ...]):
+        """Rank a winning multi-edge set exactly against its own subsets.
+
+        When a proper subset scores within both sets' rounding bounds of
+        the winner, floats cannot tell them apart, and the superset may
+        win on an extra edge whose exact marginal is negative: that edge
+        then cannot pay for what it removes, and the insertion fails the
+        exact certificate.  Such subsets are compared in Fraction, and
+        the best of those that is exactly higher replaces the winner.
+        Returns (r, chosen, removed) of the set to insert.
+        """
+        matching = self.matching
+        k = self.k
+        bound = _rounding_bound(chosen, removed, k) + _UNDERFLOW
+        exact = best = None
+        # Every subset of a disjoint set is disjoint; the last is `chosen`.
+        for sub in _disjoint_subsets(chosen)[:-1]:
+            r_sub, removed_sub, _ = conflict_score(matching, sub, k)
+            if abs(r_sub - r) > bound + _rounding_bound(sub, removed_sub, k):
+                continue
+            if exact is None:
+                exact = _exact_score(chosen, removed, k)
+            q = _exact_score(sub, removed_sub, k)
+            if q > exact and (best is None or _better(q, sub, best[0], best[2])):
+                best = (q, r_sub, sub, removed_sub)
+        if best is None:
+            return r, chosen, removed
+        return best[1:]
 
     def _apply(self, chosen: tuple[Edge, ...], removed: tuple[Edge, ...]) -> None:
         # Mutation order matters for the slot bookkeeping: first forget

@@ -3,11 +3,13 @@
 from __future__ import annotations
 
 import csv
+import dataclasses
 import io
 import json
 
 import pytest
 
+from shadowmatch import cli
 from shadowmatch.cli import main
 from shadowmatch.generators import GeneratorSpec, generate
 from shadowmatch.graph import open_stream
@@ -225,3 +227,32 @@ def test_run_empty_file(tmp_path, capsys):
     path.write_text("", encoding="utf-8")
     assert main(["run", str(path)]) == 0
     assert capsys.readouterr().out == "weight 0.0\n"
+
+
+@pytest.mark.parametrize("fail_evicting", [False, True],
+                         ids=["certified", "failures"])
+def test_run_verify_output_is_the_same_with_and_without_trace(
+        tmp_path, capsys, monkeypatch, fail_evicting):
+    """Without --trace, --verify certifies from the untraced step; its
+    stdout and exit code must equal the traced run's, failures included
+    (forced here by rejecting every insertion that evicts an edge)."""
+    path = tmp_path / "gnp.txt"
+    assert main(["gen", "--kind", "gnp-random", "--n", "40", "--p", "0.5",
+                 "--seed", "3", "--out", str(path)]) == 0
+    if fail_evicting:
+        real = cli.check_locally_k_exceeding
+
+        def check(decision, k):
+            result = real(decision, k)
+            return dataclasses.replace(
+                result, feasible=result.feasible and not decision.removed)
+        monkeypatch.setattr(cli, "check_locally_k_exceeding", check)
+    capsys.readouterr()
+    code = main(["run", str(path), "--verify"])
+    plain = capsys.readouterr().out
+    traced_code = main(["run", str(path), "--verify",
+                        "--trace", str(tmp_path / "trace.jsonl")])
+    assert capsys.readouterr().out == plain
+    assert code == traced_code == (3 if fail_evicting else 0)
+    failures = int(plain.splitlines()[-1].split()[1])
+    assert (failures > 0) == fail_evicting

@@ -387,6 +387,43 @@ def test_driver_counters_match_recounts(data):
     assert run_baseline(edges, gamma).metrics.max_stored_edges == peak
 
 
+
+@given(st.data())
+@settings(max_examples=150, deadline=None)
+def test_untraced_step_matches_traced_step(data):
+    """process_edge reads its view straight from the dicts, while
+    process_edge_traced builds the Neighborhood: twin matchers fed one
+    stream must decide alike and report the same work per step."""
+    rng = random.Random(data.draw(st.integers(0, 10 ** 9)))
+    weights = data.draw(st.sampled_from(["uniform", "integer", "nextafter"]))
+    k = data.draw(st.sampled_from([1.1, 1.5, 1.717191779457857, 2.0, 3.0]))
+    n = data.draw(st.integers(2, 10))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    rng.shuffle(pairs)
+    lean, traced = ShadowMatcher(k), ShadowMatcher(k)
+    for i, (u, v) in enumerate(pairs):
+        if weights == "uniform":
+            w = rng.uniform(0.05, 20.0)
+        elif weights == "integer":
+            w = float(rng.randint(1, 6))
+        else:
+            # a few ulps from k times the weight the edge alone displaces
+            conflicts = {lean.matching.get(u), lean.matching.get(v)} - {None}
+            w = k * sum(x.w for x in conflicts) or rng.uniform(0.5, 4.0)
+            steps = rng.randint(-3, 3)
+            for _ in range(abs(steps)):
+                w = math.nextafter(w, math.inf if steps > 0 else 0.0)
+        e = edge(u, v, w)
+        touched = len(lean.neighborhood(e).distinct_edges())
+        decision = lean.process_edge(e)
+        event = traced.process_edge_traced(e, i)
+        assert decision == event.decision
+        assert lean.last_touched_edges == traced.last_touched_edges == touched
+        assert (lean.last_candidate_sets == traced.last_candidate_sets
+                == len(event.candidates))
+    assert lean.matching == traced.matching
+    assert lean.shadow_slots == traced.shadow_slots
+
 @given(st.data())
 @settings(max_examples=40, deadline=None)
 def test_replay_is_bit_identical(data):

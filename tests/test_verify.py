@@ -248,3 +248,41 @@ def test_insertions_certify_at_float_ties(data):
         d = m.process_edge(edge(u, v, w))
         if d.inserted:
             assert check_locally_k_exceeding(d, k).feasible
+
+
+# Streams whose last step scores a three-edge set and one of its pairs
+# within float rounding of each other, while the third edge's exact
+# marginal is negative: ranked in floats, the triple wins and fails its
+# certificate.  At k = 1.1 the two float scores are equal; at k* they
+# are 1.4e-14 apart, with the triple ahead.
+NEAR_TIE_STREAMS = {
+    1.1: """5 7 2.7157557414463853 / 1 3 2.7065935157763845
+        / 0 7 2.987331315591024 / 4 5 3.272207380926885
+        / 4 7 6.885492566169701 / 2 4 3.599428119019574
+        / 0 6 3.286064447150127 / 2 5 6.946702246512555
+        / 2 3 6.936623798275555 / 1 5 3.599428119019574
+        / 0 5 7.574041822786672 / 2 6 7.630286178103111
+        / 4 6 8.393314795913422 / 0 4 17.564092280570105""",
+    1.717191779457857: """6 7 2.297820044260798 / 0 3 1.5131127824481598
+        / 3 4 2.5983048314125843 / 0 7 6.544102522090716
+        / 1 3 2.5983048314125847 / 2 3 2.598304831412584
+        / 1 7 3.945797690678131 / 2 7 3.945797690678132
+        / 0 4 2.598304831412584 / 0 2 9.373996189248864
+        / 1 2 16.096949196847426 / 3 5 2.5983048314125834
+        / 3 7 6.544102522090718 / 1 6 27.641548835177154
+        / 2 4 16.096949196847433 / 4 7 38.87902789004076
+        / 4 6 114.22858751733983""",
+}
+
+
+@pytest.mark.parametrize("k", sorted(NEAR_TIE_STREAMS))
+def test_near_tie_subset_is_inserted_and_certifies(k):
+    edges = [edge(int(u), int(v), float(w)) for u, v, w in
+             (part.split() for part in NEAR_TIE_STREAMS[k].split("/"))]
+    matcher = ShadowMatcher(k)
+    for e in edges:
+        decision = matcher.process_edge(e)
+        if decision.inserted:
+            _assert_witness_ok(check_locally_k_exceeding(decision, k))
+    # the last step inserts the exactly better pair, not the triple
+    assert decision.inserted and len(decision.chosen) == 2
