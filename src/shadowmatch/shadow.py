@@ -124,7 +124,7 @@ class Neighborhood:
         return tuple(sorted(out.values()))
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class InsertionDecision:
     """Outcome of one step: the best candidate set and what it did.
 

@@ -1,4 +1,4 @@
-"""Per-insertion certificate checks, in exact rational arithmetic.
+"""Per-insertion certificate checks, in exact arithmetic.
 
 Every insertion the shadow matcher performs is supposed to be "locally
 k-exceeding": there must exist an allocation f mapping the vertices
@@ -12,12 +12,34 @@ covered by the inserted set A into [0, 1] such that
         f(c) + f(d) >= 1
     with f fixed to 0 outside the covered vertex set.
 
-This is a tiny linear feasibility problem (at most six variables), so
-it is decided exactly: weights and k are converted to fractions.Fraction
-(binary floats convert exactly) and the system is run through
-Fourier-Motzkin elimination.  When feasible, back-substitution produces
-a concrete witness allocation; when not, the insertion violated its
-own admission rule and something is broken.
+The system has a fixed shape, so it is decided in closed form rather
+than by a general LP solver:
+
+  * a removed edge with one covered end x forces f(x) = 1, so its whole
+    weight loads the inserted edge through x;
+  * a removed edge with both ends covered joins two different inserted
+    edges, and its weight splits between them (f(c) + f(d) = 1 at the
+    optimum, since overshooting only adds load);
+  * a covered vertex with no removed edge is free, and a removed edge
+    with no covered end makes the system infeasible.
+
+That is a splittable transport problem from the removed edges to at
+most three inserted edges of capacity w(e)/k.  By Gale's theorem it is
+feasible iff, for every set S of inserted edges,
+
+    k * w(removed edges whose covered ends all lie in S) <= w(S),
+
+where a removed edge with no covered end lies in every S, the empty
+one included.  With k = p/q and every weight an integer multiple of one
+power of two (binary floats are), the at most eight comparisons are
+exact in integers.  A feasible system gets a concrete witness: the
+shared removed edges are fixed one at a time, each at the midpoint of
+the shares its first end c can take while every subset condition stays
+true, with f(c) = share / w(cd), f(d) = 1 - f(c), and f = 1 elsewhere.
+The midpoint leaves room for the edges fixed after it, so a cycle of
+shared edges splits each one strictly when it can.  An infeasible
+system means the insertion violated its own admission rule and
+something is broken.
 """
 
 from __future__ import annotations
@@ -28,8 +50,7 @@ from fractions import Fraction
 from .graph import Edge
 from .shadow import InsertionDecision
 
-# One linear constraint: sum(coeffs[i] * x[i]) <= rhs.
-_Constraint = tuple[tuple[Fraction, ...], Fraction]
+_ONE = Fraction(1)
 
 
 @dataclass(frozen=True)
@@ -56,7 +77,10 @@ def check_locally_k_exceeding(decision: InsertionDecision, k: float) -> Allocati
     ----------
     decision
         Must have `inserted` set; rejected steps have nothing to
-        certify and raise ValueError.
+        certify and raise ValueError.  The inserted edges must be
+        pairwise disjoint, at most one removed edge may touch each
+        covered vertex, and no removed edge may be an inserted one
+        (ValueError otherwise); every matcher decision is of that shape.
     k
         The threshold the matcher ran with (> 1).
 
@@ -67,127 +91,72 @@ def check_locally_k_exceeding(decision: InsertionDecision, k: float) -> Allocati
     if not decision.inserted:
         raise ValueError("only inserted decisions carry an allocation certificate")
     kq = Fraction(float(k))
-    if kq <= 1:
+    p, q = kq.numerator, kq.denominator
+    if p <= q:
         raise ValueError(f"k must be > 1, got {k!r}")
     chosen = decision.chosen
     removed = decision.removed
+    n = len(chosen)
+    owner = {x: i for i, e in enumerate(chosen) for x in (e.u, e.v)}
+    covered = tuple(sorted(owner))
+    if len(covered) != 2 * n:
+        raise ValueError("inserted edges must be pairwise disjoint")
+    hit = [x for d in removed for x in (d.u, d.v) if x in owner]
+    if len(set(hit)) != len(hit):
+        raise ValueError("at most one removed edge may touch a covered vertex")
 
-    covered = sorted({x for e in chosen for x in (e.u, e.v)})
-    index = {x: i for i, x in enumerate(covered)}
-    # Removed edges form a matching, so each covered vertex has at
-    # most one removed edge sitting on it.
-    removed_weight = {}
-    for d in removed:
-        for x in (d.u, d.v):
-            if x in index:
-                removed_weight[x] = Fraction(d.w)
+    # Every weight as an integer over one power-of-two denominator, so
+    # k * load <= w becomes p * load <= q * w with k = p/q.
+    ratios = [e.w.as_integer_ratio() for e in chosen + removed]
+    den = max(d for _, d in ratios)
+    ints = [num * (den // d) for num, d in ratios]
 
-    if len(chosen) == 1:
-        # Single inserted edge ab: every removed edge meets {a, b} in
-        # exactly one vertex and pins f there to 1, so the system is
-        # feasible iff the total removed weight fits under w(ab)/k.
-        e = chosen[0]
-        total = sum(removed_weight.values(), Fraction(0))
-        feasible = total <= Fraction(e.w) / kq
-        witness = {x: Fraction(1) for x in covered} if feasible else None
-        return AllocationCheck(feasible, tuple(covered), witness,
-                               chosen, removed, kq)
+    # load[S]: p * weight of the removed edges whose covered ends all lie
+    # in the inserted-edge set S (a bitmask); cap[S]: q * w(S).
+    size = 1 << n
+    load = [0] * size
+    cap = [0] * size
+    for i in range(n):
+        cap[1 << i] = q * ints[i]
+    shared = []
+    for d, w in zip(removed, ints[n:]):
+        ends = [x for x in (d.u, d.v) if x in owner]
+        mask = 0
+        for x in ends:
+            mask |= 1 << owner[x]
+        if len(ends) == 2:
+            if mask & (mask - 1) == 0:
+                raise ValueError(f"removed edge {d} is also inserted")
+            shared.append((ends, p * w))
+        load[mask] += p * w
+    for i in range(n):
+        bit = 1 << i
+        for s in range(size):
+            if s & bit:
+                load[s] += load[s ^ bit]
+                cap[s] += cap[s ^ bit]
+    if any(load[s] > cap[s] for s in range(size)):
+        return AllocationCheck(False, covered, None, chosen, removed, kq)
 
-    nvars = len(covered)
-    zero = Fraction(0)
-    constraints: list[_Constraint] = []
-
-    def row(entries: dict[int, Fraction], rhs: Fraction) -> _Constraint:
-        coeffs = [zero] * nvars
-        for x, c in entries.items():
-            coeffs[index[x]] += c
-        return tuple(coeffs), rhs
-
-    for e in chosen:
-        entries = {}
-        for x in (e.u, e.v):
-            wx = removed_weight.get(x)
-            if wx is not None:
-                entries[x] = wx
-        constraints.append(row(entries, Fraction(e.w) / kq))
-    for d in removed:
-        entries = {x: Fraction(-1) for x in (d.u, d.v) if x in index}
-        # f is zero off the covered set, so missing endpoints drop out.
-        constraints.append(row(entries, Fraction(-1)))
-    one = Fraction(1)
-    for x in covered:
-        constraints.append(row({x: one}, one))
-        constraints.append(row({x: -one}, zero))
-
-    values = _fourier_motzkin(constraints, nvars)
-    if values is None:
-        return AllocationCheck(False, tuple(covered), None, chosen, removed, kq)
-    witness = {x: values[index[x]] for x in covered}
-    return AllocationCheck(True, tuple(covered), witness, chosen, removed, kq)
-
-
-def _dedup(constraints: list[_Constraint]) -> list[_Constraint]:
-    # Keep only the tightest rhs per coefficient vector.
-    best: dict[tuple[Fraction, ...], Fraction] = {}
-    for coeffs, rhs in constraints:
-        cur = best.get(coeffs)
-        if cur is None or rhs < cur:
-            best[coeffs] = rhs
-    return [(c, b) for c, b in best.items()]
-
-
-def _fourier_motzkin(constraints: list[_Constraint], nvars: int
-                     ) -> list[Fraction] | None:
-    """Decide `Ax <= b` over the rationals; return a witness or None.
-
-    Variables are eliminated in index order.  The constraint sets seen
-    just before each elimination are kept so a satisfying point can be
-    rebuilt by walking them backwards, picking the midpoint of each
-    variable's residual interval.
-    """
-    stages: list[tuple[int, list[_Constraint], list[_Constraint]]] = []
-    cons = _dedup(constraints)
-    for j in range(nvars):
-        pos: list[_Constraint] = []
-        neg: list[_Constraint] = []
-        rest: list[_Constraint] = []
-        for coeffs, rhs in cons:
-            cj = coeffs[j]
-            if cj > 0:
-                pos.append((coeffs, rhs))
-            elif cj < 0:
-                neg.append((coeffs, rhs))
-            else:
-                rest.append((coeffs, rhs))
-        stages.append((j, pos, neg))
-        combined = rest
-        for cp, bp in pos:
-            ap = cp[j]
-            for cn, bn in neg:
-                an = -cn[j]
-                coeffs = tuple(cp[t] / ap + cn[t] / an for t in range(nvars))
-                combined.append((coeffs, bp / ap + bn / an))
-        cons = _dedup(combined)
-
-    if any(rhs < 0 for _, rhs in cons):
-        return None
-
-    values = [Fraction(0)] * nvars
-
-    def bound(j: int, coeffs: tuple[Fraction, ...], rhs: Fraction) -> Fraction:
-        residual = rhs - sum(
-            (coeffs[t] * values[t] for t in range(j + 1, nvars)), Fraction(0))
-        return residual / coeffs[j]  # coeffs[j] < 0 flips to a lower bound
-
-    for j, pos, neg in reversed(stages):
-        upper = min((bound(j, *c) for c in pos), default=None)
-        lower = max((bound(j, *c) for c in neg), default=None)
-        if upper is None and lower is None:
-            values[j] = Fraction(0)
-        elif upper is None:
-            values[j] = lower  # type: ignore[assignment]
-        elif lower is None:
-            values[j] = upper
-        else:
-            values[j] = (lower + upper) / 2
-    return values
+    # Witness: fix the shared edges one at a time, each at the midpoint
+    # of the shares its first end can take with every subset condition
+    # kept true.  Scaling by 2**len(shared) keeps the halvings integral.
+    scale = 1 << len(shared)
+    load = [v * scale for v in load]
+    cap = [v * scale for v in cap]
+    witness = dict.fromkeys(covered, _ONE)
+    for (c, d), w in shared:
+        w *= scale
+        bc, bd = 1 << owner[c], 1 << owner[d]
+        to_c = [s for s in range(size) if s & bc and not s & bd]
+        to_d = [s for s in range(size) if s & bd and not s & bc]
+        hi = min([w] + [cap[s] - load[s] for s in to_c])
+        lo = w - min([w] + [cap[s] - load[s] for s in to_d])
+        share = (lo + hi) // 2
+        for s in to_c:
+            load[s] += share
+        for s in to_d:
+            load[s] += w - share
+        witness[c] = Fraction(share, w)
+        witness[d] = Fraction(w - share, w)
+    return AllocationCheck(True, covered, witness, chosen, removed, kq)

@@ -10,6 +10,7 @@ from __future__ import annotations
 import math
 import os
 import random
+from fractions import Fraction
 from itertools import combinations
 from pathlib import Path
 
@@ -102,3 +103,114 @@ def package_env() -> dict[str, str]:
     rest = env.get("PYTHONPATH")
     env["PYTHONPATH"] = root + (os.pathsep + rest if rest else "")
     return env
+
+
+# One linear constraint: sum(coeffs[i] * x[i]) <= rhs.
+_Constraint = tuple[tuple[Fraction, ...], Fraction]
+
+
+def reference_feasible(decision, k: float) -> bool:
+    """The allocation system of `shadowmatch.verify`, written out as an
+    LP over the covered vertices and decided by Fourier-Motzkin
+    elimination, with no use of its structure."""
+    kq = Fraction(float(k))
+    chosen = decision.chosen
+    removed = decision.removed
+    covered = sorted({x for e in chosen for x in (e.u, e.v)})
+    index = {x: i for i, x in enumerate(covered)}
+    removed_weight = {}
+    for d in removed:
+        for x in (d.u, d.v):
+            if x in index:
+                removed_weight[x] = Fraction(d.w)
+
+    nvars = len(covered)
+    zero = Fraction(0)
+    one = Fraction(1)
+    constraints: list[_Constraint] = []
+
+    def row(entries: dict[int, Fraction], rhs: Fraction) -> _Constraint:
+        coeffs = [zero] * nvars
+        for x, c in entries.items():
+            coeffs[index[x]] += c
+        return tuple(coeffs), rhs
+
+    for e in chosen:
+        entries = {x: removed_weight[x] for x in (e.u, e.v)
+                   if x in removed_weight}
+        constraints.append(row(entries, Fraction(e.w) / kq))
+    for d in removed:
+        # f is zero off the covered set, so missing endpoints drop out.
+        entries = {x: -one for x in (d.u, d.v) if x in index}
+        constraints.append(row(entries, -one))
+    for x in covered:
+        constraints.append(row({x: one}, one))
+        constraints.append(row({x: -one}, zero))
+    return _fourier_motzkin(constraints, nvars) is not None
+
+
+def _dedup(constraints: list[_Constraint]) -> list[_Constraint]:
+    # Keep only the tightest rhs per coefficient vector.
+    best: dict[tuple[Fraction, ...], Fraction] = {}
+    for coeffs, rhs in constraints:
+        cur = best.get(coeffs)
+        if cur is None or rhs < cur:
+            best[coeffs] = rhs
+    return [(c, b) for c, b in best.items()]
+
+
+def _fourier_motzkin(constraints: list[_Constraint], nvars: int
+                     ) -> list[Fraction] | None:
+    """Decide `Ax <= b` over the rationals; return a witness or None.
+
+    Variables are eliminated in index order.  The constraint sets seen
+    just before each elimination are kept so a satisfying point can be
+    rebuilt by walking them backwards, picking the midpoint of each
+    variable's residual interval.
+    """
+    stages: list[tuple[int, list[_Constraint], list[_Constraint]]] = []
+    cons = _dedup(constraints)
+    for j in range(nvars):
+        pos: list[_Constraint] = []
+        neg: list[_Constraint] = []
+        rest: list[_Constraint] = []
+        for coeffs, rhs in cons:
+            cj = coeffs[j]
+            if cj > 0:
+                pos.append((coeffs, rhs))
+            elif cj < 0:
+                neg.append((coeffs, rhs))
+            else:
+                rest.append((coeffs, rhs))
+        stages.append((j, pos, neg))
+        combined = rest
+        for cp, bp in pos:
+            ap = cp[j]
+            for cn, bn in neg:
+                an = -cn[j]
+                coeffs = tuple(cp[t] / ap + cn[t] / an for t in range(nvars))
+                combined.append((coeffs, bp / ap + bn / an))
+        cons = _dedup(combined)
+
+    if any(rhs < 0 for _, rhs in cons):
+        return None
+
+    values = [Fraction(0)] * nvars
+
+    def bound(j: int, coeffs: tuple[Fraction, ...], rhs: Fraction) -> Fraction:
+        residual = rhs - sum(
+            (coeffs[t] * values[t] for t in range(j + 1, nvars)), Fraction(0))
+        return residual / coeffs[j]  # coeffs[j] < 0 flips to a lower bound
+
+    for j, pos, neg in reversed(stages):
+        upper = min((bound(j, *c) for c in pos), default=None)
+        lower = max((bound(j, *c) for c in neg), default=None)
+        if upper is None and lower is None:
+            values[j] = Fraction(0)
+        elif upper is None:
+            values[j] = lower  # type: ignore[assignment]
+        elif lower is None:
+            values[j] = upper
+        else:
+            values[j] = (lower + upper) / 2
+    return values

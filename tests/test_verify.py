@@ -10,11 +10,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import random_edge_list
+from helpers import _fourier_motzkin, random_edge_list, reference_feasible
 from shadowmatch.graph import edge
 from shadowmatch.shadow import InsertionDecision, ShadowMatcher
-from shadowmatch.verify import (AllocationCheck, _fourier_motzkin,
-                                check_locally_k_exceeding)
+from shadowmatch.verify import AllocationCheck, check_locally_k_exceeding
 
 A1C1 = edge(4, 6, 1.0)
 G1Y1 = edge(0, 2, 2.0)
@@ -67,6 +66,19 @@ def test_bad_k_raises():
                                  gain=1.0, inserted=True)
     with pytest.raises(ValueError):
         check_locally_k_exceeding(decision, 1.0)
+
+
+@pytest.mark.parametrize("chosen, removed", [
+    ((edge(1, 2, 5.0), edge(2, 3, 5.0)), ()),
+    ((edge(1, 2, 5.0),), (edge(1, 3, 1.0), edge(1, 4, 1.0))),
+    ((edge(1, 2, 5.0),), (edge(1, 2, 1.0),)),
+], ids=["inserted-overlap", "removed-overlap", "removed-is-inserted"])
+def test_malformed_decision_raises(chosen, removed):
+    # the allocation system is only defined for a matching replacing
+    # matching edges; no matcher emits anything else
+    decision = InsertionDecision(chosen, removed, 1.0, True)
+    with pytest.raises(ValueError):
+        check_locally_k_exceeding(decision, 2.0)
 
 
 def test_single_edge_no_removal():
@@ -182,6 +194,67 @@ def test_fast_path_matches_general_path_semantics():
             _assert_witness_ok(general)
 
 
+def test_single_edge_with_removed_edge_off_the_cover_is_infeasible():
+    # f is 0 off the covered set, so a removed edge that misses the
+    # inserted edge can never reach f(c) + f(d) >= 1, with or without a
+    # disjoint removal-free edge padding the decision
+    single = InsertionDecision((edge(1, 2, 10.0),), (edge(5, 6, 1.0),),
+                               1.0, True)
+    padded = InsertionDecision((edge(1, 2, 10.0), edge(8, 9, 5.0)),
+                               (edge(5, 6, 1.0),), 1.0, True)
+    assert not check_locally_k_exceeding(single, 2.0).feasible
+    assert not check_locally_k_exceeding(padded, 2.0).feasible
+
+
+def test_six_cycle_splits_every_shared_edge():
+    # three removed edges, each joining two inserted edges; the total
+    # load 3 exactly fills the total capacity 6 / 2
+    chosen = (edge(0, 1, 2.0), edge(2, 3, 2.0), edge(4, 5, 2.0))
+    removed = (edge(1, 2, 1.0), edge(3, 4, 1.0), edge(0, 5, 1.0))
+    check = check_locally_k_exceeding(
+        InsertionDecision(chosen, removed, 0.0, True), 2.0)
+    _assert_witness_ok(check)
+    assert all(0 < check.witness[x] < 1 for d in removed for x in (d.u, d.v))
+    # one ulp less capacity, and the cycle no longer fits
+    short = (edge(0, 1, math.nextafter(2.0, 0.0)),) + chosen[1:]
+    decision = InsertionDecision(short, removed, 0.0, True)
+    assert not check_locally_k_exceeding(decision, 2.0).feasible
+    assert not reference_feasible(decision, 2.0)
+
+
+def test_infeasible_only_for_all_three_inserted_edges():
+    # capacity 2 each at k = 2: each inserted edge fits its pinned load
+    # (1, 0 and 1) and each pair fits its load (at most 3.5 <= 4), but
+    # the total load 7 exceeds the total capacity 6
+    chosen = (edge(0, 1, 4.0), edge(2, 3, 4.0), edge(4, 5, 4.0))
+    pinned = ((edge(0, 10, 1.0),), (), (edge(5, 11, 1.0),))
+    decision = InsertionDecision(
+        chosen, pinned[0] + (edge(1, 2, 2.5), edge(3, 4, 2.5)) + pinned[2],
+        0.0, True)
+    assert not check_locally_k_exceeding(decision, 2.0).feasible
+    assert not reference_feasible(decision, 2.0)
+    for e, load in zip(chosen, pinned):
+        alone = InsertionDecision((e,), load, 0.0, True)
+        _assert_witness_ok(check_locally_k_exceeding(alone, 2.0))
+
+
+@pytest.mark.parametrize("pinned, feasible", [(None, True), (5e-324, False)])
+def test_subnormal_and_huge_weights_are_exact(pinned, feasible):
+    # the shared edge exactly fills the huge edge's capacity 1e308 / 2,
+    # and the subnormal edge's capacity 5e-324 / 2 takes a sliver of it
+    # unless a pinned 5e-324 already overfills it
+    removed = (edge(1, 2, 5e307),)
+    if pinned is not None:
+        removed += (edge(3, 10, pinned),)
+    decision = InsertionDecision((edge(0, 1, 1e308), edge(2, 3, 5e-324)),
+                                 removed, 0.0, True)
+    check = check_locally_k_exceeding(decision, 2.0)
+    assert check.feasible == feasible == reference_feasible(decision, 2.0)
+    if feasible:
+        _assert_witness_ok(check)
+        assert 0 < check.witness[1] < 1
+
+
 def test_fourier_motzkin_feasible_interval():
     one = Fraction(1)
     # x0 <= 1 and -x0 <= 0, midpoint witness 1/2
@@ -221,6 +294,55 @@ def test_unconstrained_variable_defaults_to_zero():
     cons = [((one, zero), Fraction(1)), ((-one, zero), Fraction(-1))]
     values = _fourier_motzkin(cons, 2)
     assert values == [Fraction(1), Fraction(0)]
+
+
+@st.composite
+def hand_built_decisions(draw):
+    """Well-formed decisions on 1-3 inserted edges (2i, 2i+1): each
+    covered vertex gets no removed edge, a private one to a fresh
+    vertex, or one shared with another inserted edge; n = 3 may be a
+    6-cycle of shared edges, and a removed edge may miss the cover."""
+    n = draw(st.integers(1, 3))
+    weight = draw(st.sampled_from([
+        st.floats(0.05, 20.0),
+        st.integers(1, 10).map(float),
+        st.floats(-40.0, 60.0).map(math.exp)]))
+    chosen = tuple(edge(2 * i, 2 * i + 1, draw(weight)) for i in range(n))
+    fresh = 2 * n
+    if n == 3 and draw(st.booleans()):
+        pairs = [(1, 2), (3, 4), (5, 0)]
+    else:
+        pairs = []
+        order = draw(st.permutations(range(2 * n)))
+        used: set[int] = set()
+        for x in order:
+            if x in used:
+                continue
+            kind = draw(st.sampled_from(["none", "private", "shared"]))
+            others = [y for y in order if y not in used and y // 2 != x // 2]
+            if kind == "shared" and others:
+                y = draw(st.sampled_from(others))
+                used |= {x, y}
+                pairs.append((x, y))
+            elif kind != "none":
+                used.add(x)
+                pairs.append((x, fresh))
+                fresh += 1
+    if draw(st.integers(0, 9)) == 0:
+        pairs.append((fresh, fresh + 1))
+    removed = [edge(u, v, draw(weight)) for u, v in pairs]
+    removed = tuple(draw(st.permutations(removed)))
+    return InsertionDecision(chosen, removed, 0.0, True)
+
+
+@given(hand_built_decisions(),
+       st.sampled_from([1.1, 1.5, 1.717191779457857, 2.0, 3.0]))
+@settings(max_examples=300, deadline=None)
+def test_verdict_matches_fourier_motzkin(decision, k):
+    check = check_locally_k_exceeding(decision, k)
+    assert check.feasible == reference_feasible(decision, k)
+    if check.feasible:
+        _assert_witness_ok(check)
 
 
 @given(st.data())
