@@ -20,7 +20,8 @@ from .harness import (AlgorithmSpec, RunReport, aggregate, default_algorithms,
 from .oracle import OptimalResult, OracleCapacityError, max_weight_matching
 from .shadow import (InsertionDecision, Neighborhood, RunMetrics, RunResult,
                      ShadowMatcher, SideView, TraceEvent,
-                     enumerate_augmenting_sets, run_stream, trace_to_dict)
+                     enumerate_augmenting_sets, run_stream, trace_line,
+                     trace_to_dict)
 from .verify import AllocationCheck, check_locally_k_exceeding
 
 __version__ = "0.1.0"
@@ -37,5 +38,5 @@ __all__ = [
     "generate", "is_matching", "matching_weight", "max_weight_matching",
     "open_stream", "optimal_k", "parse_edge_line", "ratio_table",
     "read_reports_json", "run_baseline", "run_experiment", "run_stream",
-    "stream_orders", "trace_to_dict", "write_stream",
+    "stream_orders", "trace_line", "trace_to_dict", "write_stream",
 ]

@@ -51,9 +51,13 @@ class BaselineMatcher:
 
         With gamma = 0 this degenerates to "strictly heavier wins".
         """
-        check_input(self.matching, e)
-        margin, removed, key = conflict_score(self.matching, (e,),
-                                              self.threshold)
+        matching = self.matching
+        m1 = matching.get(e.u)
+        # One matching edge covers both endpoints iff e is already in.
+        if not 0.0 < e.w < math.inf or (m1 is not None
+                                         and m1 == matching.get(e.v)):
+            check_input(matching, e)
+        margin, removed, key = conflict_score(matching, (e,), self.threshold)
         self.last_touched_edges = 1 + len(removed)
         decision = InsertionDecision((e,), removed, margin, key > 0)
         if decision.inserted:

@@ -14,7 +14,6 @@ failure.
 from __future__ import annotations
 
 import argparse
-import json
 import logging
 import sys
 
@@ -24,7 +23,8 @@ from .generators import GRAPH_KINDS, WEIGHT_KINDS, GeneratorSpec, WeightSpec, ge
 from .graph import (DenseGraph, StreamFormatError, format_edge, open_stream,
                     write_stream)
 from .harness import default_algorithms, emit_report, run_experiment
-from .shadow import run_stream, trace_to_dict
+# trace_to_dict is unused here; the benchmark's traced run wraps it by name.
+from .shadow import run_stream, trace_line, trace_to_dict  # noqa: F401
 from .verify import check_locally_k_exceeding
 
 USAGE_ERROR = 1
@@ -122,11 +122,10 @@ def cmd_run(args) -> int:
                 return ok
 
             def sink(event):
-                record = trace_to_dict(event)
+                feasible = None
                 if args.verify and event.decision.inserted:
-                    record["decision"]["allocation_feasible"] = certify(
-                        event.decision)
-                trace_fh.write(json.dumps(record, sort_keys=True) + "\n")
+                    feasible = certify(event.decision)
+                trace_fh.write(trace_line(event, feasible) + "\n")
 
             def check(_index, decision, _matcher):
                 if decision.inserted:
@@ -224,6 +223,12 @@ def main(argv=None) -> int:
                 "gen": cmd_gen, "bound": cmd_bound}
     try:
         return handlers[args.command](args)
+    except OverflowError as exc:
+        # Finite numbers whose sum or product leaves the float range:
+        # stream weights (two edges near 1.7e308 in one matching), or a
+        # parameter (`bound --k 1e308`).
+        print(f"error: a result leaves the float range: {exc}", file=sys.stderr)
+        return INPUT_ERROR if args.command in ("run", "compare") else USAGE_ERROR
     except (_UsageError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         # Bad parameter values (k <= 1, malformed specs) are usage

@@ -20,7 +20,9 @@ whole pass stores at most 3 * floor(n/2) edges.  `process_edge` reads
 them straight from the matching and slot dicts and builds no view
 object; the Neighborhood, with its seven named roles, exists for
 `process_edge_traced` and for tests.  Both steps share one decision
-routine, so they decide alike.
+routine, so they decide alike.  `trace_line` writes a traced step as
+one JSON line, straight from its TraceEvent; it is the one definition
+of the trace schema, and `trace_to_dict` is its line parsed back.
 
 An insertion candidate A (a set of one to three pairwise disjoint
 non-matching edges from the neighborhood) is scored by
@@ -43,6 +45,7 @@ lexicographically smallest sorted edge list.
 
 from __future__ import annotations
 
+import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -57,7 +60,7 @@ _ROUNDING = 4 * math.ulp(1.0)
 _UNDERFLOW = 8 * math.ulp(0.0)
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class SideView:
     """What the matcher can see from one endpoint of the input edge.
 
@@ -76,7 +79,7 @@ class SideView:
     far_cover: Edge | None = None
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class Neighborhood:
     """The bounded local view used to decide one step.
 
@@ -140,7 +143,7 @@ class InsertionDecision:
     inserted: bool
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class TraceEvent:
     """One step of a traced run: the view, all scored sets, the decision."""
 
@@ -367,9 +370,16 @@ class ShadowMatcher:
 
     def process_edge_traced(self, e: Edge, index: int) -> TraceEvent:
         """Like process_edge, but capture the full step for tracing."""
-        check_input(self.matching, e)
         nb = self.neighborhood(e)
-        self.last_touched_edges = len(nb.distinct_edges())
+        s1, s2 = nb.side1, nb.side2
+        # As in process_edge: the full check only when one could fail.
+        if not 0.0 < e.w < math.inf or (s1.matched is not None
+                                         and s1.matched == s2.matched):
+            check_input(self.matching, e)
+        view = {e, s1.matched, s1.shadow, s1.far_cover,
+                s2.matched, s2.shadow, s2.far_cover}
+        view.discard(None)
+        self.last_touched_edges = len(view)
         scored: list[tuple[tuple[Edge, ...], float]] = []
         decision = self._decide(nb.candidates(), scored)
         return TraceEvent(index, nb, tuple(scored), decision)
@@ -521,10 +531,15 @@ def drive(matcher, stream: EdgeStream | Iterable[Edge], *,
             event = matcher.process_edge_traced(e, i)
             trace(event)
             decision = event.decision
-        max_sets = max(max_sets, matcher.last_candidate_sets)
-        max_touched = max(max_touched, matcher.last_touched_edges)
-        max_stored = max(max_stored, matcher.matched_edge_count
-                         + matcher.parked_edge_count)
+        if matcher.last_candidate_sets > max_sets:
+            max_sets = matcher.last_candidate_sets
+        if matcher.last_touched_edges > max_touched:
+            max_touched = matcher.last_touched_edges
+        # Only an insertion can grow the stored-edge count.
+        if decision.inserted:
+            stored = matcher.matched_edge_count + matcher.parked_edge_count
+            if stored > max_stored:
+                max_stored = stored
         if on_decision is not None:
             on_decision(i, decision, matcher)
     metrics = RunMetrics(i + 1, matcher.insertions, max_stored, max_sets,
@@ -556,28 +571,58 @@ def run_stream(stream: EdgeStream | Iterable[Edge], k: float, *,
     return drive(ShadowMatcher(k), stream, trace=trace, on_decision=on_decision)
 
 
-def trace_to_dict(event: TraceEvent) -> dict:
-    """Render one TraceEvent as a JSON-ready dict.
+# json.dumps spells the non-finite floats so; repr(x) is its spelling
+# of every finite one.
+_JSON_NON_FINITE = {"inf": "Infinity", "-inf": "-Infinity", "nan": "NaN"}
 
-    Edges serialize as [u, v, w] triples; role names key the local
-    view.  Extra findings (for example verifier verdicts) can be added
-    to the returned dict before dumping.
+
+class _EdgeJson(dict):
+    """Edge (or None) -> its JSON text, spelled on first use: a trace
+    line names at most the seven edges in view, most of them twice."""
+
+    def __missing__(self, e: Edge | None) -> str:
+        text = self[e] = "null" if e is None else f"[{e.u}, {e.v}, {e.w!r}]"
+        return text
+
+
+def _json_float(x: float) -> str:
+    s = repr(x)
+    return _JSON_NON_FINITE.get(s, s)
+
+
+def trace_line(event: TraceEvent, feasible: bool | None = None) -> str:
+    """Render one TraceEvent as its JSON trace line, without the newline.
+
+    The line is `json.dumps(record, sort_keys=True)` of the record
+    :func:`trace_to_dict` returns, written straight from the event:
+    edges serialize as [u, v, w] triples, role names key the local
+    view, and a non-finite score is spelled Infinity or -Infinity.
+    `feasible`, when not None, is the verifier's verdict on an
+    insertion and goes in as `decision.allocation_feasible`.
     """
-    def enc(e: Edge | None):
-        return None if e is None else [e.u, e.v, e.w]
+    nb = event.neighborhood
+    s1, s2 = nb.side1, nb.side2
+    d = event.decision
+    enc = _EdgeJson().__getitem__
+    num = _json_float
+    inp = enc(nb.input_edge)
+    cands = ", ".join([
+        f'{{"edges": [{", ".join(map(enc, subset))}], "r": {num(r)}}}'
+        for subset, r in event.candidates])
+    verdict = ("" if feasible is None else
+               f'"allocation_feasible": {"true" if feasible else "false"}, ')
+    return (
+        f'{{"S": {{"a1c1": {enc(s1.far_cover)}, "a1g1": {enc(s1.shadow)}, '
+        f'"a2c2": {enc(s2.far_cover)}, "a2g2": {enc(s2.shadow)}, '
+        f'"g1y1": {enc(s1.matched)}, "g2y2": {enc(s2.matched)}, '
+        f'"y1y2": {inp}}}, "candidates": [{cands}], '
+        f'"decision": {{"A": [{", ".join(map(enc, d.chosen))}], {verdict}'
+        f'"inserted": {"true" if d.inserted else "false"}, '
+        f'"r": {num(d.gain)}, "removed": [{", ".join(map(enc, d.removed))}]}}, '
+        f'"index": {event.index}, "input": {inp}}}')
 
-    return {
-        "index": event.index,
-        "input": enc(event.neighborhood.input_edge),
-        "S": {role: enc(e) for role, e in event.neighborhood.roles().items()},
-        "candidates": [
-            {"edges": [enc(e) for e in subset], "r": r}
-            for subset, r in event.candidates
-        ],
-        "decision": {
-            "A": [enc(e) for e in event.decision.chosen],
-            "removed": [enc(e) for e in event.decision.removed],
-            "r": event.decision.gain,
-            "inserted": event.decision.inserted,
-        },
-    }
+
+def trace_to_dict(event: TraceEvent) -> dict:
+    """Render one TraceEvent as a JSON-ready dict: the parse of its
+    :func:`trace_line`, so the line alone defines the schema."""
+    return json.loads(trace_line(event))

@@ -53,7 +53,7 @@ from .shadow import InsertionDecision
 _ONE = Fraction(1)
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class AllocationCheck:
     """Result of checking one insertion.
 

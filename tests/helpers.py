@@ -105,6 +105,33 @@ def package_env() -> dict[str, str]:
     return env
 
 
+def reference_trace_record(event, feasible: bool | None = None) -> dict:
+    """The trace record of one TraceEvent, built field by field as a
+    dict; `json.dumps(record, sort_keys=True)` is its trace line."""
+    def enc(e):
+        return None if e is None else [e.u, e.v, e.w]
+
+    nb = event.neighborhood
+    record = {
+        "index": event.index,
+        "input": enc(nb.input_edge),
+        "S": {"y1y2": enc(nb.input_edge),
+              "g1y1": enc(nb.side1.matched), "a1g1": enc(nb.side1.shadow),
+              "a1c1": enc(nb.side1.far_cover),
+              "g2y2": enc(nb.side2.matched), "a2g2": enc(nb.side2.shadow),
+              "a2c2": enc(nb.side2.far_cover)},
+        "candidates": [{"edges": [enc(e) for e in subset], "r": r}
+                       for subset, r in event.candidates],
+        "decision": {"A": [enc(e) for e in event.decision.chosen],
+                     "removed": [enc(e) for e in event.decision.removed],
+                     "r": event.decision.gain,
+                     "inserted": event.decision.inserted},
+    }
+    if feasible is not None:
+        record["decision"]["allocation_feasible"] = feasible
+    return record
+
+
 # One linear constraint: sum(coeffs[i] * x[i]) <= rhs.
 _Constraint = tuple[tuple[Fraction, ...], Fraction]
 

@@ -189,6 +189,11 @@ def test_bound_rejects_bad_k():
     assert main(["bound", "--k", "1.0"]) == 1
 
 
+def test_bound_with_k_past_the_float_range_is_a_usage_error(capsys):
+    assert main(["bound", "--k", "1e308"]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 def test_run_verify_near_tie_regression(tmp_path, capsys):
     """The float score of the last edge is +8.9e-16 while its exact score
     is not positive: it must not be inserted, so every insertion made
@@ -211,15 +216,32 @@ def test_run_verify_near_tie_regression(tmp_path, capsys):
     ("p 3 2\n0 1 1.0\n0 1 2.0\n1 2 1.0\n", ["--skip-duplicates"], 2),
     ("0 1 1e-320\n1 2 3e-320\n2 3 1e-320\n", [], 0),
     (f"{2 ** 64} {2 ** 64 + 1} 1.5\n{2 ** 64 + 1} {2 ** 65} 4.0\n", [], 0),
+    ("1 2 1.7e308\n3 4 1.7e308\n", [], 2),
 ], ids=["nan", "inf", "overflow", "negative-zero", "header-too-many",
         "header-too-few", "header-counts-skipped-duplicates",
-        "header-without-skipped-duplicates", "subnormal", "ids-above-2**64"])
+        "header-without-skipped-duplicates", "subnormal", "ids-above-2**64",
+        "weight-sum-overflow"])
 def test_run_exit_codes_on_extreme_input(tmp_path, capsys, text, extra, code):
     path = tmp_path / "inst.txt"
     path.write_text(text, encoding="utf-8")
     assert main(["run", str(path), "--verify", *extra]) == code
     if code == 0:
         assert capsys.readouterr().out.splitlines()[-1] == "verifier_failures 0"
+
+
+@pytest.mark.parametrize("argv", [
+    ["run"], ["run", "--algo", "baseline"], ["compare"],
+    ["compare", "--no-oracle"]], ids=["run", "baseline", "compare",
+                                      "compare-no-oracle"])
+def test_weight_sum_past_the_float_range_is_an_input_error(
+        tmp_path, capsys, argv):
+    """Two finite weights whose matching weight overflows: exit 2 with
+    one error line, not a traceback from the weight sum."""
+    path = tmp_path / "huge.txt"
+    path.write_text("1 2 1.7e308\n3 4 1.7e308\n", encoding="utf-8")
+    assert main([argv[0], str(path), *argv[1:]]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ")
 
 
 def test_run_empty_file(tmp_path, capsys):

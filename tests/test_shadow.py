@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import math
 import random
 
@@ -10,12 +11,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import (brute_force_disjoint, check_matcher_invariants,
-                     random_edge_list)
+                     random_edge_list, reference_trace_record)
 from shadowmatch.baseline import BaselineMatcher, run_baseline
 from shadowmatch.graph import edge
-from shadowmatch.shadow import (InsertionDecision, ShadowMatcher,
+from shadowmatch.shadow import (InsertionDecision, ShadowMatcher, TraceEvent,
                                 enumerate_augmenting_sets, run_stream,
-                                trace_to_dict)
+                                trace_line, trace_to_dict)
 
 # The two-sided gadget, by role.  Weights are chosen so the unique best
 # step for the final input edge is to insert it together with the
@@ -490,3 +491,59 @@ def test_trace_candidate_scores_match_decisions():
         best = max(r for _, r in ev.candidates)
         assert ev.decision.gain == best
         assert ev.decision.inserted == (best > 0)
+
+
+def _assert_trace_line_is_the_json_of_its_record(ev: TraceEvent) -> None:
+    for feasible in (None, True, False):
+        line = trace_line(ev, feasible)
+        assert line == json.dumps(reference_trace_record(ev, feasible),
+                                  sort_keys=True)
+        assert json.dumps(json.loads(line), sort_keys=True) == line
+    assert trace_to_dict(ev) == json.loads(trace_line(ev))
+
+
+@given(st.data())
+@settings(max_examples=150, deadline=None)
+def test_trace_line_matches_sorted_json_dumps(data):
+    """trace_line writes its JSON by hand: every event's line must be the
+    bytes json.dumps(..., sort_keys=True) gives for the same record,
+    with and without a verifier verdict, at float ties and with scores
+    past the float range."""
+    rng = random.Random(data.draw(st.integers(0, 10 ** 9)))
+    weights = data.draw(st.sampled_from(
+        ["uniform", "integer", "nextafter", "huge"]))
+    k = data.draw(st.sampled_from([1.1, 1.717191779457857, 3.0]))
+    n = data.draw(st.integers(2, 9))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    rng.shuffle(pairs)
+    matcher = ShadowMatcher(k)
+    for i, (u, v) in enumerate(pairs):
+        if weights == "uniform":
+            w = rng.uniform(0.05, 20.0)
+        elif weights == "integer":
+            w = float(rng.randint(1, 6))
+        elif weights == "huge":
+            # k times a matching weight near 1.7e308 overflows
+            w = rng.choice([1.7e308, 1e308, rng.uniform(1e307, 1.7e308)])
+        else:
+            conflicts = {matcher.matching.get(u), matcher.matching.get(v)}
+            w = k * sum(x.w for x in conflicts - {None}) or rng.uniform(0.5, 4.0)
+            steps = rng.randint(-3, 3)
+            for _ in range(abs(steps)):
+                w = math.nextafter(w, math.inf if steps > 0 else 0.0)
+        _assert_trace_line_is_the_json_of_its_record(
+            matcher.process_edge_traced(edge(u, v, w), i))
+
+
+def test_trace_line_spells_non_finite_scores_as_json_does():
+    m = ShadowMatcher(1.717191779457857)
+    m.process_edge_traced(edge(1, 2, 1.7e308), 0)
+    ev = m.process_edge_traced(edge(2, 3, 1e308), 1)
+    assert ev.decision.gain == -math.inf
+    assert '"r": -Infinity' in trace_line(ev)
+    _assert_trace_line_is_the_json_of_its_record(ev)
+    # No step scores above the float range (a shadow weighs under 1/k
+    # of the edge that evicted it), so +Infinity is set by hand.
+    ev.candidates = tuple((subset, math.inf) for subset, _ in ev.candidates)
+    assert '"r": Infinity' in trace_line(ev)
+    _assert_trace_line_is_the_json_of_its_record(ev)
