@@ -109,21 +109,22 @@ def execute(order: Iterable[Edge], algo: AlgorithmSpec, *,
 
     With `verify` set (shadow only), every insertion is certified by
     the exact allocation check; failures are counted, never raised.
-    The weight-monotonicity of insertions is always tracked.
+    `monotone` stays true while every insertion's exact weight change,
+    w(chosen) - w(removed), is positive; `fsum` is correctly rounded,
+    so its sign is the exact sign even where the float total would not
+    move.
     """
     failures = 0
     monotone = True
-    last_weight = 0.0
     verify = verify and algo.name == "shadow"
 
     def hook(i, decision, matcher):
-        nonlocal failures, monotone, last_weight
+        nonlocal failures, monotone
         if not decision.inserted:
             return
-        weight = matcher.matching_weight()
-        if not weight > last_weight:
+        if not math.fsum([e.w for e in decision.chosen]
+                         + [-d.w for d in decision.removed]) > 0:
             monotone = False
-        last_weight = weight
         if verify and not check_locally_k_exceeding(decision, algo.k).feasible:
             failures += 1
 

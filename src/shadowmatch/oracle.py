@@ -6,6 +6,17 @@ weight order, pruning branches whose remaining weight cannot beat the
 incumbent.  A greedy matching seeds the incumbent so pruning bites
 early.  Exponential in the worst case, which is fine at desk scale;
 anything past `edge_limit` is refused rather than silently crawling.
+
+A branch at edge i with `chosen` edges taken is bounded by the weight
+of the `room = n // 2 - len(chosen)` heaviest edges left, which are
+edges i .. i + room - 1 of the descending order.  That bound is valid
+because a matching on n vertices holds at most n // 2 edges, so any
+completion adds at most `room` of the remaining edges, and no `room`
+of them outweigh the `room` heaviest.  It never exceeds the sum of all
+remaining edges, and it is read in O(1) as a difference of suffix
+sums, padded with zeros past the last edge.  Suffix sums, not prefix
+sums: a prefix difference carries the rounding error of the heavy
+edges already passed, which can swamp a light tail and stop a prune.
 """
 
 from __future__ import annotations
@@ -56,7 +67,7 @@ def max_weight_matching(graph: DenseGraph, *, edge_limit: int = 40) -> OptimalRe
         return OptimalResult(0.0, ())
 
     edges = sorted(graph.edges, key=lambda e: (-e.w, e.u, e.v))
-    suffix = [0.0] * (m + 1)
+    suffix = [0.0] * (m + 1 + graph.n // 2)
     for i in range(m - 1, -1, -1):
         suffix[i] = suffix[i + 1] + edges[i].w
 
@@ -73,25 +84,25 @@ def max_weight_matching(graph: DenseGraph, *, edge_limit: int = 40) -> OptimalRe
     chosen: list[Edge] = []
     occupied: set[int] = set()
 
-    def walk(i: int, current: float) -> None:
+    def walk(i: int, current: float, room: int) -> None:
         nonlocal best_w, best_set
         if current > best_w:
             best_w = current
             best_set = list(chosen)
         while i < m:
-            if current + suffix[i] <= best_w:
+            if current + (suffix[i] - suffix[i + room]) <= best_w:
                 return
             e = edges[i]
             if e.u not in occupied and e.v not in occupied:
                 chosen.append(e)
                 occupied.add(e.u)
                 occupied.add(e.v)
-                walk(i + 1, current + e.w)
+                walk(i + 1, current + e.w, room - 1)
                 chosen.pop()
                 occupied.discard(e.u)
                 occupied.discard(e.v)
             i += 1
 
-    walk(0, 0.0)
+    walk(0, 0.0, graph.n // 2)
     witness = tuple(sorted(best_set))
     return OptimalResult(math.fsum(e.w for e in witness), witness)

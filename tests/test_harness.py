@@ -67,6 +67,17 @@ def test_execute_baseline():
     assert out.monotone
 
 
+@pytest.mark.parametrize("algo", [AlgorithmSpec("shadow", k=1.75),
+                                  AlgorithmSpec("baseline", gamma=1.0)])
+def test_monotone_reads_the_exact_change_not_the_float_total(algo):
+    # the second insertion adds 1.0, but 1e16 + 1.0 rounds back to 1e16
+    order = [edge(0, 1, 1e16), edge(2, 3, 1.0)]
+    out = execute(order, algo)
+    assert out.insertions == 2
+    assert out.weight == 1e16
+    assert out.monotone
+
+
 def test_ratio_of():
     assert ratio_of(None, 5.0) is None
     assert ratio_of(0.0, 0.0) == 1.0

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import random
 
 import pytest
@@ -81,6 +82,31 @@ def test_oracle_vs_naive_enumeration():
         assert abs(got - expect) < 1e-12, (edges, got, expect)
 
 
+def _near_complete_graph(rng: random.Random, weight) -> DenseGraph:
+    """Complete on 2-6 vertices less up to two edges, plus up to three
+    isolated vertices, which raise the matching-size bound's room."""
+    k = rng.randint(2, 6)
+    pairs = [(u, v) for u in range(k) for v in range(u + 1, k)]
+    for _ in range(rng.randint(0, min(2, len(pairs) - 1))):
+        pairs.pop(rng.randrange(len(pairs)))
+    isolated = range(k, k + rng.randint(0, 3))
+    return DenseGraph.from_edges([edge(u, v, weight(rng)) for u, v in pairs],
+                                 vertices=isolated)
+
+
+@pytest.mark.parametrize("weight", [
+    lambda rng: math.exp(rng.uniform(0, 150)),
+    lambda rng: float(rng.randint(1, 3)),
+    lambda rng: 1.0 - rng.random(),
+], ids=["exp-wide", "integer-ties", "uniform"])
+def test_oracle_vs_naive_on_near_complete_graphs(weight):
+    rng = random.Random(29)
+    for _ in range(400):
+        g = _near_complete_graph(rng, weight)
+        expect = naive_max_matching_weight(list(g.edges))
+        assert max_weight_matching(g).weight == expect, g
+
+
 def test_order_independence():
     rng = random.Random(17)
     edges = random_edge_list(rng, max_n=10)
@@ -116,3 +142,13 @@ def test_cross_check_against_networkx_blossom():
         mate = nx.max_weight_matching(nxg)
         expect = sum(nxg[u][v]["weight"] for u, v in mate)
         assert max_weight_matching(g).weight == expect
+    # complete graphs on 11 vertices, the shape of desk's compare files
+    for _ in range(4):
+        nxg = nx.complete_graph(11)
+        for u, v in nxg.edges:
+            nxg[u][v]["weight"] = rng.randint(1, 100)
+        g = DenseGraph.from_edges(edge(u, v, float(d["weight"]))
+                                  for u, v, d in nxg.edges(data=True))
+        mate = nx.max_weight_matching(nxg)
+        expect = sum(nxg[u][v]["weight"] for u, v in mate)
+        assert max_weight_matching(g, edge_limit=55).weight == expect
