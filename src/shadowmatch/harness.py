@@ -186,7 +186,7 @@ def run_experiment(graph: DenseGraph, algorithms: Iterable[AlgorithmSpec], *,
     orders = [order for _, order, _ in tasks]
     algos = [algo for _, _, algo in tasks]
     if jobs > 1 and len(tasks) > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        with ProcessPoolExecutor(max_workers=min(jobs, len(tasks))) as pool:
             outcomes = list(pool.map(run, orders, algos, chunksize=8))
     else:
         outcomes = list(map(run, orders, algos))

@@ -1,11 +1,23 @@
-"""Exact maximum weight matching by branch and bound, for small graphs.
+"""Exact maximum weight matching for small graphs, by one of two paths.
 
-This is the reference the streaming matchers are measured against.  It
-enumerates include/exclude decisions over the edges in descending
-weight order, pruning branches whose remaining weight cannot beat the
-incumbent.  A greedy matching seeds the incumbent so pruning bites
-early.  Exponential in the worst case, which is fine at desk scale;
-anything past `edge_limit` is refused rather than silently crawling.
+This is the reference the streaming matchers are measured against.  The
+path is chosen by a property of the input: whether the graph has a
+cycle.  A forest (m < n, and a search meets no cycle) is solved by the
+textbook tree DP in O(n + m), with every weight an integer over one
+power-of-two denominator, so it is exact by construction.  The DP needs
+acyclicity: it decides each subtree apart from the rest, which a cycle
+would tie together.  It pays off because slices of a sparse stream are
+mostly forests, where the branch-and-bound size bound below seldom
+binds and the search makes hundreds of calls per instance.  Every
+graph with a cycle goes to branch and bound.
+
+Branch and bound enumerates include/exclude decisions over the edges in
+descending weight order, pruning branches whose remaining weight cannot
+beat the incumbent.  A greedy matching seeds the incumbent so pruning
+bites early.  Exponential in the worst case, which is fine at desk
+scale; anything past `edge_limit` is refused, on either path, rather
+than silently crawling.  It prunes on float sums, so unlike the DP it
+is exact only up to their rounding.
 
 A branch at edge i with `chosen` edges taken is bounded by the weight
 of the `room = n // 2 - len(chosen)` heaviest edges left, which are
@@ -17,6 +29,10 @@ remaining edges, and it is read in O(1) as a difference of suffix
 sums, padded with zeros past the last edge.  Suffix sums, not prefix
 sums: a prefix difference carries the rounding error of the heavy
 edges already passed, which can swamp a light tail and stop a prune.
+
+Either path reports the `fsum` of its witness's weights.  That sum is
+correctly rounded, so every exact optimum reports the same float, and
+a sum past the float range raises OverflowError.
 """
 
 from __future__ import annotations
@@ -28,7 +44,7 @@ from .graph import DenseGraph, Edge
 
 
 class OracleCapacityError(RuntimeError):
-    """The instance exceeds the configured branch-and-bound edge budget."""
+    """The instance exceeds the configured oracle edge budget."""
 
 
 @dataclass(frozen=True)
@@ -47,13 +63,16 @@ class OptimalResult:
 def max_weight_matching(graph: DenseGraph, *, edge_limit: int = 40) -> OptimalResult:
     """Compute a maximum weight matching of `graph` exactly.
 
+    A forest is solved by tree DP in exact integers, any graph with a
+    cycle by branch and bound; see the module docstring.
+
     Parameters
     ----------
     graph : DenseGraph
         The instance; edge order does not influence the result weight.
     edge_limit : int
         Refuse instances with more edges than this (default 40) by
-        raising OracleCapacityError.
+        raising OracleCapacityError, forests included.
 
     Returns
     -------
@@ -65,7 +84,69 @@ def max_weight_matching(graph: DenseGraph, *, edge_limit: int = 40) -> OptimalRe
             f"instance has {m} edges, oracle budget is {edge_limit}")
     if m == 0:
         return OptimalResult(0.0, ())
+    found = _forest_matching(graph) if m < graph.n else None
+    if found is None:
+        found = _branch_and_bound(graph)
+    witness = tuple(sorted(found))
+    return OptimalResult(math.fsum(e.w for e in witness), witness)
 
+
+def _forest_matching(graph: DenseGraph) -> list[Edge] | None:
+    """A maximum weight matching of `graph` by tree DP, or None if the
+    graph has a cycle.
+
+    Root each tree anywhere.  Matching x to a child c instead of
+    leaving x free adds `w(x, c) - gain[c]`, so the most it can add is
+    `gain[x] = max(0, max over children c of w(x, c) - gain[c])`, won
+    at child `pick[x]`.  Weights are integers over one power-of-two
+    denominator, so every comparison is exact.
+    """
+    # adj[x] holds a link (y, x, e) per edge e between x and y
+    adj: dict[int, list] = {x: [] for x in sorted(graph.vertices)}
+    for e in graph.edges:
+        adj[e.u].append((e.v, e.u, e))
+        adj[e.v].append((e.u, e.v, e))
+    up = {}            # vertex -> link from its parent, None at a root
+    order = []         # every parent before its children
+    for root in adj:
+        if root in up:
+            continue
+        up[root] = None
+        stack = [root]
+        while stack:
+            x = stack.pop()
+            order.append(x)
+            for link in adj[x]:
+                if link[0] not in up:
+                    up[link[0]] = link
+                    stack.append(link[0])
+    links = [up[y] for y in reversed(order) if up[y] is not None]
+    if len(links) != len(graph.edges):
+        return None    # some edge closed a cycle
+
+    ratios = [e.w.as_integer_ratio() for _, _, e in links]
+    den = max(d for _, d in ratios)
+    gain = dict.fromkeys(order, 0)
+    pick = {}
+    for (y, x, e), (num, d) in zip(links, ratios):
+        g = num * (den // d) - gain[y]
+        if g > gain[x]:
+            gain[x] = g
+            pick[x] = (y, e)
+    witness: list[Edge] = []
+    matched = set()    # vertices matched to their parent
+    for x in order:
+        if x in pick and x not in matched:
+            y, e = pick[x]
+            matched.add(y)
+            witness.append(e)
+    return witness
+
+
+def _branch_and_bound(graph: DenseGraph) -> list[Edge]:
+    """A maximum weight matching of a non-empty `graph` by branch and
+    bound; see the module docstring."""
+    m = len(graph.edges)
     edges = sorted(graph.edges, key=lambda e: (-e.w, e.u, e.v))
     suffix = [0.0] * (m + 1 + graph.n // 2)
     for i in range(m - 1, -1, -1):
@@ -104,5 +185,4 @@ def max_weight_matching(graph: DenseGraph, *, edge_limit: int = 40) -> OptimalRe
             i += 1
 
     walk(0, 0.0, graph.n // 2)
-    witness = tuple(sorted(best_set))
-    return OptimalResult(math.fsum(e.w for e in witness), witness)
+    return best_set

@@ -9,6 +9,7 @@ from itertools import islice
 
 import pytest
 
+from shadowmatch import harness
 from shadowmatch.generators import GeneratorSpec, generate
 from shadowmatch.graph import DenseGraph, edge
 from shadowmatch.harness import (CSV_COLUMNS, AlgorithmSpec, aggregate,
@@ -143,6 +144,33 @@ def test_run_experiment_parallel_matches_serial():
     parallel = run_experiment(graph, default_algorithms(1.717), jobs=4,
                               **kwargs)
     assert serial == parallel
+
+
+def test_run_experiment_starts_no_more_workers_than_runs(monkeypatch):
+    sizes = []
+
+    class SerialPool:
+        """Stands in for ProcessPoolExecutor: records its size, maps in
+        process."""
+
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables, chunksize=1):
+            return map(fn, *iterables)
+
+    monkeypatch.setattr(harness, "ProcessPoolExecutor", SerialPool)
+    graph = _path_graph()
+    serial = run_experiment(graph, default_algorithms(2.0), jobs=1)
+    pooled = run_experiment(graph, default_algorithms(2.0), jobs=64)
+    assert sizes == [3]    # one order, three algorithms
+    assert pooled == serial
 
 
 def test_aggregate_groups_and_stats():
