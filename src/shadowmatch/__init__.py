@@ -1,9 +1,10 @@
 """One-pass weighted matching with shadow-edge reinsertion.
 
-The package bundles the streaming matcher itself, a simpler
-irrevocable baseline, an exact branch-and-bound oracle, an exact
-rational verifier for the matcher's insertion certificates, the
-worst-case ratio bound, and a seeded experiment harness with a CLI.
+The package bundles the streaming matcher itself, the (1 + gamma)
+replacement baseline as the same step with parking off, an exact
+oracle, an exact rational verifier for the matcher's insertion
+certificates, the worst-case ratio bound, and a seeded experiment
+harness with a CLI.
 """
 
 from .baseline import (GAMMA_RATIO_5_828, GAMMA_RATIO_SIX, BaselineMatcher,

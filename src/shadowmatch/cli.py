@@ -17,14 +17,14 @@ import argparse
 import logging
 import sys
 
-from .baseline import GAMMA_RATIO_SIX, run_baseline
+from .baseline import GAMMA_RATIO_SIX, BaselineMatcher
 from .bound import approx_bound, optimal_k, ratio_table
 from .generators import GRAPH_KINDS, WEIGHT_KINDS, GeneratorSpec, WeightSpec, generate
 from .graph import (DenseGraph, StreamFormatError, format_edge, open_stream,
                     write_stream)
 from .harness import default_algorithms, emit_report, run_experiment
 # trace_to_dict is unused here; the benchmark's traced run wraps it by name.
-from .shadow import run_stream, trace_line, trace_to_dict  # noqa: F401
+from .shadow import ShadowMatcher, drive, trace_line, trace_to_dict  # noqa: F401
 from .verify import check_locally_k_exceeding
 
 USAGE_ERROR = 1
@@ -108,42 +108,38 @@ def _default_k() -> float:
 def cmd_run(args) -> int:
     on_dup = "skip" if args.skip_duplicates else "error"
     stream = open_stream(args.stream, on_duplicate=on_dup)
+    if args.algo == "shadow":
+        matcher = ShadowMatcher(args.k if args.k is not None else _default_k())
+    else:
+        if args.k is not None:
+            raise _UsageError("--k applies to the shadow matcher only")
+        if args.verify:
+            raise _UsageError("--verify applies to the shadow matcher only")
+        matcher = BaselineMatcher(args.gamma)
 
     failures = 0
+
+    def certify(decision) -> bool:
+        nonlocal failures
+        ok = check_locally_k_exceeding(decision, matcher.threshold).feasible
+        failures += not ok
+        return ok
+
+    def sink(event):
+        d = event.decision
+        feasible = certify(d) if args.verify and d.inserted else None
+        trace_fh.write(trace_line(event, feasible) + "\n")
+
+    def check(_index, decision, _matcher):
+        if decision.inserted:
+            certify(decision)
+
+    # Without a trace file the untraced step serves, and --verify
+    # certifies from the decision hook.
     trace_fh = open(args.trace, "w", encoding="utf-8") if args.trace else None
     try:
-        if args.algo == "shadow":
-            k = args.k if args.k is not None else _default_k()
-
-            def certify(decision) -> bool:
-                nonlocal failures
-                ok = check_locally_k_exceeding(decision, k).feasible
-                failures += not ok
-                return ok
-
-            def sink(event):
-                feasible = None
-                if args.verify and event.decision.inserted:
-                    feasible = certify(event.decision)
-                trace_fh.write(trace_line(event, feasible) + "\n")
-
-            def check(_index, decision, _matcher):
-                if decision.inserted:
-                    certify(decision)
-
-            # Without a trace file the untraced step serves, and --verify
-            # certifies from the decision hook.
-            if trace_fh:
-                result = run_stream(stream, k, trace=sink)
-            else:
-                result = run_stream(stream, k,
-                                    on_decision=check if args.verify else None)
-        else:
-            if args.k is not None:
-                raise _UsageError("--k applies to the shadow matcher only")
-            if args.verify:
-                raise _UsageError("--verify applies to the shadow matcher only")
-            result = run_baseline(stream, args.gamma)
+        result = drive(matcher, stream, trace=sink if trace_fh else None,
+                       on_decision=None if trace_fh or not args.verify else check)
     finally:
         if trace_fh:
             trace_fh.close()

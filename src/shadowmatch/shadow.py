@@ -41,6 +41,10 @@ whose float scores lie within rounding of its own, so an edge whose
 exact marginal is negative is never inserted.  Ties on r(A) are broken
 deterministically: larger w(A) first, then fewer edges, then the
 lexicographically smallest sorted edge list.
+
+The class attribute `parks` is the policy: whether removed edges are
+parked.  The baseline (baseline.py) is this step at t = 1 + gamma with
+parking off, so the input edge is its only candidate.
 """
 
 from __future__ import annotations
@@ -153,6 +157,18 @@ class TraceEvent:
     decision: InsertionDecision
 
 
+def real_parameter(name: str, x, floor: float, strict: bool) -> float:
+    """`x` as a float; ValueError unless it is a finite real number
+    above `floor`, or equal to it when not `strict`."""
+    if not isinstance(x, (int, float)) or isinstance(x, bool):
+        raise ValueError(f"{name} must be a real number, got {x!r}")
+    x = float(x)
+    if not math.isfinite(x) or x < floor or strict and x == floor:
+        rule = ">" if strict else ">="
+        raise ValueError(f"{name} must be finite and {rule} {floor:g}, got {x!r}")
+    return x
+
+
 def check_input(matching: dict[int, Edge], e: Edge) -> None:
     """Raise ValueError unless `e` has a positive finite weight and is
     not in `matching` already (streams never repeat an edge)."""
@@ -258,6 +274,10 @@ class ShadowMatcher:
 
     Attributes
     ----------
+    parks : bool
+        Policy, per class: park removed edges in the slots.
+    threshold : float
+        The t the step scores at: k here.
     matching : dict[int, Edge]
         Vertex -> covering matching edge; every edge appears under
         both endpoints.
@@ -270,13 +290,15 @@ class ShadowMatcher:
         step so a driver can read the stored-edge count in O(1).
     """
 
+    parks = True
+
     def __init__(self, k: float):
-        if not isinstance(k, (int, float)) or isinstance(k, bool):
-            raise ValueError(f"k must be a real number, got {k!r}")
-        k = float(k)
-        if not math.isfinite(k) or k <= 1.0:
-            raise ValueError(f"k must be finite and > 1, got {k!r}")
-        self.k = k
+        self.k = real_parameter("k", k, 1.0, strict=True)
+        self._start(self.k)
+
+    def _start(self, threshold: float) -> None:
+        """Set up the empty state, scoring at `threshold`."""
+        self.threshold = threshold
         self.matching: dict[int, Edge] = {}
         self.shadow_slots: dict[int, Edge] = {}
         self.matched_edge_count = 0
@@ -321,9 +343,9 @@ class ShadowMatcher:
     def gain_of(self, candidate_set: Iterable[Edge]) -> tuple[float, tuple[Edge, ...]]:
         """Score a candidate set against the current state.
 
-        Returns (r, removed) as :func:`conflict_score` does, at t = k.
+        Returns (r, removed) as :func:`conflict_score` does, at t = threshold.
         """
-        return conflict_score(self.matching, tuple(candidate_set), self.k)[:2]
+        return conflict_score(self.matching, tuple(candidate_set), self.threshold)[:2]
 
     def process_edge(self, e: Edge) -> InsertionDecision:
         """Process one input edge and return what was decided.
@@ -338,35 +360,44 @@ class ShadowMatcher:
         matching edge, so only the two shadows can coincide.
         """
         matching = self.matching
-        u, v = e.u, e.v
-        m1 = matching.get(u)
-        m2 = matching.get(v)
+        m1 = matching.get(e.u)
         # One matching edge covers both endpoints iff e is already in.
-        if not 0.0 < e.w < math.inf or (m1 is not None and m1 == m2):
+        if not 0.0 < e.w < math.inf or (m1 is not None
+                                         and m1 == matching.get(e.v)):
             check_input(matching, e)
         slots = self.shadow_slots
-        cands = [e]
-        far_covers = []
-        for matched, anchor in ((m1, u), (m2, v)):
-            if matched is None:
-                continue
-            partner = matched.v if matched.u == anchor else matched.u
-            shadow = slots.get(partner)
-            if shadow is None:
-                continue
-            if shadow not in cands:
-                cands.append(shadow)
-            cover = matching.get(shadow.v if shadow.u == partner else shadow.u)
-            if cover is not None:
-                far_covers.append(cover)
-        if len(cands) == 1:
-            self.last_touched_edges = 1 + (m1 is not None) + (m2 is not None)
-        else:
-            view = {m1, m2, *cands, *far_covers}
-            view.discard(None)
-            self.last_touched_edges = len(view)
-            cands.sort()
-        return self._decide(tuple(cands), None)
+        if slots:
+            m2 = matching.get(e.v)
+            cands = [e]
+            far_covers = []
+            for matched, anchor in ((m1, e.u), (m2, e.v)):
+                if matched is None:
+                    continue
+                partner = matched.v if matched.u == anchor else matched.u
+                shadow = slots.get(partner)
+                if shadow is None:
+                    continue
+                if shadow not in cands:
+                    cands.append(shadow)
+                cover = matching.get(shadow.v if shadow.u == partner else shadow.u)
+                if cover is not None:
+                    far_covers.append(cover)
+            if len(cands) > 1:
+                view = {m1, m2, *cands, *far_covers}
+                view.discard(None)
+                self.last_touched_edges = len(view)
+                cands.sort()
+                return self._decide(tuple(cands), None)
+        # No shadow in view, so e is the only candidate: always so when
+        # nothing is parked, hence on every step of a policy that never parks.
+        chosen = (e,)
+        r, removed, key = conflict_score(matching, chosen, self.threshold)
+        self.last_touched_edges = 1 + len(removed)
+        self.last_candidate_sets = 1
+        if key > 0:
+            self._apply(chosen, removed)
+            return InsertionDecision(chosen, removed, r, True)
+        return InsertionDecision(chosen, removed, r, False)
 
     def process_edge_traced(self, e: Edge, index: int) -> TraceEvent:
         """Like process_edge, but capture the full step for tracing."""
@@ -390,11 +421,11 @@ class ShadowMatcher:
         insert the best one if its score is positive, and append each
         (subset, r) to `scored` when it is a list."""
         matching = self.matching
-        k = self.k
+        t = self.threshold
         best = None
         sets = _disjoint_subsets(cands)
         for subset in sets:
-            r, removed, key = conflict_score(matching, subset, k)
+            r, removed, key = conflict_score(matching, subset, t)
             if scored is not None:
                 scored.append((subset, r))
             if best is None or _better(key, subset, best[0], best[2]):
@@ -423,17 +454,17 @@ class ShadowMatcher:
         Returns (r, chosen, removed) of the set to insert.
         """
         matching = self.matching
-        k = self.k
-        bound = _rounding_bound(chosen, removed, k) + _UNDERFLOW
+        t = self.threshold
+        bound = _rounding_bound(chosen, removed, t) + _UNDERFLOW
         exact = best = None
         # Every subset of a disjoint set is disjoint; the last is `chosen`.
         for sub in _disjoint_subsets(chosen)[:-1]:
-            r_sub, removed_sub, _ = conflict_score(matching, sub, k)
-            if abs(r_sub - r) > bound + _rounding_bound(sub, removed_sub, k):
+            r_sub, removed_sub, _ = conflict_score(matching, sub, t)
+            if abs(r_sub - r) > bound + _rounding_bound(sub, removed_sub, t):
                 continue
             if exact is None:
-                exact = _exact_score(chosen, removed, k)
-            q = _exact_score(sub, removed_sub, k)
+                exact = _exact_score(chosen, removed, t)
+            q = _exact_score(sub, removed_sub, t)
             if q > exact and (best is None or _better(q, sub, best[0], best[2])):
                 best = (q, r_sub, sub, removed_sub)
         if best is None:
@@ -441,33 +472,35 @@ class ShadowMatcher:
         return best[1:]
 
     def _apply(self, chosen: tuple[Edge, ...], removed: tuple[Edge, ...]) -> None:
-        # Mutation order matters for the slot bookkeeping: first forget
-        # everything hanging off the removed edges, then insert, then
-        # park the removed edges next to their replacements.
         matching = self.matching
-        slots = self.shadow_slots
-        parked = self.parked_edge_count
         for d in removed:
-            for x in (d.u, d.v):
-                shadow = slots.pop(x, None)
-                # A parked edge sits in at most two slots and stops
-                # counting when its last one is cleared.
-                if shadow is not None and slots.get(shadow.other(x)) != shadow:
-                    parked -= 1
-                del matching[x]
+            del matching[d.u]
+            del matching[d.v]
         for f in chosen:
             matching[f.u] = f
             matching[f.v] = f
-        for d in removed:
-            # matching[v] exists here iff an inserted edge covers v,
-            # because every old edge at v would have been removed.
-            if d.u in matching:
-                slots[d.u] = d
-            if d.v in matching:
-                slots[d.v] = d
-        # Each removed edge shares a vertex with an inserted one, so it
-        # is parked in one slot or two.
-        self.parked_edge_count = parked + len(removed)
+        if self.parks:
+            # First forget everything parked at the removed edges' ends,
+            # then park each removed edge next to its replacements.
+            slots = self.shadow_slots
+            parked = self.parked_edge_count
+            for d in removed:
+                for x in (d.u, d.v):
+                    shadow = slots.pop(x, None)
+                    # A parked edge sits in at most two slots and stops
+                    # counting when its last one is cleared.
+                    if shadow is not None and slots.get(shadow.other(x)) != shadow:
+                        parked -= 1
+            for d in removed:
+                # matching[v] exists here iff an inserted edge covers v,
+                # because every old edge at v would have been removed.
+                if d.u in matching:
+                    slots[d.u] = d
+                if d.v in matching:
+                    slots[d.v] = d
+            # Each removed edge shares a vertex with an inserted one, so
+            # it is parked in one slot or two.
+            self.parked_edge_count = parked + len(removed)
         self.matched_edge_count += len(chosen) - len(removed)
         self.insertions += 1
 
@@ -519,8 +552,7 @@ def drive(matcher, stream: EdgeStream | Iterable[Edge], *,
 
     The matcher's counters `last_candidate_sets`, `last_touched_edges`,
     `matched_edge_count` and `parked_edge_count` keep each step's
-    bookkeeping O(1).  `trace` and `on_decision` are as in run_stream;
-    `trace` needs `matcher.process_edge_traced`.
+    bookkeeping O(1).  `trace` and `on_decision` are as in run_stream.
     """
     max_sets = max_touched = max_stored = 0
     i = -1

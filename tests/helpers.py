@@ -132,6 +132,34 @@ def reference_trace_record(event, feasible: bool | None = None) -> dict:
     return record
 
 
+def reference_baseline(edges: list[Edge], gamma: float) -> dict:
+    """The (1 + gamma) replacement rule on a plain dict matching.
+
+    An edge goes in exactly when Fraction(w) > Fraction(1.0 + gamma)
+    times the exact sum of the matching edges it meets, which then go
+    out for good.  Returns the per-step (inserted, removed) pairs and
+    the final matching, weight, insertion count and peak edge count.
+    """
+    t = Fraction(1.0 + gamma)
+    matching: dict[int, Edge] = {}
+    steps = []
+    insertions = peak = 0
+    for e in edges:
+        conflicts = {matching[x] for x in (e.u, e.v) if x in matching}
+        inserted = Fraction(e.w) > t * sum(Fraction(c.w) for c in conflicts)
+        if inserted:
+            for c in conflicts:
+                del matching[c.u], matching[c.v]
+            matching[e.u] = matching[e.v] = e
+            insertions += 1
+            peak = max(peak, len(matching) // 2)
+        steps.append((inserted, tuple(sorted(conflicts))))
+    final = tuple(sorted(set(matching.values())))
+    return {"steps": steps, "matching": final,
+            "weight": math.fsum(e.w for e in final),
+            "insertions": insertions, "max_stored_edges": peak}
+
+
 # One linear constraint: sum(coeffs[i] * x[i]) <= rhs.
 _Constraint = tuple[tuple[Fraction, ...], Fraction]
 

@@ -5,7 +5,7 @@ with `pytest -s`).  Most criteria share one sweep over the default desk
 corpus: every graph on up to six vertices under fifty weight draws
 (every edge order when the graph has at most six edges), plus ten
 thousand random instances on up to twelve vertices, ten orders each.
-The sweep is single-threaded; it took 51-54 s on a 2-core x86-64
+The sweep is single-threaded; it took 49-53 s on a 2-core x86-64
 machine under CPython 3.11.7.  C10 starts `python -m shadowmatch` in a
 fresh interpreter.
 """

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import random_edge_list
+from helpers import random_edge_list, reference_baseline
 from shadowmatch.baseline import (GAMMA_RATIO_5_828, GAMMA_RATIO_SIX,
                                   BaselineMatcher, run_baseline)
 from shadowmatch.graph import edge, is_matching
@@ -125,3 +125,48 @@ def test_admission_is_exact_at_float_ties(data):
     d = m.process_edge(edge(2, 3, w))
     exact = Fraction(w) - Fraction(m.threshold) * (Fraction(a) + Fraction(b))
     assert d.inserted == (exact > 0)
+
+
+@given(st.data())
+@settings(max_examples=150, deadline=None)
+def test_matches_the_reference_rule(data):
+    """Every step, and the run's result, equal the (1 + gamma) rule
+    written out on a plain dict matching; nothing is ever parked."""
+    rng = random.Random(data.draw(st.integers(0, 10 ** 9)))
+    gamma = data.draw(st.sampled_from([0.0, GAMMA_RATIO_5_828, GAMMA_RATIO_SIX]))
+    weights = data.draw(st.sampled_from(
+        ["uniform", "integer", "nextafter", "ascending"]))
+    n = data.draw(st.integers(2, 10))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    rng.shuffle(pairs)
+    m = BaselineMatcher(gamma)
+    edges = []
+    for u, v in pairs:
+        if weights in ("uniform", "ascending"):
+            w = rng.uniform(0.05, 20.0)
+        elif weights == "integer":
+            w = float(rng.randint(1, 6))
+        else:
+            # a few ulps from (1 + gamma) times the weight e displaces
+            conflicts = {m.matching.get(u), m.matching.get(v)} - {None}
+            w = (1.0 + gamma) * sum(x.w for x in conflicts) or rng.uniform(0.5, 4.0)
+            steps = rng.randint(-3, 3)
+            for _ in range(abs(steps)):
+                w = math.nextafter(w, math.inf if steps > 0 else 0.0)
+            m.process_edge(edge(u, v, w))
+        edges.append(edge(u, v, w))
+    if weights == "ascending":
+        edges.sort(key=lambda e: e.w)
+
+    ref = reference_baseline(edges, gamma)
+    m = BaselineMatcher(gamma)
+    for e, (inserted, removed) in zip(edges, ref["steps"]):
+        d = m.process_edge(e)
+        assert (d.inserted, d.removed) == (inserted, removed)
+        assert not m.shadow_slots
+        assert m.parked_edge_count == 0 and m.last_candidate_sets == 1
+    res = run_baseline(list(edges), gamma)
+    assert res.matching == m.matching_edges() == ref["matching"]
+    assert res.weight == ref["weight"]
+    assert res.metrics.insertions == m.insertions == ref["insertions"]
+    assert res.metrics.max_stored_edges == ref["max_stored_edges"]

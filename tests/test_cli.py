@@ -10,6 +10,7 @@ import json
 import pytest
 
 from shadowmatch import cli
+from shadowmatch.baseline import run_baseline
 from shadowmatch.cli import main
 from shadowmatch.generators import GeneratorSpec, generate
 from shadowmatch.graph import open_stream
@@ -278,3 +279,36 @@ def test_run_verify_output_is_the_same_with_and_without_trace(
     assert code == traced_code == (3 if fail_evicting else 0)
     failures = int(plain.splitlines()[-1].split()[1])
     assert (failures > 0) == fail_evicting
+
+
+@pytest.mark.parametrize("gamma", ["0", "1.0"])
+def test_run_baseline_trace_has_one_candidate_per_edge(tmp_path, capsys, gamma):
+    """`run --algo baseline --trace` writes a line per edge from the one
+    step: no shadow in view, only the input edge as a candidate, and
+    the decisions of the untraced `run_baseline`."""
+    path = tmp_path / "gnp.txt"
+    trace = tmp_path / "trace.jsonl"
+    assert main(["gen", "--kind", "gnp-random", "--n", "30", "--p", "0.5",
+                 "--seed", "5", "--out", str(path)]) == 0
+    capsys.readouterr()
+    assert main(["run", str(path), "--algo", "baseline", "--gamma", gamma,
+                 "--trace", str(trace)]) == 0
+    out = capsys.readouterr().out
+    records = [json.loads(ln) for ln in
+               trace.read_text(encoding="utf-8").splitlines()]
+    edges = list(open_stream(str(path)))
+    decisions = []
+    result = run_baseline(edges, float(gamma),
+                          on_decision=lambda i, d, m: decisions.append(d))
+    assert out.splitlines()[0] == f"weight {result.weight!r}"
+    assert len(records) == len(edges) == len(decisions)
+
+    def enc(es):
+        return [[e.u, e.v, e.w] for e in es]
+
+    for i, (rec, d) in enumerate(zip(records, decisions)):
+        assert rec["index"] == i
+        assert rec["S"]["a1g1"] is None and rec["S"]["a2g2"] is None
+        assert [c["edges"] for c in rec["candidates"]] == [rec["decision"]["A"]]
+        assert rec["decision"] == {"A": enc(d.chosen), "inserted": d.inserted,
+                                   "r": d.gain, "removed": enc(d.removed)}

@@ -362,30 +362,31 @@ def test_invariants_hold_after_every_step(data):
 @given(st.data())
 @settings(max_examples=60, deadline=None)
 def test_driver_counters_match_recounts(data):
-    """The O(1) counters the driver reads agree with full recounts."""
+    """The O(1) counters the driver reads agree with full recounts, for
+    the shadow matcher and for the baseline policy of the same step;
+    only the shadow ever parks."""
     rng = random.Random(data.draw(st.integers(0, 10 ** 9)))
-    edges = random_edge_list(rng, max_n=12,
-                             integer_weights=data.draw(st.booleans()))
+    # A first step that displaces an edge, so a parking policy parks.
+    edges = [edge(100, 101, 1.0), edge(101, 102, 10.0)] + random_edge_list(
+        rng, max_n=12, integer_weights=data.draw(st.booleans()))
     if data.draw(st.booleans()):
         edges.sort(key=lambda e: e.w)  # ascending: most edges insert
     k = data.draw(st.sampled_from([1.1, 1.5, 1.717, 2.0, 3.0]))
     gamma = data.draw(st.sampled_from([0.0, 0.7071067811865476, 1.0]))
 
-    m = ShadowMatcher(k)
-    peak = 0
-    for e in edges:
-        m.process_edge(e)
-        assert m.parked_edge_count == len(set(m.shadow_slots.values()))
-        assert m.matched_edge_count + m.parked_edge_count == m.stored_edge_count()
-        peak = max(peak, m.stored_edge_count())
-    assert run_stream(edges, k).metrics.max_stored_edges == peak
-
-    b = BaselineMatcher(gamma)
-    peak = 0
-    for e in edges:
-        b.process_edge(e)
-        peak = max(peak, len(set(b.matching.values())))
-    assert run_baseline(edges, gamma).metrics.max_stored_edges == peak
+    for m, run in ((ShadowMatcher(k), lambda: run_stream(edges, k)),
+                   (BaselineMatcher(gamma), lambda: run_baseline(edges, gamma))):
+        peak = 0
+        parked = False
+        for e in edges:
+            m.process_edge(e)
+            assert m.matched_edge_count == len(set(m.matching.values()))
+            assert m.parked_edge_count == len(set(m.shadow_slots.values()))
+            assert m.matched_edge_count + m.parked_edge_count == m.stored_edge_count()
+            parked |= m.parked_edge_count > 0
+            peak = max(peak, m.stored_edge_count())
+        assert parked == m.parks
+        assert run().metrics.max_stored_edges == peak
 
 
 
