@@ -56,7 +56,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--k", type=float, default=None,
                        help="replacement threshold for shadow "
                             "(default: the bound minimizer, about 1.717)")
-    p_run.add_argument("--gamma", type=float, default=GAMMA_RATIO_SIX,
+    p_run.add_argument("--gamma", type=float, default=None,
                        help="baseline threshold (default 1.0)")
     p_run.add_argument("--trace", metavar="FILE",
                        help="write per-edge decisions as JSON lines")
@@ -101,21 +101,26 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _default_k() -> float:
-    return optimal_k()[0]
+# Built once per process, as building them cost about half of a `compare` call.
+_PARSER = build_parser()
+_K_STAR = optimal_k()[0]
 
 
 def cmd_run(args) -> int:
+    # Checked before FILE or the trace file is opened.
+    if args.algo == "shadow" and args.gamma is not None:
+        raise _UsageError("--gamma applies to the baseline matcher only")
     on_dup = "skip" if args.skip_duplicates else "error"
     stream = open_stream(args.stream, on_duplicate=on_dup)
     if args.algo == "shadow":
-        matcher = ShadowMatcher(args.k if args.k is not None else _default_k())
+        matcher = ShadowMatcher(args.k if args.k is not None else _K_STAR)
     else:
         if args.k is not None:
             raise _UsageError("--k applies to the shadow matcher only")
         if args.verify:
             raise _UsageError("--verify applies to the shadow matcher only")
-        matcher = BaselineMatcher(args.gamma)
+        matcher = BaselineMatcher(GAMMA_RATIO_SIX if args.gamma is None
+                                  else args.gamma)
 
     failures = 0
 
@@ -162,7 +167,7 @@ def cmd_compare(args) -> int:
     stream = open_stream(args.stream)
     edges = tuple(stream)
     graph = DenseGraph.from_edges(edges)
-    k = args.k if args.k is not None else _default_k()
+    k = args.k if args.k is not None else _K_STAR
     reports = run_experiment(
         graph, default_algorithms(k),
         instance_id=args.stream,
@@ -208,9 +213,8 @@ def cmd_bound(args) -> int:
 def main(argv=None) -> int:
     logging.basicConfig(stream=sys.stderr, level=logging.WARNING,
                         format="%(levelname)s %(message)s")
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _PARSER.parse_args(argv)
     except _UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR

@@ -197,6 +197,14 @@ def open_stream(source: Union[str, "os.PathLike[str]", IO[str]], *,
     EdgeStream
         Parsing is lazy, so format errors surface during iteration
         with their line numbers, and a wrong edge count at the end.
+
+    Edge lines take one of two paths.  A well-formed line (three
+    tokens, integer ids that are distinct and non-negative, a positive
+    finite weight) is split, converted and canonicalized inline.  Any
+    other line goes to :func:`parse_edge_line`, the checked path, which
+    raises the error naming what is wrong and the line number.  Both
+    paths convert with `int` and `float`, so they accept the same lines
+    and yield the same edges.
     """
     if on_duplicate not in ("error", "skip"):
         raise ValueError(f"on_duplicate must be 'error' or 'skip', got {on_duplicate!r}")
@@ -210,21 +218,19 @@ def open_stream(source: Union[str, "os.PathLike[str]", IO[str]], *,
         name = str(source)
         owns = True
 
-    def lines() -> Iterator[tuple[int, str]]:
-        for n, raw in enumerate(fh, 1):
-            stripped = raw.strip()
-            if stripped and not stripped.startswith("#"):
-                yield n, stripped
-
-    # Pull lines up to and including the first meaningful one so a
-    # header, if present, is known before anyone iterates.
-    numbered = lines()
+    # Read up to and including the first meaningful line so a header,
+    # if present, is known before anyone iterates.
+    numbered = enumerate(fh, 1)
     vertex_count = edge_count = None
+    pending: tuple[tuple[int, str], ...] = ()
     try:
-        first = next(numbered, None)
-        if first is not None and first[1].startswith("p"):
-            line_no, stripped = first
-            first = None
+        for line_no, raw in numbered:
+            stripped = raw.strip()
+            if not stripped or stripped.startswith("#"):
+                continue
+            if not stripped.startswith("p"):
+                pending = ((line_no, raw),)
+                break
             parts = stripped.split()
             if len(parts) != 3 or parts[0] != "p":
                 raise StreamFormatError(
@@ -239,28 +245,43 @@ def open_stream(source: Union[str, "os.PathLike[str]", IO[str]], *,
             if vertex_count < 0 or edge_count < 0:
                 raise StreamFormatError(
                     f"header counts must be non-negative: {stripped!r}", line_no)
+            break
     except Exception:
         if owns:
             fh.close()
         raise
-    pending = [] if first is None else [first]
 
     def edges() -> Iterator[Edge]:
         seen: set[tuple[int, int]] = set()
         read = 0
         try:
-            for n, stripped in itertools.chain(pending, numbered):
-                e = parse_edge_line(stripped, n)
+            for n, raw in itertools.chain(pending, numbered):
+                parts = raw.split()
+                if not parts or parts[0][0] == "#":
+                    continue
+                # The fast path takes a well-formed `u v w` line whole;
+                # parse_edge_line parses any other, and raises its error.
+                try:
+                    x, y, z = parts
+                    u, v, w = int(x), int(y), float(z)
+                    ok = u >= 0 and v >= 0 and u != v and 0.0 < w < math.inf
+                except ValueError:
+                    ok = False
+                if not ok:
+                    u, v, w = parse_edge_line(raw, n)
+                elif u > v:
+                    u, v = v, u
                 read += 1
-                if e.key in seen:
+                key = (u, v)
+                if key in seen:
                     if on_duplicate == "error":
                         raise DuplicateEdgeError(
-                            f"duplicate edge {e.u} {e.v} (weights may differ)", n)
+                            f"duplicate edge {u} {v} (weights may differ)", n)
                     log.warning("%s line %d: skipping duplicate edge %d %d",
-                                name, n, e.u, e.v)
+                                name, n, u, v)
                     continue
-                seen.add(e.key)
-                yield e
+                seen.add(key)
+                yield Edge(u, v, w)
         finally:
             if owns:
                 fh.close()

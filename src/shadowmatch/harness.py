@@ -20,7 +20,7 @@ import json
 import math
 import random
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from functools import partial
 from typing import Iterable, Iterator
 
@@ -267,8 +267,8 @@ def emit_report(reports: list[RunReport], fmt: str = "table") -> str:
 
     if fmt == "json":
         payload = {
-            "reports": [asdict(r) for r in reports],
-            "aggregates": [asdict(a) for a in aggregate(reports)],
+            "reports": [vars(r) for r in reports],
+            "aggregates": [vars(a) for a in aggregate(reports)],
         }
         return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 

@@ -189,14 +189,28 @@ def conflict_score(matching: dict[int, Edge], chosen: tuple[Edge, ...],
     ranks candidate sets: it is r, or the exact Fraction when the float
     lies within its rounding bound of zero.
     """
-    conflicts = set()
-    w_chosen = 0.0
-    for f in chosen:
-        w_chosen += f.w
-        conflicts.add(matching.get(f.u))
-        conflicts.add(matching.get(f.v))
-    conflicts.discard(None)
-    removed = tuple(sorted(conflicts))
+    if len(chosen) == 1:
+        # A lone edge meets at most one matching edge per end, the same
+        # one at both ends when it is itself matched.
+        f = chosen[0]
+        w_chosen = f.w
+        a = matching.get(f.u)
+        b = matching.get(f.v)
+        if b is None or b == a:
+            removed = () if a is None else (a,)
+        elif a is None:
+            removed = (b,)
+        else:
+            removed = (a, b) if a < b else (b, a)
+    else:
+        conflicts = set()
+        w_chosen = 0.0
+        for f in chosen:
+            w_chosen += f.w
+            conflicts.add(matching.get(f.u))
+            conflicts.add(matching.get(f.v))
+        conflicts.discard(None)
+        removed = tuple(sorted(conflicts))
     w_removed = 0.0
     for d in removed:
         w_removed += d.w

@@ -15,7 +15,8 @@ from itertools import combinations
 from pathlib import Path
 
 import shadowmatch
-from shadowmatch.graph import Edge, edge
+from shadowmatch.graph import (DuplicateEdgeError, Edge, StreamFormatError,
+                               edge, parse_edge_line)
 
 
 def naive_max_matching_weight(edges: list[Edge]) -> float:
@@ -63,6 +64,77 @@ def random_edge_list(rng: random.Random, max_n: int = 10,
             w = rng.uniform(0.05, 20.0)
         out.append(edge(u, v, w))
     return out
+
+
+def reference_stream(fh, on_duplicate: str = "error"):
+    """Parse stream text the plain way: strip every line, skip blank and
+    comment lines, read an optional `p <n> <m>` first line, then hand
+    each remaining line to `parse_edge_line`.  Returns (vertex_count,
+    edge_count, edges), or raises the error `open_stream` must raise."""
+    numbered = [(n, raw.strip()) for n, raw in enumerate(fh, 1)]
+    numbered = [(n, s) for n, s in numbered if s and not s.startswith("#")]
+    vertex_count = edge_count = None
+    if numbered and numbered[0][1].startswith("p"):
+        line_no, stripped = numbered.pop(0)
+        parts = stripped.split()
+        if len(parts) != 3 or parts[0] != "p":
+            raise StreamFormatError(
+                f"bad header, expected 'p <n> <m>': {stripped!r}", line_no)
+        try:
+            vertex_count = int(parts[1])
+            edge_count = int(parts[2])
+        except ValueError:
+            raise StreamFormatError(
+                f"header counts must be integers: {stripped!r}",
+                line_no) from None
+        if vertex_count < 0 or edge_count < 0:
+            raise StreamFormatError(
+                f"header counts must be non-negative: {stripped!r}", line_no)
+    seen = set()
+    edges = []
+    for n, stripped in numbered:
+        e = parse_edge_line(stripped, n)
+        if e.key in seen:
+            if on_duplicate == "error":
+                raise DuplicateEdgeError(
+                    f"duplicate edge {e.u} {e.v} (weights may differ)", n)
+            continue
+        seen.add(e.key)
+        edges.append(e)
+    if edge_count is not None and len(numbered) != edge_count:
+        raise StreamFormatError(
+            f"header declares {edge_count} edges, the stream has {len(numbered)}")
+    return vertex_count, edge_count, edges
+
+
+def reference_conflict_score(matching: dict[int, Edge], chosen: tuple[Edge, ...],
+                             t: float):
+    """(r, removed, key) of `shadow.conflict_score`, for any set size:
+    collect the conflicts in a set, sort them, sum in float, and redo
+    the score in Fraction when the float lies within its rounding
+    bound of zero."""
+    conflicts = {matching.get(x) for f in chosen for x in (f.u, f.v)}
+    conflicts.discard(None)
+    removed = tuple(sorted(conflicts))
+    w_chosen = 0.0
+    for f in chosen:
+        w_chosen += f.w
+    w_removed = 0.0
+    for d in removed:
+        w_removed += d.w
+    w_removed *= t
+    r = w_chosen - w_removed
+    if abs(r) > 4 * math.ulp(1.0) * (w_chosen + w_removed) + 8 * math.ulp(0.0):
+        return r, removed, r
+    exact = (sum(Fraction(f.w) for f in chosen)
+             - Fraction(t) * sum(Fraction(d.w) for d in removed))
+    if not exact:
+        return 0.0, removed, exact
+    try:
+        r = max(float(abs(exact)), math.ulp(0.0))
+    except OverflowError:
+        r = math.inf
+    return (-r if exact < 0 else r), removed, exact
 
 
 def check_matcher_invariants(matcher, n: int) -> None:

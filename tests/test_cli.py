@@ -6,9 +6,12 @@ import csv
 import dataclasses
 import io
 import json
+import subprocess
+import sys
 
 import pytest
 
+from helpers import package_env
 from shadowmatch import cli
 from shadowmatch.baseline import run_baseline
 from shadowmatch.cli import main
@@ -71,6 +74,40 @@ def test_run_usage_errors(stream_file):
     assert main(["run", stream_file, "--k", "0.5"]) == 1
     assert main(["nonsense"]) == 1
     assert main([]) == 1
+
+
+def test_run_gamma_is_a_usage_error_for_the_shadow_matcher(
+        stream_file, tmp_path, capsys):
+    """--gamma sets the baseline's threshold; the shadow matcher must
+    refuse it, before FILE or the trace file is opened."""
+    assert main(["run", stream_file, "--gamma", "0.5"]) == 1
+    trace = tmp_path / "trace.jsonl"
+    assert main(["run", str(tmp_path / "absent.txt"), "--gamma", "0.5",
+                 "--trace", str(trace)]) == 1
+    assert not trace.exists()
+    err = capsys.readouterr().err.splitlines()
+    assert err == ["error: --gamma applies to the baseline matcher only"] * 2
+
+
+@pytest.mark.parametrize("first,second", [
+    (["run", "{f}", "--algo", "nope"], ["run", "{f}"]),
+    (["run", "{f}", "--k", "2"], ["run", "{f}"]),
+    (["compare", "{f}", "--format", "csv"], ["compare", "{f}", "--format", "json"]),
+], ids=["usage-error-then-run", "k-then-default-k", "csv-then-json"])
+def test_parser_keeps_no_state_between_calls(stream_file, capsys, first, second):
+    """main parses with one parser built per process: after any call,
+    the next must print what it prints as a fresh process's first call."""
+    def fill(argv):
+        return [a.format(f=stream_file) for a in argv]
+
+    main(fill(first))
+    capsys.readouterr()
+    code = main(fill(second))
+    got = capsys.readouterr()
+    child = subprocess.run([sys.executable, "-m", "shadowmatch", *fill(second)],
+                           capture_output=True, text=True, env=package_env())
+    assert (code, got.out, got.err) == (child.returncode, child.stdout,
+                                         child.stderr)
 
 
 def test_run_missing_file_is_input_error(tmp_path):

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import reference_stream
 from shadowmatch.graph import (DenseGraph, DuplicateEdgeError, EdgeStream,
                                StreamFormatError, edge, format_edge,
                                is_matching, open_stream, parse_edge_line,
@@ -172,3 +173,87 @@ def test_is_matching():
     assert is_matching([edge(1, 2, 1.0), edge(3, 4, 1.0)])
     assert not is_matching([edge(1, 2, 1.0), edge(2, 3, 1.0)])
     assert is_matching([])
+
+
+# -- open_stream against the plain line-by-line parser ---------------------
+
+_PAIRS = st.sampled_from([(u, v) for u in range(12) for v in range(12) if u != v])
+_ODD_IDS = st.sampled_from(["-1", "-2", "+3", "1_0", "03", "2.0", "x", "1e3"])
+# nan, inf and -0.0 get a branch of their own so each shows up often.
+_ODD_WEIGHTS = st.one_of(st.floats().map(repr), st.sampled_from([
+    "1e3", "+3", "1_0", "-inf", "0", "1e309", "1e-320", "-1", "w", ".5"]),
+    st.sampled_from(["nan", "inf", "-0.0"]))
+_SEPS = st.sampled_from([" ", " ", " ", "  ", "\t", "\xa0", " \t"])
+
+
+@st.composite
+def _edge_line(draw, good: int):
+    """A good `u v w` line `good` times as often as each of: a loop, an
+    odd id or weight spelling, a token too few or too many."""
+    u, v = draw(_PAIRS)
+    tokens = [str(u), str(v), repr(draw(st.floats(1e-3, 1e6)))]
+    odd = draw(st.sampled_from(["none"] * good + ["loop", "id", "weight", "count"]))
+    if odd == "loop":
+        tokens[1] = tokens[0]
+    elif odd == "id":
+        tokens[draw(st.integers(0, 1))] = draw(_ODD_IDS)
+    elif odd == "weight":
+        tokens[2] = draw(_ODD_WEIGHTS)
+    elif odd == "count":
+        tokens = tokens[:2] if draw(st.booleans()) else tokens + ["7"]
+    text = draw(_SEPS).join(tokens)
+    return draw(st.sampled_from(["", "", " ", "\t"])) + text + draw(
+        st.sampled_from(["", "", " ", "\xa0"]))
+
+
+_OTHER_LINES = st.sampled_from([
+    "# comment", "  # 1 2 3.0", "#", "", "   ", "\t", "\xa0",
+    "p 6 3", "p 3", "p x 1", "pq 1 2"])
+
+
+@st.composite
+def _stream_text(draw):
+    """Stream text mixing good edge lines with comments, blank lines,
+    odd spacing and spellings, bad tokens, loops, duplicates, a `p`
+    line in mid-stream, and headers that are malformed or whose edge
+    count is off by one."""
+    # Some streams are mostly good lines, others mostly odd ones.
+    good = draw(st.sampled_from([1, 40]))
+    line = st.sampled_from(["edge"] * 24 + ["other"]).flatmap(
+        lambda kind: _edge_line(good) if kind == "edge" else _OTHER_LINES)
+    body = draw(st.lists(line, max_size=16))
+    header = draw(st.sampled_from([None] * 8 + ["count"] * 10
+                                  + ["p 4", "p -1 1", "p a b"]))
+    if header == "count":
+        meaningful = sum(1 for s in body
+                         if s.strip() and not s.strip().startswith("#"))
+        off = draw(st.sampled_from([0, 0, 0, -1, 1]))
+        header = f"p 10 {max(0, meaningful + off)}"
+    lines = body if header is None else [header, *body]
+    ends = [draw(st.sampled_from(["\n", "\r\n"])) for _ in lines]
+    text = "".join(s + end for s, end in zip(lines, ends))
+    return text if draw(st.booleans()) else text.rstrip("\r\n")
+
+
+def _outcome(parse):
+    try:
+        vertex_count, edge_count, edges = parse()
+    except ValueError as exc:
+        return "error", type(exc), str(exc)
+    return vertex_count, edge_count, [(type(e), *e) for e in edges]
+
+
+@given(_stream_text(), st.sampled_from(["error", "skip"]))
+@settings(max_examples=400, deadline=None)
+def test_open_stream_matches_reference_parser(text, on_duplicate):
+    """The inline fast path and the checked path together yield the
+    edges of the plain parser, or raise its error class and message."""
+    def ours():
+        stream = open_stream(io.StringIO(text, newline=None),
+                             on_duplicate=on_duplicate)
+        return stream.vertex_count, stream.edge_count, list(stream)
+
+    def reference():
+        return reference_stream(io.StringIO(text, newline=None), on_duplicate)
+
+    assert _outcome(ours) == _outcome(reference)

@@ -11,12 +11,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import (brute_force_disjoint, check_matcher_invariants,
-                     random_edge_list, reference_trace_record)
-from shadowmatch.baseline import BaselineMatcher, run_baseline
+                     random_edge_list, reference_conflict_score,
+                     reference_trace_record)
+from shadowmatch.baseline import (GAMMA_RATIO_5_828, BaselineMatcher,
+                                  run_baseline)
+from shadowmatch.bound import optimal_k
 from shadowmatch.graph import edge
 from shadowmatch.shadow import (InsertionDecision, ShadowMatcher, TraceEvent,
-                                enumerate_augmenting_sets, run_stream,
-                                trace_line, trace_to_dict)
+                                conflict_score, enumerate_augmenting_sets,
+                                run_stream, trace_line, trace_to_dict)
 
 # The two-sided gadget, by role.  Weights are chosen so the unique best
 # step for the final input edge is to insert it together with the
@@ -225,6 +228,41 @@ def test_gadget_argmax_matches_brute_force():
     best = [s for r, s in scored if r == best_r]
     assert best == [tuple(sorted([Y1Y2, A1G1]))]
     assert best_r == 6.0
+
+
+@given(st.data())
+@settings(max_examples=300, deadline=None)
+def test_lone_edge_score_matches_set_and_sort(data):
+    """conflict_score reads a lone edge's conflicts straight from the
+    matching; it must return what collecting them in a set and sorting
+    does, exact Fraction keys included."""
+    t = data.draw(st.sampled_from(
+        [optimal_k()[0], 1.0 + 0.0, 1.0 + GAMMA_RATIO_5_828, 1.0 + 1.0]))
+    u, v, x, y = data.draw(st.permutations(range(8)))[:4]
+    # Which ends of (u, v) the matching covers; "self" means (u, v) is
+    # itself matched, as when gain_of scores a matching edge.
+    ends = data.draw(st.sampled_from(["none", "u", "v", "both", "self"]))
+    weights = st.floats(1e-3, 1e3)
+    a, b = edge(u, x, data.draw(weights)), edge(v, y, data.draw(weights))
+    covers = {"u": [a], "v": [b], "both": [a, b]}.get(ends, [])
+    matching = {}
+    for m in covers:
+        matching[m.u] = matching[m.v] = m
+    w = data.draw(weights)
+    if covers and data.draw(st.booleans()):
+        # a few ulps from t times the weight the edge displaces
+        w = sum(m.w for m in covers) * t
+        steps = data.draw(st.integers(-2, 2))
+        for _ in range(abs(steps)):
+            w = math.nextafter(w, math.inf if steps > 0 else 0.0)
+    e = edge(u, v, w)
+    if ends == "self":
+        matching[u] = matching[v] = e
+    r, removed, key = conflict_score(matching, (e,), t)
+    r_ref, removed_ref, key_ref = reference_conflict_score(matching, (e,), t)
+    assert removed == removed_ref
+    assert repr(r) == repr(r_ref)
+    assert type(key) is type(key_ref) and key == key_ref
 
 
 # -- process_edge ----------------------------------------------------------
