@@ -44,6 +44,25 @@ class _UsageError(Exception):
     pass
 
 
+class _StderrHandler(logging.StreamHandler):
+    """Writes each record to `sys.stderr` as it is when the record is
+    logged, so an in-process caller that redirects stderr between calls
+    still gets each call's warnings."""
+
+    def __init__(self):
+        super().__init__()
+        self.setFormatter(logging.Formatter("%(levelname)s %(message)s"))
+        self.setLevel(logging.WARNING)
+
+    @property
+    def stream(self):
+        return sys.stderr
+
+    @stream.setter
+    def stream(self, _value):
+        pass
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="shadowmatch",
                      description="One-pass weighted matching with shadow-edge "
@@ -104,15 +123,15 @@ def build_parser() -> argparse.ArgumentParser:
 # Built once per process, as building them cost about half of a `compare` call.
 _PARSER = build_parser()
 _K_STAR = optimal_k()[0]
+_LOG_HANDLER = _StderrHandler()
 
 
 def cmd_run(args) -> int:
-    # Checked before FILE or the trace file is opened.
-    if args.algo == "shadow" and args.gamma is not None:
-        raise _UsageError("--gamma applies to the baseline matcher only")
-    on_dup = "skip" if args.skip_duplicates else "error"
-    stream = open_stream(args.stream, on_duplicate=on_dup)
+    # Every option is checked, by the matcher's constructor too, before
+    # FILE or the trace file is opened.
     if args.algo == "shadow":
+        if args.gamma is not None:
+            raise _UsageError("--gamma applies to the baseline matcher only")
         matcher = ShadowMatcher(args.k if args.k is not None else _K_STAR)
     else:
         if args.k is not None:
@@ -121,6 +140,8 @@ def cmd_run(args) -> int:
             raise _UsageError("--verify applies to the shadow matcher only")
         matcher = BaselineMatcher(GAMMA_RATIO_SIX if args.gamma is None
                                   else args.gamma)
+    on_dup = "skip" if args.skip_duplicates else "error"
+    stream = open_stream(args.stream, on_duplicate=on_dup)
 
     failures = 0
 
@@ -211,8 +232,9 @@ def cmd_bound(args) -> int:
 
 
 def main(argv=None) -> int:
-    logging.basicConfig(stream=sys.stderr, level=logging.WARNING,
-                        format="%(levelname)s %(message)s")
+    root = logging.getLogger()
+    if _LOG_HANDLER not in root.handlers:
+        root.addHandler(_LOG_HANDLER)
     try:
         args = _PARSER.parse_args(argv)
     except _UsageError as exc:

@@ -40,12 +40,19 @@ The midpoint leaves room for the edges fixed after it, so a cycle of
 shared edges splits each one strictly when it can.  An infeasible
 system means the insertion violated its own admission rule and
 something is broken.
+
+Nearly every insertion is a single edge e = uv, and for it the subset
+condition has only S = {} and S = {e}.  So it is decided in closed
+form: feasible iff every removed edge touches e at exactly one end and
+p * w(removed edges) <= q * w(e), with witness f(u) = f(v) = 1.  The
+exact k = p/q is converted once per k value, not once per check.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 from .graph import Edge
 from .shadow import InsertionDecision
@@ -70,6 +77,53 @@ class AllocationCheck:
     k: Fraction
 
 
+@lru_cache(maxsize=16)
+def _exact_k(k: float) -> tuple[Fraction, int, int]:
+    """k as the exact fraction p/q of its float value, checked > 1."""
+    kq = Fraction(float(k))
+    p, q = kq.numerator, kq.denominator
+    if p <= q:
+        raise ValueError(f"k must be > 1, got {k!r}")
+    return kq, p, q
+
+
+def _check_one_edge(chosen: tuple[Edge], removed: tuple[Edge, ...],
+                    kq: Fraction, p: int, q: int) -> AllocationCheck:
+    """The subset conditions for S = {} and S = {e}, for one inserted
+    edge e = uv, with the general check's errors in its order."""
+    (e,) = chosen
+    u, v = e.u, e.v
+    if u == v:
+        raise ValueError("inserted edges must be pairwise disjoint")
+    covered = (u, v) if u < v else (v, u)
+    if removed:
+        hit = [x for d in removed for x in (d.u, d.v) if x == u or x == v]
+        if len(set(hit)) != len(hit):
+            raise ValueError("at most one removed edge may touch a covered vertex")
+        for d in removed:
+            if (d.u == u or d.u == v) and (d.v == u or d.v == v):
+                raise ValueError(f"removed edge {d} is also inserted")
+        # No removed edge touches both ends, so fewer hits than removed
+        # edges means one misses e: S = {} fails.
+        if len(hit) < len(removed):
+            return AllocationCheck(False, covered, None, chosen, removed, kq)
+    # S = {e}: k * w(removed) <= w(e), the weights as integers over a
+    # common power-of-two denominator.
+    num, den = e.w.as_integer_ratio()
+    load = 0
+    for d in removed:
+        a, b = d.w.as_integer_ratio()
+        if b > den:
+            num *= b // den
+            load *= b // den
+            den = b
+        load += a * (den // b)
+    if p * load > q * num:
+        return AllocationCheck(False, covered, None, chosen, removed, kq)
+    return AllocationCheck(True, covered, dict.fromkeys(covered, _ONE),
+                           chosen, removed, kq)
+
+
 def check_locally_k_exceeding(decision: InsertionDecision, k: float) -> AllocationCheck:
     """Decide feasibility of the allocation system for one insertion.
 
@@ -90,13 +144,12 @@ def check_locally_k_exceeding(decision: InsertionDecision, k: float) -> Allocati
     """
     if not decision.inserted:
         raise ValueError("only inserted decisions carry an allocation certificate")
-    kq = Fraction(float(k))
-    p, q = kq.numerator, kq.denominator
-    if p <= q:
-        raise ValueError(f"k must be > 1, got {k!r}")
+    kq, p, q = _exact_k(k)
     chosen = decision.chosen
     removed = decision.removed
     n = len(chosen)
+    if n == 1:
+        return _check_one_edge(chosen, removed, kq, p, q)
     owner = {x: i for i, e in enumerate(chosen) for x in (e.u, e.v)}
     covered = tuple(sorted(owner))
     if len(covered) != 2 * n:

@@ -2,10 +2,12 @@
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import dataclasses
 import io
 import json
+import logging
 import subprocess
 import sys
 
@@ -68,10 +70,12 @@ def test_run_trace_writes_json_lines(stream_file, tmp_path, capsys):
         assert rec["decision"]["allocation_feasible"] is True
 
 
-def test_run_usage_errors(stream_file):
-    assert main(["run", stream_file, "--algo", "baseline", "--k", "2"]) == 1
-    assert main(["run", stream_file, "--algo", "baseline", "--verify"]) == 1
-    assert main(["run", stream_file, "--k", "0.5"]) == 1
+def test_run_usage_errors(stream_file, tmp_path):
+    for path in (stream_file, str(tmp_path / "absent.txt")):
+        # option rules are checked before FILE is opened
+        assert main(["run", path, "--algo", "baseline", "--k", "2"]) == 1
+        assert main(["run", path, "--algo", "baseline", "--verify"]) == 1
+        assert main(["run", path, "--k", "0.5"]) == 1
     assert main(["nonsense"]) == 1
     assert main([]) == 1
 
@@ -128,6 +132,26 @@ def test_run_duplicate_edge_handling(tmp_path, capsys):
     assert main(["run", str(path), "--k", "2.0", "--skip-duplicates"]) == 0
     lines = capsys.readouterr().out.splitlines()
     assert lines[0] == "weight 4.0"
+
+
+def test_each_call_warns_to_the_stderr_of_its_time(tmp_path, capsys):
+    """In-process callers that redirect stderr per call get each call's
+    warnings, and repeated calls install no further log handler."""
+    path = tmp_path / "dup.txt"
+    path.write_text("0 1 3.0\n1 0 4.0\n2 3 1.0\n", encoding="utf-8")
+    root = logging.getLogger()
+    captures, handlers = [], []
+    for _ in range(2):
+        buf = io.StringIO()
+        with contextlib.redirect_stderr(buf):
+            assert main(["run", str(path), "--skip-duplicates"]) == 0
+        captures.append(buf.getvalue())
+        handlers.append(list(root.handlers))
+    capsys.readouterr()
+    for text in captures:
+        assert "skipping duplicate edge" in text
+    assert handlers[0] == handlers[1]
+    assert sum(isinstance(h, cli._StderrHandler) for h in root.handlers) == 1
 
 
 def test_compare_table(stream_file, capsys):

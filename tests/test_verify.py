@@ -170,28 +170,65 @@ def test_scaling_weights_preserves_feasibility():
 
 
 def test_fast_path_matches_general_path_semantics():
-    # same system posed two ways: once as the |A| = 1 fast path, once
+    # same system posed two ways: once as the |A| = 1 closed form, once
     # padded with a disjoint removal-free edge to force the general code
+    def pose(w_in, removed):
+        return (InsertionDecision((edge(1, 2, w_in),), tuple(removed),
+                                  0.0, True),
+                InsertionDecision((edge(1, 2, w_in), edge(8, 9, 5.0)),
+                                  tuple(removed), 0.0, True))
+
     rng = random.Random(47)
-    for _ in range(40):
+    for _ in range(60):
         w_in = round(rng.uniform(1.0, 12.0), 3)
         removed = []
         if rng.random() < 0.8:
             removed.append(edge(1, 3, round(rng.uniform(0.1, 4.0), 3)))
         if rng.random() < 0.8:
             removed.append(edge(2, 4, round(rng.uniform(0.1, 4.0), 3)))
-        single = InsertionDecision(
-            chosen=(edge(1, 2, w_in),), removed=tuple(removed),
-            gain=0.0, inserted=True)
-        padded = InsertionDecision(
-            chosen=(edge(1, 2, w_in), edge(8, 9, 5.0)),
-            removed=tuple(removed), gain=0.0, inserted=True)
+        misses = rng.random() < 0.2
+        if misses:
+            removed.insert(rng.randrange(len(removed) + 1),
+                           edge(5, 6, round(rng.uniform(0.1, 4.0), 3)))
+        single, padded = pose(w_in, removed)
         fast = check_locally_k_exceeding(single, 2.0)
         general = check_locally_k_exceeding(padded, 2.0)
         assert fast.feasible == general.feasible
+        assert fast.feasible == (not misses and 2 * sum(d.w for d in removed) <= w_in)
         if fast.feasible:
+            assert fast.witness == {1: 1, 2: 1}
             _assert_witness_ok(fast)
             _assert_witness_ok(general)
+        else:
+            assert fast.witness is None
+
+    # malformed decisions raise the same error on both paths; two
+    # removed edges at one end is reported first, in either order
+    twice_at_1 = (edge(1, 3, 1.0), edge(1, 4, 1.0))
+    is_inserted = (edge(1, 2, 1.0),)
+    both = (edge(1, 2, 1.0), edge(1, 3, 1.0))
+    for removed, message in [
+            (twice_at_1, "at most one removed edge"),
+            (is_inserted, "is also inserted"),
+            (both, "at most one removed edge"),
+            (both[::-1], "at most one removed edge")]:
+        for decision in pose(5.0, removed):
+            with pytest.raises(ValueError, match=message):
+                check_locally_k_exceeding(decision, 2.0)
+
+
+def test_k_conversion_is_per_value():
+    # k * 1.5 <= 3 holds at k = 1.5 and fails at k = 3; each verdict and
+    # its exact k must come from the k of that call
+    decision = InsertionDecision((edge(1, 2, 3.0),), (edge(1, 3, 1.5),),
+                                 0.0, True)
+    for k, feasible in [(1.5, True), (3.0, False), (1.5, True)]:
+        check = check_locally_k_exceeding(decision, k)
+        assert (check.feasible, check.k) == (feasible, Fraction(k))
+    with pytest.raises(ValueError, match="k must be > 1"):
+        check_locally_k_exceeding(decision, 1.0)
+    with pytest.raises(ValueError, match="k must be > 1"):
+        check_locally_k_exceeding(decision, 1.0)
 
 
 def test_single_edge_with_removed_edge_off_the_cover_is_infeasible():
