@@ -23,8 +23,9 @@ from .generators import GRAPH_KINDS, WEIGHT_KINDS, GeneratorSpec, WeightSpec, ge
 from .graph import (DenseGraph, StreamFormatError, format_edge, open_stream,
                     write_stream)
 from .harness import default_algorithms, emit_report, run_experiment
+from .shadow import ShadowMatcher, TraceEncoder, drive
 # trace_to_dict is unused here; the benchmark's traced run wraps it by name.
-from .shadow import ShadowMatcher, drive, trace_line, trace_to_dict  # noqa: F401
+from .shadow import trace_to_dict  # noqa: F401
 from .verify import check_locally_k_exceeding
 
 USAGE_ERROR = 1
@@ -151,10 +152,12 @@ def cmd_run(args) -> int:
         failures += not ok
         return ok
 
+    encode = TraceEncoder().line
+
     def sink(event):
         d = event.decision
         feasible = certify(d) if args.verify and d.inserted else None
-        trace_fh.write(trace_line(event, feasible) + "\n")
+        trace_fh.write(encode(event, feasible) + "\n")
 
     def check(_index, decision, _matcher):
         if decision.inserted:

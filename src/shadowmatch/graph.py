@@ -87,7 +87,8 @@ def edge(u: int, v: int, w: float) -> Edge:
     Parameters
     ----------
     u, v : int
-        Distinct non-negative vertex ids.  Order does not matter.
+        Distinct non-negative vertex ids, not bools.  Order does not
+        matter.
     w : float
         Strictly positive, finite weight.
 
@@ -98,11 +99,16 @@ def edge(u: int, v: int, w: float) -> Edge:
     Raises
     ------
     ValueError
-        If the endpoints form a loop, are negative, or the weight is
-        not a positive finite real.
+        If the endpoints are not integers, form a loop or are negative,
+        or the weight is not a positive finite real.
     """
-    if not isinstance(u, int) or not isinstance(v, int):
-        raise ValueError(f"vertex ids must be integers, got {u!r}, {v!r}")
+    # bool is an int subclass, but an Edge holding True would print it
+    # as True, which is not JSON.  Plain ints, nearly every call, take
+    # the one cheap test.
+    if type(u) is not int or type(v) is not int:
+        if (not isinstance(u, int) or not isinstance(v, int)
+                or isinstance(u, bool) or isinstance(v, bool)):
+            raise ValueError(f"vertex ids must be integers, got {u!r}, {v!r}")
     if u < 0 or v < 0:
         raise ValueError(f"vertex ids must be non-negative, got {u}, {v}")
     if u == v:

@@ -18,11 +18,18 @@ Processing one input edge looks at a bounded local neighborhood only:
 That is at most seven edges, so each step costs constant time and the
 whole pass stores at most 3 * floor(n/2) edges.  `process_edge` reads
 them straight from the matching and slot dicts and builds no view
-object; the Neighborhood, with its seven named roles, exists for
-`process_edge_traced` and for tests.  Both steps share one decision
-routine, so they decide alike.  `trace_line` writes a traced step as
-one JSON line, straight from its TraceEvent; it is the one definition
-of the trace schema, and `trace_to_dict` is its line parsed back.
+object; the Neighborhood, with its seven named roles, exists for tests
+and for `process_edge_traced`, which builds it from the dict reads it
+checks the input with.  Both steps share one decision routine, so they
+decide alike, and when the input edge is the only candidate both take
+one shortcut that scores it alone.
+
+A TraceEncoder writes a traced step as one JSON line, straight from its
+TraceEvent; it is the one definition of the trace schema, `trace_line`
+is one line of it, and `trace_to_dict` is that line parsed back.  An
+encoder writes each edge's text once while the edge stays in view,
+keyed by object identity, and remembers at most _MEMO_EDGES edges, so
+a trace takes O(1) memory.
 
 An insertion candidate A (a set of one to three pairwise disjoint
 non-matching edges from the neighborhood) is scored by
@@ -191,17 +198,23 @@ def conflict_score(matching: dict[int, Edge], chosen: tuple[Edge, ...],
     """
     if len(chosen) == 1:
         # A lone edge meets at most one matching edge per end, the same
-        # one at both ends when it is itself matched.
+        # one at both ends when it is itself matched.  t * w(removed) is
+        # the float the loop below would give: 0.0 + x == x, and two
+        # terms add alike in either order.
         f = chosen[0]
         w_chosen = f.w
         a = matching.get(f.u)
         b = matching.get(f.v)
-        if b is None or b == a:
-            removed = () if a is None else (a,)
-        elif a is None:
-            removed = (b,)
-        else:
+        if a is not None and b is not None and a != b:
             removed = (a, b) if a < b else (b, a)
+            w_removed = t * (a.w + b.w)
+        elif a is not None or b is not None:
+            d = a if a is not None else b
+            removed = (d,)
+            w_removed = t * d.w
+        else:
+            removed = ()
+            w_removed = 0.0
     else:
         conflicts = set()
         w_chosen = 0.0
@@ -211,10 +224,10 @@ def conflict_score(matching: dict[int, Edge], chosen: tuple[Edge, ...],
             conflicts.add(matching.get(f.v))
         conflicts.discard(None)
         removed = tuple(sorted(conflicts))
-    w_removed = 0.0
-    for d in removed:
-        w_removed += d.w
-    w_removed *= t
+        w_removed = 0.0
+        for d in removed:
+            w_removed += d.w
+        w_removed *= t
     r = w_chosen - w_removed
     if abs(r) > _ROUNDING * (w_chosen + w_removed) + _UNDERFLOW:
         return r, removed, r
@@ -340,10 +353,13 @@ class ShadowMatcher:
 
     def neighborhood(self, e: Edge) -> Neighborhood:
         """Assemble the bounded local view for input edge `e`."""
-        return Neighborhood(e, self._side(e.u), self._side(e.v))
+        matching = self.matching
+        return Neighborhood(e, self._side(e.u, matching.get(e.u)),
+                            self._side(e.v, matching.get(e.v)))
 
-    def _side(self, anchor: int) -> SideView:
-        matched = self.matching.get(anchor)
+    def _side(self, anchor: int, matched: Edge | None) -> SideView:
+        """The view from `anchor`, which the matching edge `matched`
+        (or None) covers."""
         if matched is None:
             return SideView(anchor)
         partner = matched.other(anchor)
@@ -404,30 +420,41 @@ class ShadowMatcher:
                 return self._decide(tuple(cands), None)
         # No shadow in view, so e is the only candidate: always so when
         # nothing is parked, hence on every step of a policy that never parks.
+        return self._decide_alone(e)
+
+    def process_edge_traced(self, e: Edge, index: int) -> TraceEvent:
+        """Like process_edge, but capture the full step for tracing."""
+        matching = self.matching
+        m1 = matching.get(e.u)
+        m2 = matching.get(e.v)
+        # As in process_edge: the full check only when one could fail.
+        if not 0.0 < e.w < math.inf or (m1 is not None and m1 == m2):
+            check_input(matching, e)
+        s1 = self._side(e.u, m1)
+        s2 = self._side(e.v, m2)
+        nb = Neighborhood(e, s1, s2)
+        if s1.shadow is None and s2.shadow is None:
+            decision = self._decide_alone(e)
+            return TraceEvent(index, nb, ((decision.chosen, decision.gain),),
+                              decision)
+        view = {e, m1, s1.shadow, s1.far_cover, m2, s2.shadow, s2.far_cover}
+        view.discard(None)
+        self.last_touched_edges = len(view)
+        scored: list[tuple[tuple[Edge, ...], float]] = []
+        decision = self._decide(nb.candidates(), scored)
+        return TraceEvent(index, nb, tuple(scored), decision)
+
+    def _decide_alone(self, e: Edge) -> InsertionDecision:
+        """Decide a step whose only candidate is the input edge `e`:
+        insert it iff its score is positive."""
         chosen = (e,)
-        r, removed, key = conflict_score(matching, chosen, self.threshold)
+        r, removed, key = conflict_score(self.matching, chosen, self.threshold)
         self.last_touched_edges = 1 + len(removed)
         self.last_candidate_sets = 1
         if key > 0:
             self._apply(chosen, removed)
             return InsertionDecision(chosen, removed, r, True)
         return InsertionDecision(chosen, removed, r, False)
-
-    def process_edge_traced(self, e: Edge, index: int) -> TraceEvent:
-        """Like process_edge, but capture the full step for tracing."""
-        nb = self.neighborhood(e)
-        s1, s2 = nb.side1, nb.side2
-        # As in process_edge: the full check only when one could fail.
-        if not 0.0 < e.w < math.inf or (s1.matched is not None
-                                         and s1.matched == s2.matched):
-            check_input(self.matching, e)
-        view = {e, s1.matched, s1.shadow, s1.far_cover,
-                s2.matched, s2.shadow, s2.far_cover}
-        view.discard(None)
-        self.last_touched_edges = len(view)
-        scored: list[tuple[tuple[Edge, ...], float]] = []
-        decision = self._decide(nb.candidates(), scored)
-        return TraceEvent(index, nb, tuple(scored), decision)
 
     def _decide(self, cands: tuple[Edge, ...],
                 scored: list | None) -> InsertionDecision:
@@ -622,18 +649,87 @@ def run_stream(stream: EdgeStream | Iterable[Edge], k: float, *,
 _JSON_NON_FINITE = {"inf": "Infinity", "-inf": "-Infinity", "nan": "NaN"}
 
 
-class _EdgeJson(dict):
-    """Edge (or None) -> its JSON text, spelled on first use: a trace
-    line names at most the seven edges in view, most of them twice."""
-
-    def __missing__(self, e: Edge | None) -> str:
-        text = self[e] = "null" if e is None else f"[{e.u}, {e.v}, {e.w!r}]"
-        return text
-
-
 def _json_float(x: float) -> str:
     s = repr(x)
     return _JSON_NON_FINITE.get(s, s)
+
+
+# The most edges a TraceEncoder remembers the text of before it starts
+# over: as many as a run stores, 3 * floor(n/2), up to n = 2730.  A full
+# memo takes about 1.2 MiB, the edges it keeps alive included.
+_MEMO_EDGES = 4096
+
+
+class TraceEncoder:
+    """Writes TraceEvents as JSON trace lines, spelling each edge's
+    [u, v, w] text once for as long as the edge stays in view.
+
+    Matched and parked edges show up on many lines in a row, so the
+    encoder keeps their text, keyed by object identity: edges that
+    compare equal can print differently (Edge(1, 2, 3) and
+    edge(1, 2, 3.0)).  The memo holds the edges it keys, so no other
+    object can take one's id while its text is kept.  It holds at most
+    _MEMO_EDGES of them and is emptied when full, so an encoder takes
+    O(1) memory however long the trace.  One encoder serves one trace.
+    """
+
+    __slots__ = ("_texts", "_held")
+
+    def __init__(self):
+        self._texts: dict[int, str] = {}
+        self._held: list[Edge | None] = []
+
+    def _spell(self, e: Edge | None) -> str:
+        """Write the JSON text of `e` (null for None) and remember it."""
+        held = self._held
+        if len(held) >= _MEMO_EDGES:
+            held.clear()
+            self._texts.clear()
+        held.append(e)
+        text = self._texts[id(e)] = ("null" if e is None
+                                     else f"[{e.u}, {e.v}, {e.w!r}]")
+        return text
+
+    def line(self, event: TraceEvent, feasible: bool | None = None) -> str:
+        """The trace line of `event`, as :func:`trace_line` writes it."""
+        # Each edge's text is looked up inline, as `text(id(e)) or
+        # spell(e)`: a call per edge would cost about what the memo saves.
+        text = self._texts.get
+        spell = self._spell
+        nb = event.neighborhood
+        s1, s2 = nb.side1, nb.side2
+        d = event.decision
+        inp = text(id(nb.input_edge)) or spell(nb.input_edge)
+        g1y1 = text(id(s1.matched)) or spell(s1.matched)
+        a1g1 = text(id(s1.shadow)) or spell(s1.shadow)
+        a1c1 = text(id(s1.far_cover)) or spell(s1.far_cover)
+        g2y2 = text(id(s2.matched)) or spell(s2.matched)
+        a2g2 = text(id(s2.shadow)) or spell(s2.shadow)
+        a2c2 = text(id(s2.far_cover)) or spell(s2.far_cover)
+        # A score that is the decision's gain object, as a lone
+        # candidate's is, prints as the gain does.
+        gain = d.gain
+        r = _json_float(gain)
+        cands = []
+        for subset, score in event.candidates:
+            if len(subset) == 1:
+                edges = text(id(subset[0])) or spell(subset[0])
+            else:
+                edges = ", ".join([text(id(e)) or spell(e) for e in subset])
+            score = r if score is gain else _json_float(score)
+            cands.append(f'{{"edges": [{edges}], "r": {score}}}')
+        chosen = ", ".join([text(id(e)) or spell(e) for e in d.chosen])
+        removed = ", ".join([text(id(e)) or spell(e) for e in d.removed])
+        verdict = ("" if feasible is None else '"allocation_feasible": '
+                   f'{"true" if feasible else "false"}, ')
+        return (
+            f'{{"S": {{"a1c1": {a1c1}, "a1g1": {a1g1}, "a2c2": {a2c2}, '
+            f'"a2g2": {a2g2}, "g1y1": {g1y1}, "g2y2": {g2y2}, '
+            f'"y1y2": {inp}}}, "candidates": [{", ".join(cands)}], '
+            f'"decision": {{"A": [{chosen}], {verdict}'
+            f'"inserted": {"true" if d.inserted else "false"}, '
+            f'"r": {r}, "removed": [{removed}]}}, '
+            f'"index": {event.index}, "input": {inp}}}')
 
 
 def trace_line(event: TraceEvent, feasible: bool | None = None) -> str:
@@ -644,28 +740,11 @@ def trace_line(event: TraceEvent, feasible: bool | None = None) -> str:
     edges serialize as [u, v, w] triples, role names key the local
     view, and a non-finite score is spelled Infinity or -Infinity.
     `feasible`, when not None, is the verifier's verdict on an
-    insertion and goes in as `decision.allocation_feasible`.
+    insertion and goes in as `decision.allocation_feasible`.  A whole
+    trace is cheaper through one TraceEncoder, which writes the same
+    lines.
     """
-    nb = event.neighborhood
-    s1, s2 = nb.side1, nb.side2
-    d = event.decision
-    enc = _EdgeJson().__getitem__
-    num = _json_float
-    inp = enc(nb.input_edge)
-    cands = ", ".join([
-        f'{{"edges": [{", ".join(map(enc, subset))}], "r": {num(r)}}}'
-        for subset, r in event.candidates])
-    verdict = ("" if feasible is None else
-               f'"allocation_feasible": {"true" if feasible else "false"}, ')
-    return (
-        f'{{"S": {{"a1c1": {enc(s1.far_cover)}, "a1g1": {enc(s1.shadow)}, '
-        f'"a2c2": {enc(s2.far_cover)}, "a2g2": {enc(s2.shadow)}, '
-        f'"g1y1": {enc(s1.matched)}, "g2y2": {enc(s2.matched)}, '
-        f'"y1y2": {inp}}}, "candidates": [{cands}], '
-        f'"decision": {{"A": [{", ".join(map(enc, d.chosen))}], {verdict}'
-        f'"inserted": {"true" if d.inserted else "false"}, '
-        f'"r": {num(d.gain)}, "removed": [{", ".join(map(enc, d.removed))}]}}, '
-        f'"index": {event.index}, "input": {inp}}}')
+    return TraceEncoder().line(event, feasible)
 
 
 def trace_to_dict(event: TraceEvent) -> dict:

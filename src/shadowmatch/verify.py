@@ -131,10 +131,10 @@ def check_locally_k_exceeding(decision: InsertionDecision, k: float) -> Allocati
     ----------
     decision
         Must have `inserted` set; rejected steps have nothing to
-        certify and raise ValueError.  The inserted edges must be
-        pairwise disjoint, at most one removed edge may touch each
-        covered vertex, and no removed edge may be an inserted one
-        (ValueError otherwise); every matcher decision is of that shape.
+        certify and raise ValueError.  At most three edges may be
+        inserted, pairwise disjoint; at most one removed edge may touch
+        each covered vertex, and no removed edge may be an inserted one
+        (ValueError otherwise).  Every matcher decision is of that shape.
     k
         The threshold the matcher ran with (> 1).
 
@@ -147,14 +147,23 @@ def check_locally_k_exceeding(decision: InsertionDecision, k: float) -> Allocati
     kq, p, q = _exact_k(k)
     chosen = decision.chosen
     removed = decision.removed
-    n = len(chosen)
-    if n == 1:
+    if len(chosen) == 1:
         return _check_one_edge(chosen, removed, kq, p, q)
-    owner = {x: i for i, e in enumerate(chosen) for x in (e.u, e.v)}
-    covered = tuple(sorted(owner))
-    if len(covered) != 2 * n:
+    return _check_edges(chosen, removed, kq, p, q)
+
+
+def _check_edges(chosen: tuple[Edge, ...], removed: tuple[Edge, ...],
+                 kq: Fraction, p: int, q: int) -> AllocationCheck:
+    """Gale's subset conditions for two or three inserted edges, and the
+    witness when they hold."""
+    n = len(chosen)
+    if n > 3:
+        raise ValueError("at most three edges are inserted at once")
+    # ends[2i] and ends[2i + 1] are the ends of chosen[i].
+    ends = [x for e in chosen for x in (e.u, e.v)]
+    if len(set(ends)) != 2 * n:
         raise ValueError("inserted edges must be pairwise disjoint")
-    hit = [x for d in removed for x in (d.u, d.v) if x in owner]
+    hit = [x for d in removed for x in (d.u, d.v) if x in ends]
     if len(set(hit)) != len(hit):
         raise ValueError("at most one removed edge may touch a covered vertex")
 
@@ -164,52 +173,56 @@ def check_locally_k_exceeding(decision: InsertionDecision, k: float) -> Allocati
     den = max(d for _, d in ratios)
     ints = [num * (den // d) for num, d in ratios]
 
-    # load[S]: p * weight of the removed edges whose covered ends all lie
-    # in the inserted-edge set S (a bitmask); cap[S]: q * w(S).
+    # slack[S] = q * w(S) - p * (weight of the removed edges whose
+    # covered ends all lie in S), for every set S of inserted edges as a
+    # bitmask, all scaled by 2**len(shared) so that the witness's
+    # halvings below stay integral.
+    shared = [(d, w) for d, w in zip(removed, ints[n:])
+              if d.u in ends and d.v in ends]
+    scale = 1 << len(shared)
+    p *= scale
+    q *= scale
     size = 1 << n
-    load = [0] * size
-    cap = [0] * size
-    for i in range(n):
-        cap[1 << i] = q * ints[i]
-    shared = []
+    slack = [0]
+    for w in ints[:n]:
+        w *= q
+        slack += [c + w for c in slack]
     for d, w in zip(removed, ints[n:]):
-        ends = [x for x in (d.u, d.v) if x in owner]
         mask = 0
-        for x in ends:
-            mask |= 1 << owner[x]
-        if len(ends) == 2:
-            if mask & (mask - 1) == 0:
-                raise ValueError(f"removed edge {d} is also inserted")
-            shared.append((ends, p * w))
-        load[mask] += p * w
-    for i in range(n):
-        bit = 1 << i
-        for s in range(size):
-            if s & bit:
-                load[s] += load[s ^ bit]
-                cap[s] += cap[s ^ bit]
-    if any(load[s] > cap[s] for s in range(size)):
+        for x in (d.u, d.v):
+            if x in ends:
+                mask |= 1 << (ends.index(x) >> 1)
+        if d.u in ends and d.v in ends and mask & (mask - 1) == 0:
+            raise ValueError(f"removed edge {d} is also inserted")
+        w *= p
+        s = mask
+        while s < size:  # every superset of mask
+            slack[s] -= w
+            s = (s + 1) | mask
+    covered = tuple(sorted(ends))
+    if min(slack) < 0:
         return AllocationCheck(False, covered, None, chosen, removed, kq)
 
     # Witness: fix the shared edges one at a time, each at the midpoint
     # of the shares its first end can take with every subset condition
-    # kept true.  Scaling by 2**len(shared) keeps the halvings integral.
-    scale = 1 << len(shared)
-    load = [v * scale for v in load]
-    cap = [v * scale for v in cap]
+    # kept true.
     witness = dict.fromkeys(covered, _ONE)
-    for (c, d), w in shared:
-        w *= scale
-        bc, bd = 1 << owner[c], 1 << owner[d]
-        to_c = [s for s in range(size) if s & bc and not s & bd]
-        to_d = [s for s in range(size) if s & bd and not s & bc]
-        hi = min([w] + [cap[s] - load[s] for s in to_c])
-        lo = w - min([w] + [cap[s] - load[s] for s in to_d])
+    for cd, w in shared:
+        w *= p
+        c, d = cd.u, cd.v
+        bc = 1 << (ends.index(c) >> 1)
+        bd = 1 << (ends.index(d) >> 1)
+        # The sets holding c's inserted edge and not d's are {c} and,
+        # with a third inserted edge, {c, third}; likewise for d.
+        third = size - 1 - bc - bd
+        hi = min(w, slack[bc], slack[bc | third])
+        lo = w - min(w, slack[bd], slack[bd | third])
         share = (lo + hi) // 2
-        for s in to_c:
-            load[s] += share
-        for s in to_d:
-            load[s] += w - share
+        slack[bc] -= share
+        slack[bd] -= w - share
+        if third:
+            slack[bc | third] -= share
+            slack[bd | third] -= w - share
         witness[c] = Fraction(share, w)
         witness[d] = Fraction(w - share, w)
     return AllocationCheck(True, covered, witness, chosen, removed, kq)

@@ -44,6 +44,8 @@ RUNS = [
     *((f"{name[:-4]}.run.out", ["run", name, "--verify", "--trace", "TRACE"],
        f"{name[:-4]}.trace.jsonl.gz") for name in INSTANCES),
     ("gnp.baseline.out", ["run", "gnp.txt", "--algo", "baseline"], None),
+    ("gnp.baseline.out", ["run", "gnp.txt", "--algo", "baseline",
+                          "--trace", "TRACE"], "gnp.baseline.trace.jsonl.gz"),
     *((f"ties.compare.{fmt}", ["compare", "ties.txt", "--orders", "20",
                                "--verify", "--format", fmt], None)
       for fmt in ("csv", "json", "table")),
@@ -75,14 +77,29 @@ def test_gen_bytes(name):
     assert out.getvalue().encode("utf-8") == (GOLDEN / name).read_bytes()
 
 
-@pytest.mark.parametrize("golden,argv,trace_golden", RUNS,
-                         ids=[r[0] for r in RUNS])
+# Cases are named by their golden stdout file; a traced run that shares
+# it with an untraced one is named by its golden trace file.
+_UNTRACED = {golden for golden, _, trace in RUNS if trace is None}
+CASE_IDS = [trace if trace and golden in _UNTRACED else golden
+            for golden, _, trace in RUNS]
+
+
+@pytest.mark.parametrize("golden,argv,trace_golden", RUNS, ids=CASE_IDS)
 def test_cli_bytes(golden, argv, trace_golden, tmp_path):
     code, out, trace = _run(argv, tmp_path / "trace.jsonl")
     assert code == 0
     assert out == (GOLDEN / golden).read_bytes()
     if trace_golden is not None:
         assert trace == gzip.decompress((GOLDEN / trace_golden).read_bytes())
+
+
+def test_traces_repeat_in_one_process(tmp_path):
+    """Nothing a traced run leaves behind in the process changes the
+    bytes of the next one."""
+    for golden, argv, trace_golden in RUNS:
+        if trace_golden is not None:
+            first = _run(argv, tmp_path / "first.jsonl")
+            assert _run(argv, tmp_path / "second.jsonl") == first
 
 
 def test_compare_jobs_matches_serial():

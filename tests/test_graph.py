@@ -37,6 +37,14 @@ def test_loop_rejected():
         parse_edge_line("5 5 1.0", 3)
 
 
+@pytest.mark.parametrize("u, v", [(True, 2), (1, False), (True, False),
+                                  (1.0, 2), ("1", 2)])
+def test_non_integer_vertex_ids_rejected(u, v):
+    # True == 1, but an edge holding it would be traced as [True, 2, 1.0].
+    with pytest.raises(ValueError, match="vertex ids must be integers"):
+        edge(u, v, 1.0)
+
+
 @pytest.mark.parametrize("w", [0.0, -1.0, float("nan"), float("inf")])
 def test_bad_weights_rejected(w):
     with pytest.raises(ValueError):

@@ -16,10 +16,11 @@ from helpers import (brute_force_disjoint, check_matcher_invariants,
 from shadowmatch.baseline import (GAMMA_RATIO_5_828, BaselineMatcher,
                                   run_baseline)
 from shadowmatch.bound import optimal_k
-from shadowmatch.graph import edge
-from shadowmatch.shadow import (InsertionDecision, ShadowMatcher, TraceEvent,
-                                conflict_score, enumerate_augmenting_sets,
-                                run_stream, trace_line, trace_to_dict)
+from shadowmatch.graph import Edge, edge
+from shadowmatch.shadow import (_MEMO_EDGES, InsertionDecision, ShadowMatcher,
+                                TraceEncoder, TraceEvent, conflict_score,
+                                enumerate_augmenting_sets, run_stream,
+                                trace_line, trace_to_dict)
 
 # The two-sided gadget, by role.  Weights are chosen so the unique best
 # step for the final input edge is to insert it together with the
@@ -464,6 +465,42 @@ def test_untraced_step_matches_traced_step(data):
     assert lean.matching == traced.matching
     assert lean.shadow_slots == traced.shadow_slots
 
+
+@given(st.data())
+@settings(max_examples=60, deadline=None)
+def test_baseline_untraced_step_matches_traced_step(data):
+    """The baseline never parks, so both of its steps take the lone
+    candidate path: twin matchers must decide alike, count alike, and
+    the traced step must list the one scored set it decided on."""
+    rng = random.Random(data.draw(st.integers(0, 10 ** 9)))
+    gamma = data.draw(st.sampled_from([0.0, GAMMA_RATIO_5_828, 1.0]))
+    n = data.draw(st.integers(2, 10))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    rng.shuffle(pairs)
+    lean, traced = BaselineMatcher(gamma), BaselineMatcher(gamma)
+    for i, (u, v) in enumerate(pairs):
+        if data.draw(st.booleans()):
+            w = rng.uniform(0.05, 20.0)
+        else:
+            # at the threshold, a few ulps either side
+            conflicts = {lean.matching.get(u), lean.matching.get(v)} - {None}
+            w = (1.0 + gamma) * sum(x.w for x in conflicts) or 1.0
+            steps = rng.randint(-3, 3)
+            for _ in range(abs(steps)):
+                w = math.nextafter(w, math.inf if steps > 0 else 0.0)
+        e = edge(u, v, w)
+        decision = lean.process_edge(e)
+        event = traced.process_edge_traced(e, i)
+        assert decision == event.decision
+        assert event.candidates == ((decision.chosen, decision.gain),)
+        assert lean.last_touched_edges == traced.last_touched_edges
+        assert lean.last_candidate_sets == traced.last_candidate_sets == 1
+        assert lean.matched_edge_count == traced.matched_edge_count
+    assert lean.insertions == traced.insertions
+    assert lean.matching == traced.matching
+    assert lean.shadow_slots == traced.shadow_slots == {}
+
+
 @given(st.data())
 @settings(max_examples=40, deadline=None)
 def test_replay_is_bit_identical(data):
@@ -586,3 +623,34 @@ def test_trace_line_spells_non_finite_scores_as_json_does():
     ev.candidates = tuple((subset, math.inf) for subset, _ in ev.candidates)
     assert '"r": Infinity' in trace_line(ev)
     _assert_trace_line_is_the_json_of_its_record(ev)
+
+
+def test_trace_encoder_never_shares_text_between_equal_edges():
+    """Edge(1, 2, 3) == edge(1, 2, 3.0), but they print differently; one
+    encoder across three runs must spell each as its own record does."""
+    first, second = Edge(1, 2, 3), edge(1, 2, 3.0)
+    assert first == second
+    encoder = TraceEncoder()
+    for e in (first, second, first):
+        events = []
+        run_stream([e, edge(2, 3, 9.0)], 1.5, trace=events.append)
+        for ev in events:
+            line = encoder.line(ev)
+            assert line == json.dumps(reference_trace_record(ev),
+                                      sort_keys=True)
+            assert line == trace_line(ev)
+    assert '"input": [1, 2, 3]}' in encoder.line(events[0])
+
+
+def test_trace_encoder_memo_stays_within_its_bound():
+    # Disjoint edges all insert, so every line brings a new edge.
+    stream = [edge(2 * i, 2 * i + 1, 1.0 + i % 7)
+              for i in range(_MEMO_EDGES + 500)]
+    encoder = TraceEncoder()
+    lines = []
+    run_stream(stream, 1.5, trace=lambda ev: lines.append(encoder.line(ev)))
+    assert len(encoder._held) <= _MEMO_EDGES
+    assert len(encoder._texts) <= _MEMO_EDGES
+    events = []
+    run_stream(stream, 1.5, trace=events.append)
+    assert lines == [trace_line(ev) for ev in events]

@@ -68,16 +68,26 @@ def test_bad_k_raises():
         check_locally_k_exceeding(decision, 1.0)
 
 
-@pytest.mark.parametrize("chosen, removed", [
-    ((edge(1, 2, 5.0), edge(2, 3, 5.0)), ()),
-    ((edge(1, 2, 5.0),), (edge(1, 3, 1.0), edge(1, 4, 1.0))),
-    ((edge(1, 2, 5.0),), (edge(1, 2, 1.0),)),
-], ids=["inserted-overlap", "removed-overlap", "removed-is-inserted"])
-def test_malformed_decision_raises(chosen, removed):
-    # the allocation system is only defined for a matching replacing
-    # matching edges; no matcher emits anything else
+PAIR = (edge(1, 2, 5.0), edge(3, 4, 5.0))
+
+
+@pytest.mark.parametrize("chosen, removed, message", [
+    ((edge(1, 2, 5.0), edge(2, 3, 5.0)), (), "pairwise disjoint"),
+    ((edge(1, 2, 5.0),), (edge(1, 3, 1.0), edge(1, 4, 1.0)), "at most one"),
+    ((edge(1, 2, 5.0),), (edge(1, 2, 1.0),), "also inserted"),
+    (PAIR, (edge(1, 5, 1.0), edge(1, 6, 1.0)), "at most one"),
+    (PAIR, (edge(1, 2, 1.0),), "also inserted"),
+    # both errors at once: the shared vertex is reported first
+    (PAIR, (edge(1, 2, 1.0), edge(2, 5, 1.0)), "at most one"),
+    (PAIR + (edge(5, 6, 5.0), edge(7, 8, 5.0)), (), "at most three"),
+], ids=["inserted-overlap", "removed-overlap", "removed-is-inserted",
+        "pair-removed-overlap", "pair-removed-is-inserted",
+        "pair-both-errors", "four-inserted"])
+def test_malformed_decision_raises(chosen, removed, message):
+    # the allocation system is only defined for a matching of at most
+    # three edges replacing matching edges; no matcher emits anything else
     decision = InsertionDecision(chosen, removed, 1.0, True)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=message):
         check_locally_k_exceeding(decision, 2.0)
 
 
