@@ -25,6 +25,7 @@ import logging
 import math
 import os
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import IO, Iterable, Iterator, NamedTuple, Union
 
 log = logging.getLogger(__name__)
@@ -348,6 +349,11 @@ class DenseGraph:
             verts.add(e.u)
             verts.add(e.v)
         return DenseGraph(frozenset(verts), es)
+
+    @cached_property
+    def edge_set(self) -> frozenset[Edge]:
+        """The edges as a set, built on first use and kept."""
+        return frozenset(self.edges)
 
     def total_weight(self) -> float:
         return math.fsum(e.w for e in self.edges)

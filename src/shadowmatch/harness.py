@@ -317,7 +317,7 @@ def check_run_validity(matching: Iterable[Edge], graph: DenseGraph) -> bool:
     out = tuple(matching)
     if not is_matching(out):
         return False
-    available = set(graph.edges)
+    available = graph.edge_set
     return all(e in available for e in out)
 
 

@@ -16,13 +16,16 @@ Processing one input edge looks at a bounded local neighborhood only:
 * and the matching edges covering the far ends of those shadows.
 
 That is at most seven edges, so each step costs constant time and the
-whole pass stores at most 3 * floor(n/2) edges.  `process_edge` reads
-them straight from the matching and slot dicts and builds no view
-object; the Neighborhood, with its seven named roles, exists for tests
-and for `process_edge_traced`, which builds it from the dict reads it
-checks the input with.  Both steps share one decision routine, so they
-decide alike, and when the input edge is the only candidate both take
-one shortcut that scores it alone.
+whole pass stores at most 3 * floor(n/2) edges.  The untraced step is
+written once, as the body of the loop `drive` runs (and `process_edge`
+runs over one edge).  It reads the view straight from the matching and
+slot dicts and builds no view object; when the input edge is the only
+candidate it scores it inline, and it builds an InsertionDecision only
+for a caller that reads it.  The Neighborhood, with its seven named
+roles, exists for tests and for `process_edge_traced`, which builds it
+from the dict reads it checks the input with and scores a lone
+candidate through `conflict_score`.  A step with a shadow in view goes
+through one decision routine on both paths, so they decide alike.
 
 A TraceEncoder writes a traced step as one JSON line, straight from its
 TraceEvent; it is the one definition of the trace schema, `trace_line`
@@ -331,7 +334,8 @@ class ShadowMatcher:
         self.matched_edge_count = 0
         self.parked_edge_count = 0
         self.insertions = 0
-        # Per-step work counters, refreshed by process_edge.
+        # Work counters of the last step taken by process_edge or
+        # process_edge_traced; drive keeps a run's maxima itself.
         self.last_candidate_sets = 0
         self.last_touched_edges = 0
 
@@ -384,50 +388,123 @@ class ShadowMatcher:
         not already in the matching (streams never repeat an edge).
         Violations raise ValueError.
 
+        This is the loop `drive` runs, run over the one edge, so both
+        take the same step; it also refreshes `last_candidate_sets` and
+        `last_touched_edges`.
+        """
+        decisions = []
+        _, self.last_candidate_sets, self.last_touched_edges, _ = self._steps(
+            (e,), lambda i, decision, matcher: decisions.append(decision))
+        return decisions[0]
+
+    def _steps(self, edges: Iterable[Edge], on_decision: DecisionHook | None):
+        """The untraced step, run over `edges`: the one copy of it, behind
+        `drive` and `process_edge`.
+
+        Returns (edges processed, most candidate sets, most touched edges,
+        most stored edges) over the steps.  An InsertionDecision is built
+        only for `on_decision`, which is called after every step.
+
         The view is read straight from the dicts, without building the
         Neighborhood: a shadow always differs from the input edge (its
         pair would be the matching edge at the anchor) and from every
-        matching edge, so only the two shadows can coincide.
+        matching edge, so only the two shadows can coincide.  With no
+        shadow in view the input edge is the only candidate, always so
+        when nothing is parked, hence on every step of a policy that
+        never parks.  It is scored here as conflict_score scores a lone
+        edge: the same float, the same exact fallback near zero and the
+        same `removed` order.
         """
         matching = self.matching
-        m1 = matching.get(e.u)
-        # One matching edge covers both endpoints iff e is already in.
-        if not 0.0 < e.w < math.inf or (m1 is not None
-                                         and m1 == matching.get(e.v)):
-            check_input(matching, e)
+        get = matching.get
         slots = self.shadow_slots
-        if slots:
-            m2 = matching.get(e.v)
-            cands = [e]
-            far_covers = []
-            for matched, anchor in ((m1, e.u), (m2, e.v)):
-                if matched is None:
-                    continue
-                partner = matched.v if matched.u == anchor else matched.u
-                shadow = slots.get(partner)
-                if shadow is None:
-                    continue
-                if shadow not in cands:
-                    cands.append(shadow)
-                cover = matching.get(shadow.v if shadow.u == partner else shadow.u)
-                if cover is not None:
-                    far_covers.append(cover)
-            if len(cands) > 1:
-                view = {m1, m2, *cands, *far_covers}
+        t = self.threshold
+        inf = math.inf
+        rounding = _ROUNDING
+        underflow = _UNDERFLOW
+        max_sets = max_touched = max_stored = 0
+        i = -1
+        for i, e in enumerate(edges):
+            u, v, w = e
+            a = get(u)
+            b = get(v)
+            # One matching edge covers both endpoints iff e is already in.
+            if not 0.0 < w < inf or (a is not None and a == b):
+                check_input(matching, e)
+            s1 = s2 = None
+            if slots:
+                if a is not None:
+                    p1 = a.v if a.u == u else a.u
+                    s1 = slots.get(p1)
+                if b is not None:
+                    p2 = b.v if b.u == v else b.u
+                    s2 = slots.get(p2)
+            if s1 is None and s2 is None:
+                # A lone edge meets at most one matching edge per end.
+                if a is None:
+                    if b is None:
+                        removed = ()
+                        w_removed = 0.0
+                    else:
+                        removed = (b,)
+                        w_removed = t * b.w
+                elif b is None:
+                    removed = (a,)
+                    w_removed = t * a.w
+                else:
+                    removed = (a, b) if a < b else (b, a)
+                    w_removed = t * (a.w + b.w)
+                r = w - w_removed
+                if abs(r) > rounding * (w + w_removed) + underflow:
+                    inserted = r > 0
+                else:
+                    exact = _exact_score((e,), removed, t)
+                    r = _signed_float(exact)
+                    inserted = exact > 0
+                chosen = (e,)
+                if inserted:
+                    self._apply(chosen, removed)
+                touched = 1 + len(removed)
+            else:
+                cands = [e]
+                view = {e, a, b}
+                if s1 is not None:
+                    cands.append(s1)
+                    view.add(s1)
+                    view.add(get(s1.v if s1.u == p1 else s1.u))
+                if s2 is not None:
+                    if s2 != s1:
+                        cands.append(s2)
+                    view.add(s2)
+                    view.add(get(s2.v if s2.u == p2 else s2.u))
                 view.discard(None)
-                self.last_touched_edges = len(view)
+                touched = len(view)
                 cands.sort()
-                return self._decide(tuple(cands), None)
-        # No shadow in view, so e is the only candidate: always so when
-        # nothing is parked, hence on every step of a policy that never parks.
-        return self._decide_alone(e)
+                chosen, removed, r, inserted, sets = self._decide(tuple(cands),
+                                                                  None)
+                if sets > max_sets:
+                    max_sets = sets
+            if touched > max_touched:
+                max_touched = touched
+            # Only an insertion can grow the stored-edge count.
+            if inserted:
+                stored = self.matched_edge_count + self.parked_edge_count
+                if stored > max_stored:
+                    max_stored = stored
+            if on_decision is not None:
+                on_decision(i, InsertionDecision(chosen, removed, r, inserted),
+                            self)
+        # A lone step scores one set; a step with a shadow in view, more.
+        if i >= 0 and not max_sets:
+            max_sets = 1
+        return i + 1, max_sets, max_touched, max_stored
 
     def process_edge_traced(self, e: Edge, index: int) -> TraceEvent:
         """Like process_edge, but capture the full step for tracing."""
         matching = self.matching
         m1 = matching.get(e.u)
         m2 = matching.get(e.v)
-        # As in process_edge: the full check only when one could fail.
+        # As in the untraced step: the full check only when one could fail.
         if not 0.0 < e.w < math.inf or (m1 is not None and m1 == m2):
             check_input(matching, e)
         s1 = self._side(e.u, m1)
@@ -440,13 +517,23 @@ class ShadowMatcher:
         view = {e, m1, s1.shadow, s1.far_cover, m2, s2.shadow, s2.far_cover}
         view.discard(None)
         self.last_touched_edges = len(view)
+        # The candidates as the untraced step lists them: on a 4-cycle
+        # both sides hold the same parked edge.
+        cands = [e]
+        if s1.shadow is not None:
+            cands.append(s1.shadow)
+        if s2.shadow is not None and s2.shadow != s1.shadow:
+            cands.append(s2.shadow)
+        cands.sort()
         scored: list[tuple[tuple[Edge, ...], float]] = []
-        decision = self._decide(nb.candidates(), scored)
-        return TraceEvent(index, nb, tuple(scored), decision)
+        chosen, removed, r, inserted, self.last_candidate_sets = self._decide(
+            tuple(cands), scored)
+        return TraceEvent(index, nb, tuple(scored),
+                          InsertionDecision(chosen, removed, r, inserted))
 
     def _decide_alone(self, e: Edge) -> InsertionDecision:
-        """Decide a step whose only candidate is the input edge `e`:
-        insert it iff its score is positive."""
+        """The traced step's lone candidate: insert the input edge `e`
+        iff its conflict_score is positive."""
         chosen = (e,)
         r, removed, key = conflict_score(self.matching, chosen, self.threshold)
         self.last_touched_edges = 1 + len(removed)
@@ -456,34 +543,38 @@ class ShadowMatcher:
             return InsertionDecision(chosen, removed, r, True)
         return InsertionDecision(chosen, removed, r, False)
 
-    def _decide(self, cands: tuple[Edge, ...],
-                scored: list | None) -> InsertionDecision:
+    def _decide(self, cands: tuple[Edge, ...], scored: list | None):
         """Score every disjoint subset of the sorted candidate edges,
         insert the best one if its score is positive, and append each
-        (subset, r) to `scored` when it is a list."""
+        (subset, r) to `scored` when it is a list.
+
+        Returns (chosen, removed, r, inserted, number of sets scored).
+        """
         matching = self.matching
         t = self.threshold
         best = None
         sets = _disjoint_subsets(cands)
+        scores = []
         for subset in sets:
-            r, removed, key = conflict_score(matching, subset, t)
+            score = conflict_score(matching, subset, t)
+            scores.append(score)
+            r, removed, key = score
             if scored is not None:
                 scored.append((subset, r))
             if best is None or _better(key, subset, best[0], best[2]):
                 best = (key, r, subset, removed)
-        self.last_candidate_sets = len(sets)
 
         key, r, chosen, removed = best
         inserted = key > 0
         if inserted and len(chosen) > 1:
-            r, chosen, removed = self._settle_near_ties(r, chosen, removed)
-        decision = InsertionDecision(chosen, removed, r, inserted)
+            r, chosen, removed = self._settle_near_ties(r, chosen, removed,
+                                                        sets, scores)
         if inserted:
             self._apply(chosen, removed)
-        return decision
+        return chosen, removed, r, inserted, len(sets)
 
     def _settle_near_ties(self, r: float, chosen: tuple[Edge, ...],
-                          removed: tuple[Edge, ...]):
+                          removed: tuple[Edge, ...], sets: list, scores: list):
         """Rank a winning multi-edge set exactly against its own subsets.
 
         When a proper subset scores within both sets' rounding bounds of
@@ -492,15 +583,16 @@ class ShadowMatcher:
         then cannot pay for what it removes, and the insertion fails the
         exact certificate.  Such subsets are compared in Fraction, and
         the best of those that is exactly higher replaces the winner.
-        Returns (r, chosen, removed) of the set to insert.
+        `sets` and `scores` are every scored set and its conflict_score,
+        the proper subsets of `chosen` among them.  Returns (r, chosen,
+        removed) of the set to insert.
         """
-        matching = self.matching
         t = self.threshold
         bound = _rounding_bound(chosen, removed, t) + _UNDERFLOW
         exact = best = None
-        # Every subset of a disjoint set is disjoint; the last is `chosen`.
-        for sub in _disjoint_subsets(chosen)[:-1]:
-            r_sub, removed_sub, _ = conflict_score(matching, sub, t)
+        for sub, (r_sub, removed_sub, _) in zip(sets, scores):
+            if len(sub) >= len(chosen) or not all(f in chosen for f in sub):
+                continue
             if abs(r_sub - r) > bound + _rounding_bound(sub, removed_sub, t):
                 continue
             if exact is None:
@@ -591,31 +683,35 @@ def drive(matcher, stream: EdgeStream | Iterable[Edge], *,
     """Feed a whole stream through `matcher`: the package's one per-edge
     loop, behind run_stream, run_baseline, the harness and the CLI.
 
-    The matcher's counters `last_candidate_sets`, `last_touched_edges`,
-    `matched_edge_count` and `parked_edge_count` keep each step's
-    bookkeeping O(1).  `trace` and `on_decision` are as in run_stream.
+    Untraced, the loop is the matcher's own step loop, which keeps the
+    run's maxima in locals and builds a decision only for `on_decision`;
+    `process_edge` is that loop over one edge.  Traced, each step is
+    `process_edge_traced`.  The counters `matched_edge_count` and
+    `parked_edge_count` keep the stored-edge count O(1).  `trace` and
+    `on_decision` are as in run_stream.
     """
-    max_sets = max_touched = max_stored = 0
-    i = -1
-    for i, e in enumerate(stream):
-        if trace is None:
-            decision = matcher.process_edge(e)
-        else:
+    if trace is None:
+        steps, max_sets, max_touched, max_stored = matcher._steps(stream,
+                                                                  on_decision)
+    else:
+        max_sets = max_touched = max_stored = 0
+        i = -1
+        for i, e in enumerate(stream):
             event = matcher.process_edge_traced(e, i)
             trace(event)
             decision = event.decision
-        if matcher.last_candidate_sets > max_sets:
-            max_sets = matcher.last_candidate_sets
-        if matcher.last_touched_edges > max_touched:
-            max_touched = matcher.last_touched_edges
-        # Only an insertion can grow the stored-edge count.
-        if decision.inserted:
-            stored = matcher.matched_edge_count + matcher.parked_edge_count
-            if stored > max_stored:
-                max_stored = stored
-        if on_decision is not None:
-            on_decision(i, decision, matcher)
-    metrics = RunMetrics(i + 1, matcher.insertions, max_stored, max_sets,
+            if matcher.last_candidate_sets > max_sets:
+                max_sets = matcher.last_candidate_sets
+            if matcher.last_touched_edges > max_touched:
+                max_touched = matcher.last_touched_edges
+            if decision.inserted:
+                stored = matcher.matched_edge_count + matcher.parked_edge_count
+                if stored > max_stored:
+                    max_stored = stored
+            if on_decision is not None:
+                on_decision(i, decision, matcher)
+        steps = i + 1
+    metrics = RunMetrics(steps, matcher.insertions, max_stored, max_sets,
                          max_touched)
     return RunResult(matcher.matching_edges(), matcher.matching_weight(),
                      metrics)
@@ -640,6 +736,7 @@ def run_stream(stream: EdgeStream | Iterable[Edge], k: float, *,
         Optional hook called after every step with (index, decision,
         matcher); the matcher is already mutated.  Used for invariant
         checking and verification without paying for a full trace.
+        Without a hook or a trace no InsertionDecision is built.
     """
     return drive(ShadowMatcher(k), stream, trace=trace, on_decision=on_decision)
 

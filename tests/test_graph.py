@@ -173,6 +173,8 @@ def test_dense_graph_from_edges():
     assert g.n == 5
     assert g.m == 2
     assert g.edges[0] == edge(1, 2, 3.0)
+    assert g.edge_set == set(g.edges)
+    assert g.edge_set is g.edge_set  # built once per graph
     with pytest.raises(ValueError):
         DenseGraph.from_edges([edge(1, 2, 3.0), edge(2, 1, 4.0)])
 

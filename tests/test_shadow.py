@@ -19,7 +19,7 @@ from shadowmatch.bound import optimal_k
 from shadowmatch.graph import Edge, edge
 from shadowmatch.shadow import (_MEMO_EDGES, InsertionDecision, ShadowMatcher,
                                 TraceEncoder, TraceEvent, conflict_score,
-                                enumerate_augmenting_sets, run_stream,
+                                drive, enumerate_augmenting_sets, run_stream,
                                 trace_line, trace_to_dict)
 
 # The two-sided gadget, by role.  Weights are chosen so the unique best
@@ -162,6 +162,31 @@ def test_enumerate_dedups_shared_shadow():
     assert nb.side2.shadow == shared
     assert nb.candidates() == tuple(sorted([edge(0, 1, 4.0), shared]))
     assert len(enumerate_augmenting_sets(nb)) == 3
+
+
+@pytest.mark.parametrize("w", [4.0, 13.0])
+def test_traced_step_scores_a_shared_shadow_once(w):
+    """On a 4-cycle both sides hold the same parked edge: the traced step
+    scores the subsets enumerate_augmenting_sets gives, and decides as
+    the untraced step does, whether it rejects or inserts."""
+    def four_cycle():
+        m = ShadowMatcher(2.0)
+        for e in (edge(0, 2, 3.0), edge(1, 3, 3.0)):
+            m.matching[e.u] = m.matching[e.v] = e
+        m.matched_edge_count = 2
+        m.shadow_slots[2] = m.shadow_slots[3] = edge(2, 3, 1.0)
+        m.parked_edge_count = 1
+        return m
+
+    traced, lean = four_cycle(), four_cycle()
+    y = edge(0, 1, w)
+    sets = enumerate_augmenting_sets(traced.neighborhood(y))
+    event = traced.process_edge_traced(y, 0)
+    assert [subset for subset, _ in event.candidates] == sets
+    assert lean.process_edge(y) == event.decision
+    assert event.decision.inserted == (w > 12.0)
+    assert lean.last_candidate_sets == traced.last_candidate_sets == 3
+    assert lean.last_touched_edges == traced.last_touched_edges == 4
 
 
 @given(st.data())
@@ -499,6 +524,72 @@ def test_baseline_untraced_step_matches_traced_step(data):
     assert lean.insertions == traced.insertions
     assert lean.matching == traced.matching
     assert lean.shadow_slots == traced.shadow_slots == {}
+
+
+def _decision_bits(d: InsertionDecision):
+    """A decision with its score as text, so that two scores compare
+    bit for bit."""
+    return d.chosen, d.removed, repr(d.gain), d.inserted
+
+
+@given(st.data())
+@settings(max_examples=150, deadline=None)
+def test_hooked_run_matches_unhooked_run_and_traced_steps(data):
+    """The untraced loop builds a decision only for a hook: for either
+    matcher, a run with an on_decision hook and one without give the
+    same RunResult, the hook sees the traced step's decision at every
+    step, and a rejected lone step carries conflict_score's score and
+    removed order."""
+    rng = random.Random(data.draw(st.integers(0, 10 ** 9)))
+    weights = data.draw(st.sampled_from(["uniform", "integer", "nextafter"]))
+    if data.draw(st.booleans()):
+        k = data.draw(st.sampled_from([1.1, 1.5, 1.717191779457857, 2.0, 3.0]))
+        make = lambda: ShadowMatcher(k)
+    else:
+        gamma = data.draw(st.sampled_from([0.0, GAMMA_RATIO_5_828, 1.0]))
+        make = lambda: BaselineMatcher(gamma)
+    n = data.draw(st.integers(2, 10))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    rng.shuffle(pairs)
+    traced = make()
+    t = traced.threshold
+    edges, events = [], []
+    for i, (u, v) in enumerate(pairs):
+        if weights == "uniform":
+            w = rng.uniform(0.05, 20.0)
+        elif weights == "integer":
+            w = float(rng.randint(1, 6))
+        else:
+            # a few ulps from t times the weight the edge alone displaces,
+            # some inside the rounding bound of its score and some past it
+            conflicts = {traced.matching.get(u), traced.matching.get(v)} - {None}
+            w = t * sum(x.w for x in conflicts) or rng.uniform(0.5, 4.0)
+            steps = rng.randint(-12, 12)
+            for _ in range(abs(steps)):
+                w = math.nextafter(w, math.inf if steps > 0 else 0.0)
+        edges.append(edge(u, v, w))
+        events.append(traced.process_edge_traced(edges[-1], i))
+
+    seen, lone_rejects = [], []
+
+    def hook(i, decision, matcher):
+        seen.append((i, _decision_bits(decision)))
+        if len(events[i].candidates) == 1 and not decision.inserted:
+            # A rejection left the matching as the step scored it.
+            r, removed, _ = conflict_score(matcher.matching, decision.chosen, t)
+            lone_rejects.append(((decision.removed, repr(decision.gain)),
+                                 (removed, repr(r))))
+
+    hooked = drive(make(), edges, on_decision=hook)
+    bare = drive(make(), edges)
+    assert hooked.matching == bare.matching
+    assert repr(hooked.weight) == repr(bare.weight)
+    assert hooked.metrics == bare.metrics
+    assert hooked.metrics == drive(make(), edges, trace=lambda ev: None).metrics
+    assert seen == [(i, _decision_bits(ev.decision))
+                    for i, ev in enumerate(events)]
+    for got, want in lone_rejects:
+        assert got == want
 
 
 @given(st.data())
