@@ -163,8 +163,9 @@ def cmd_run(args) -> int:
         if decision.inserted:
             certify(decision)
 
-    # Without a trace file the untraced step serves, and --verify
-    # certifies from the decision hook.
+    # One drive call, traced or not: with a trace file --verify
+    # certifies each insertion in the sink as it writes the line,
+    # without one from the decision hook.
     trace_fh = open(args.trace, "w", encoding="utf-8") if args.trace else None
     try:
         result = drive(matcher, stream, trace=sink if trace_fh else None,

@@ -355,9 +355,6 @@ class DenseGraph:
         """The edges as a set, built on first use and kept."""
         return frozenset(self.edges)
 
-    def total_weight(self) -> float:
-        return math.fsum(e.w for e in self.edges)
-
 
 def is_matching(edges: Iterable[Edge]) -> bool:
     """True iff no two of the given edges share a vertex."""

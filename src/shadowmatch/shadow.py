@@ -16,16 +16,14 @@ Processing one input edge looks at a bounded local neighborhood only:
 * and the matching edges covering the far ends of those shadows.
 
 That is at most seven edges, so each step costs constant time and the
-whole pass stores at most 3 * floor(n/2) edges.  The untraced step is
-written once, as the body of the loop `drive` runs (and `process_edge`
-runs over one edge).  It reads the view straight from the matching and
-slot dicts and builds no view object; when the input edge is the only
-candidate it scores it inline, and it builds an InsertionDecision only
-for a caller that reads it.  The Neighborhood, with its seven named
-roles, exists for tests and for `process_edge_traced`, which builds it
-from the dict reads it checks the input with and scores a lone
-candidate through `conflict_score`.  A step with a shadow in view goes
-through one decision routine on both paths, so they decide alike.
+whole pass stores at most 3 * floor(n/2) edges.  The step is written
+once, as the body of the loop `drive` runs, traced or not
+(`process_edge` and `process_edge_traced` run it over one edge).  It
+reads the view straight from the matching and slot dicts; when the
+input edge is the only candidate it scores it inline.  Only a traced
+step builds the Neighborhood, with its seven named roles, and lists
+every scored set; an InsertionDecision is built only for a caller that
+reads it.  Tracing changes what a step reports, never what it decides.
 
 A TraceEncoder writes a traced step as one JSON line, straight from its
 TraceEvent; it is the one definition of the trace schema, `trace_line`
@@ -95,7 +93,7 @@ class SideView:
 
 @dataclass(slots=True)
 class Neighborhood:
-    """The bounded local view used to decide one step.
+    """The bounded local view of one step, as a trace records it.
 
     Role names follow the two sides of the input edge: side 1 hangs off
     the smaller endpoint, side 2 off the larger one.  The same edge may
@@ -397,19 +395,22 @@ class ShadowMatcher:
             (e,), lambda i, decision, matcher: decisions.append(decision))
         return decisions[0]
 
-    def _steps(self, edges: Iterable[Edge], on_decision: DecisionHook | None):
-        """The untraced step, run over `edges`: the one copy of it, behind
-        `drive` and `process_edge`.
+    def _steps(self, edges: Iterable[Edge], on_decision: DecisionHook | None,
+               trace: TraceSink | None = None):
+        """The step, run over `edges`: the one copy of it, behind `drive`,
+        `process_edge` and `process_edge_traced`.
 
         Returns (edges processed, most candidate sets, most touched edges,
         most stored edges) over the steps.  An InsertionDecision is built
-        only for `on_decision`, which is called after every step.
+        only for `trace` or `on_decision`; after each step `trace` gets
+        its TraceEvent, then `on_decision` its decision.
 
-        The view is read straight from the dicts, without building the
-        Neighborhood: a shadow always differs from the input edge (its
-        pair would be the matching edge at the anchor) and from every
-        matching edge, so only the two shadows can coincide.  With no
-        shadow in view the input edge is the only candidate, always so
+        The view is read straight from the dicts; the Neighborhood is
+        built only for `trace`, from the same reads and before the step
+        changes the state.  A shadow always differs from the input edge
+        (its pair would be the matching edge at the anchor) and from
+        every matching edge, so only the two shadows can coincide.  With
+        no shadow in view the input edge is the only candidate, always so
         when nothing is parked, hence on every step of a policy that
         never parks.  It is scored here as conflict_score scores a lone
         edge: the same float, the same exact fallback near zero and the
@@ -422,6 +423,8 @@ class ShadowMatcher:
         inf = math.inf
         rounding = _ROUNDING
         underflow = _UNDERFLOW
+        emits = trace is not None or on_decision is not None
+        scored = None
         max_sets = max_touched = max_stored = 0
         i = -1
         for i, e in enumerate(edges):
@@ -439,6 +442,9 @@ class ShadowMatcher:
                 if b is not None:
                     p2 = b.v if b.u == v else b.u
                     s2 = slots.get(p2)
+            if trace is not None:
+                nb = Neighborhood(e, self._side(u, a), self._side(v, b))
+                scored = None
             if s1 is None and s2 is None:
                 # A lone edge meets at most one matching edge per end.
                 if a is None:
@@ -480,8 +486,10 @@ class ShadowMatcher:
                 view.discard(None)
                 touched = len(view)
                 cands.sort()
+                if trace is not None:
+                    scored = []
                 chosen, removed, r, inserted, sets = self._decide(tuple(cands),
-                                                                  None)
+                                                                  scored)
                 if sets > max_sets:
                     max_sets = sets
             if touched > max_touched:
@@ -491,57 +499,29 @@ class ShadowMatcher:
                 stored = self.matched_edge_count + self.parked_edge_count
                 if stored > max_stored:
                     max_stored = stored
-            if on_decision is not None:
-                on_decision(i, InsertionDecision(chosen, removed, r, inserted),
-                            self)
+            if emits:
+                decision = InsertionDecision(chosen, removed, r, inserted)
+                if trace is not None:
+                    # A lone candidate's score is the decision's gain
+                    # object, so the encoder prints it as the gain.
+                    trace(TraceEvent(i, nb, ((chosen, r),) if scored is None
+                                     else tuple(scored), decision))
+                if on_decision is not None:
+                    on_decision(i, decision, self)
         # A lone step scores one set; a step with a shadow in view, more.
         if i >= 0 and not max_sets:
             max_sets = 1
         return i + 1, max_sets, max_touched, max_stored
 
     def process_edge_traced(self, e: Edge, index: int) -> TraceEvent:
-        """Like process_edge, but capture the full step for tracing."""
-        matching = self.matching
-        m1 = matching.get(e.u)
-        m2 = matching.get(e.v)
-        # As in the untraced step: the full check only when one could fail.
-        if not 0.0 < e.w < math.inf or (m1 is not None and m1 == m2):
-            check_input(matching, e)
-        s1 = self._side(e.u, m1)
-        s2 = self._side(e.v, m2)
-        nb = Neighborhood(e, s1, s2)
-        if s1.shadow is None and s2.shadow is None:
-            decision = self._decide_alone(e)
-            return TraceEvent(index, nb, ((decision.chosen, decision.gain),),
-                              decision)
-        view = {e, m1, s1.shadow, s1.far_cover, m2, s2.shadow, s2.far_cover}
-        view.discard(None)
-        self.last_touched_edges = len(view)
-        # The candidates as the untraced step lists them: on a 4-cycle
-        # both sides hold the same parked edge.
-        cands = [e]
-        if s1.shadow is not None:
-            cands.append(s1.shadow)
-        if s2.shadow is not None and s2.shadow != s1.shadow:
-            cands.append(s2.shadow)
-        cands.sort()
-        scored: list[tuple[tuple[Edge, ...], float]] = []
-        chosen, removed, r, inserted, self.last_candidate_sets = self._decide(
-            tuple(cands), scored)
-        return TraceEvent(index, nb, tuple(scored),
-                          InsertionDecision(chosen, removed, r, inserted))
-
-    def _decide_alone(self, e: Edge) -> InsertionDecision:
-        """The traced step's lone candidate: insert the input edge `e`
-        iff its conflict_score is positive."""
-        chosen = (e,)
-        r, removed, key = conflict_score(self.matching, chosen, self.threshold)
-        self.last_touched_edges = 1 + len(removed)
-        self.last_candidate_sets = 1
-        if key > 0:
-            self._apply(chosen, removed)
-            return InsertionDecision(chosen, removed, r, True)
-        return InsertionDecision(chosen, removed, r, False)
+        """Like process_edge, but return the step's TraceEvent, numbered
+        `index`: the same loop, run over the one edge with a trace sink."""
+        events = []
+        _, self.last_candidate_sets, self.last_touched_edges, _ = self._steps(
+            (e,), None, events.append)
+        event = events[0]
+        event.index = index
+        return event
 
     def _decide(self, cands: tuple[Edge, ...], scored: list | None):
         """Score every disjoint subset of the sorted candidate edges,
@@ -683,34 +663,15 @@ def drive(matcher, stream: EdgeStream | Iterable[Edge], *,
     """Feed a whole stream through `matcher`: the package's one per-edge
     loop, behind run_stream, run_baseline, the harness and the CLI.
 
-    Untraced, the loop is the matcher's own step loop, which keeps the
-    run's maxima in locals and builds a decision only for `on_decision`;
-    `process_edge` is that loop over one edge.  Traced, each step is
-    `process_edge_traced`.  The counters `matched_edge_count` and
-    `parked_edge_count` keep the stored-edge count O(1).  `trace` and
-    `on_decision` are as in run_stream.
+    The loop is the matcher's own step loop, traced or not: it keeps
+    the run's maxima in locals, builds the Neighborhood only for `trace`
+    and a decision only for `trace` or `on_decision`; `process_edge` and
+    `process_edge_traced` are that loop over one edge.  The counters
+    `matched_edge_count` and `parked_edge_count` keep the stored-edge
+    count O(1).  `trace` and `on_decision` are as in run_stream.
     """
-    if trace is None:
-        steps, max_sets, max_touched, max_stored = matcher._steps(stream,
-                                                                  on_decision)
-    else:
-        max_sets = max_touched = max_stored = 0
-        i = -1
-        for i, e in enumerate(stream):
-            event = matcher.process_edge_traced(e, i)
-            trace(event)
-            decision = event.decision
-            if matcher.last_candidate_sets > max_sets:
-                max_sets = matcher.last_candidate_sets
-            if matcher.last_touched_edges > max_touched:
-                max_touched = matcher.last_touched_edges
-            if decision.inserted:
-                stored = matcher.matched_edge_count + matcher.parked_edge_count
-                if stored > max_stored:
-                    max_stored = stored
-            if on_decision is not None:
-                on_decision(i, decision, matcher)
-        steps = i + 1
+    steps, max_sets, max_touched, max_stored = matcher._steps(
+        stream, on_decision, trace)
     metrics = RunMetrics(steps, matcher.insertions, max_stored, max_sets,
                          max_touched)
     return RunResult(matcher.matching_edges(), matcher.matching_weight(),

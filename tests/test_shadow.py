@@ -457,9 +457,11 @@ def test_driver_counters_match_recounts(data):
 @given(st.data())
 @settings(max_examples=150, deadline=None)
 def test_untraced_step_matches_traced_step(data):
-    """process_edge reads its view straight from the dicts, while
-    process_edge_traced builds the Neighborhood: twin matchers fed one
-    stream must decide alike and report the same work per step."""
+    """process_edge and process_edge_traced run the one step loop, the
+    second with a trace sink that makes it build the Neighborhood and
+    list every scored set: twin matchers fed one stream must decide
+    alike and report the same work per step, so tracing never changes
+    a decision."""
     rng = random.Random(data.draw(st.integers(0, 10 ** 9)))
     weights = data.draw(st.sampled_from(["uniform", "integer", "nextafter"]))
     k = data.draw(st.sampled_from([1.1, 1.5, 1.717191779457857, 2.0, 3.0]))
@@ -494,9 +496,10 @@ def test_untraced_step_matches_traced_step(data):
 @given(st.data())
 @settings(max_examples=60, deadline=None)
 def test_baseline_untraced_step_matches_traced_step(data):
-    """The baseline never parks, so both of its steps take the lone
-    candidate path: twin matchers must decide alike, count alike, and
-    the traced step must list the one scored set it decided on."""
+    """The baseline never parks, so its every step, traced or not, takes
+    the lone candidate path: twin matchers must decide alike, count
+    alike, and the traced step must list the one scored set it decided
+    on."""
     rng = random.Random(data.draw(st.integers(0, 10 ** 9)))
     gamma = data.draw(st.sampled_from([0.0, GAMMA_RATIO_5_828, 1.0]))
     n = data.draw(st.integers(2, 10))
@@ -535,11 +538,12 @@ def _decision_bits(d: InsertionDecision):
 @given(st.data())
 @settings(max_examples=150, deadline=None)
 def test_hooked_run_matches_unhooked_run_and_traced_steps(data):
-    """The untraced loop builds a decision only for a hook: for either
-    matcher, a run with an on_decision hook and one without give the
-    same RunResult, the hook sees the traced step's decision at every
-    step, and a rejected lone step carries conflict_score's score and
-    removed order."""
+    """The step loop builds a decision only for a hook or a trace: for
+    either matcher, a run with an on_decision hook, one without, and
+    one with both a trace sink and a hook give the same RunResult; the
+    hook sees the traced step's decision at every step, after the sink
+    saw the event holding it; and a rejected lone step carries
+    conflict_score's score and removed order."""
     rng = random.Random(data.draw(st.integers(0, 10 ** 9)))
     weights = data.draw(st.sampled_from(["uniform", "integer", "nextafter"]))
     if data.draw(st.booleans()):
@@ -591,6 +595,24 @@ def test_hooked_run_matches_unhooked_run_and_traced_steps(data):
     for got, want in lone_rejects:
         assert got == want
 
+    calls, sunk = [], []
+
+    def sink(ev):
+        calls.append(("trace", ev.index))
+        sunk.append(ev)
+
+    def traced_hook(i, decision, matcher):
+        calls.append(("hook", i))
+        assert decision == sunk[i].decision
+
+    both = drive(make(), edges, trace=sink, on_decision=traced_hook)
+    assert calls == [(kind, i) for i in range(len(edges))
+                     for kind in ("trace", "hook")]
+    assert both.matching == bare.matching
+    assert repr(both.weight) == repr(bare.weight)
+    assert both.metrics == bare.metrics
+    assert [trace_line(ev) for ev in sunk] == [trace_line(ev) for ev in events]
+
 
 @given(st.data())
 @settings(max_examples=40, deadline=None)
@@ -618,6 +640,7 @@ def test_trace_event_contents():
     assert ev.neighborhood.input_edge == edge(2, 3, 10.0)
     assert len(ev.candidates) >= 1
     assert ev.decision.inserted
+    assert ShadowMatcher(1.717).process_edge_traced(edge(1, 2, 1.0), 7).index == 7
 
 
 def test_trace_sink_is_fed_as_the_stream_is_read():
