@@ -25,6 +25,18 @@ step builds the Neighborhood, with its seven named roles, and lists
 every scored set; an InsertionDecision is built only for a caller that
 reads it.  Tracing changes what a step reports, never what it decides.
 
+A step that nobody reads (no trace sink, no decision hook) is not
+scored when three comparisons settle it (`_no_set_wins`).  Every
+candidate removes a matching edge at an end of the input edge: the
+input edge removes both, each shadow the one it is parked behind.  So
+a lone shadow scores at most its weight minus t times that edge, and
+any other set at most the candidates' total weight minus t times both.
+When each bound lies below zero by more than its rounding bound, no
+set can score above zero and the step is an exact rejection: it leaves
+the state alone, as a scored rejection does, and only counts its sets.
+Traced and hooked steps read the best set and its score, so they are
+always scored.
+
 A TraceEncoder writes a traced step as one JSON line, straight from its
 TraceEvent; it is the one definition of the trace schema, `trace_line`
 is one line of it, and `trace_to_dict` is that line parsed back.  An
@@ -290,6 +302,50 @@ def _disjoint_subsets(cands: tuple[Edge, ...]) -> list[tuple[Edge, ...]]:
     return out
 
 
+def _disjoint_subset_count(cands: list[Edge]) -> int:
+    """len(_disjoint_subsets(cands)) for two or three distinct
+    candidates, counted without building the subsets."""
+    if len(cands) == 2:
+        x, y = cands
+        return 2 + (not x.shares_vertex(y))
+    x, y, z = cands
+    xy = not x.shares_vertex(y)
+    xz = not x.shares_vertex(z)
+    yz = not y.shares_vertex(z)
+    return 3 + xy + xz + yz + (xy and xz and yz)
+
+
+def _no_set_wins(t: float, w: float, a: Edge | None, b: Edge | None,
+                 s1: Edge | None, s2: Edge | None) -> bool:
+    """Whether three comparisons prove that no candidate set of a step
+    with a shadow in view scores above zero at threshold t.
+
+    The input edge (weight `w`) removes both matching edges at its ends,
+    `a` and `b`; the shadow `s1` parked behind `a` removes `a`, and `s2`
+    behind `b` removes `b`.  So a set holding the input edge, or both
+    shadows, scores at most W - t*(w(a) + w(b)), where W sums the
+    distinct candidates' weights, and a lone shadow scores at most its
+    weight minus t times its own side's matching edge.  Each bound is
+    trusted below zero as conflict_score trusts a float's sign: past its
+    rounding bound, which covers every float the bound takes.  An
+    infinite product fails every comparison, so it proves nothing.
+    """
+    ta = t * a.w if a is not None else 0.0
+    tb = t * b.w if b is not None else 0.0
+    total = w
+    if s1 is not None:
+        if not s1.w - ta < -(_ROUNDING * (s1.w + ta) + _UNDERFLOW):
+            return False
+        total += s1.w
+    if s2 is not None:
+        if not s2.w - tb < -(_ROUNDING * (s2.w + tb) + _UNDERFLOW):
+            return False
+        if s2 != s1:
+            total += s2.w
+    removed = ta + tb
+    return total - removed < -(_ROUNDING * (total + removed) + _UNDERFLOW)
+
+
 class ShadowMatcher:
     """Streaming matcher state: the matching plus per-vertex shadow slots.
 
@@ -414,7 +470,10 @@ class ShadowMatcher:
         when nothing is parked, hence on every step of a policy that
         never parks.  It is scored here as conflict_score scores a lone
         edge: the same float, the same exact fallback near zero and the
-        same `removed` order.
+        same `removed` order.  With a shadow in view and neither `trace`
+        nor `on_decision`, a step that `_no_set_wins` settles is rejected
+        without scoring: no set could score above zero, and nothing would
+        read which set came closest, so only its count of sets is kept.
         """
         matching = self.matching
         get = matching.get
@@ -485,11 +544,16 @@ class ShadowMatcher:
                     view.add(get(s2.v if s2.u == p2 else s2.u))
                 view.discard(None)
                 touched = len(view)
-                cands.sort()
-                if trace is not None:
-                    scored = []
-                chosen, removed, r, inserted, sets = self._decide(tuple(cands),
-                                                                  scored)
+                if not emits and _no_set_wins(t, w, a, b, s1, s2):
+                    # Nothing reads a rejection's sets but their count.
+                    inserted = False
+                    sets = _disjoint_subset_count(cands)
+                else:
+                    cands.sort()
+                    if trace is not None:
+                        scored = []
+                    chosen, removed, r, inserted, sets = self._decide(
+                        tuple(cands), scored)
                 if sets > max_sets:
                     max_sets = sets
             if touched > max_touched:
@@ -668,7 +732,9 @@ def drive(matcher, stream: EdgeStream | Iterable[Edge], *,
     and a decision only for `trace` or `on_decision`; `process_edge` and
     `process_edge_traced` are that loop over one edge.  The counters
     `matched_edge_count` and `parked_edge_count` keep the stored-edge
-    count O(1).  `trace` and `on_decision` are as in run_stream.
+    count O(1).  `trace` and `on_decision` are as in run_stream; without
+    either, a step that provably inserts nothing is rejected unscored,
+    with the same result.
     """
     steps, max_sets, max_touched, max_stored = matcher._steps(
         stream, on_decision, trace)
@@ -697,7 +763,10 @@ def run_stream(stream: EdgeStream | Iterable[Edge], k: float, *,
         Optional hook called after every step with (index, decision,
         matcher); the matcher is already mutated.  Used for invariant
         checking and verification without paying for a full trace.
-        Without a hook or a trace no InsertionDecision is built.
+        Without a hook or a trace no InsertionDecision is built, and a
+        step whose bound shows that no candidate set can score above
+        zero is rejected without scoring its sets; the result is the
+        same.
     """
     return drive(ShadowMatcher(k), stream, trace=trace, on_decision=on_decision)
 

@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import random
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -16,10 +18,12 @@ from helpers import (brute_force_disjoint, check_matcher_invariants,
 from shadowmatch.baseline import (GAMMA_RATIO_5_828, BaselineMatcher,
                                   run_baseline)
 from shadowmatch.bound import optimal_k
-from shadowmatch.graph import Edge, edge
+from shadowmatch.graph import Edge, edge, open_stream
 from shadowmatch.shadow import (_MEMO_EDGES, InsertionDecision, ShadowMatcher,
-                                TraceEncoder, TraceEvent, conflict_score,
-                                drive, enumerate_augmenting_sets, run_stream,
+                                TraceEncoder, TraceEvent,
+                                _disjoint_subset_count, _disjoint_subsets,
+                                conflict_score, drive,
+                                enumerate_augmenting_sets, run_stream,
                                 trace_line, trace_to_dict)
 
 # The two-sided gadget, by role.  Weights are chosen so the unique best
@@ -529,6 +533,14 @@ def test_baseline_untraced_step_matches_traced_step(data):
     assert lean.shadow_slots == traced.shadow_slots == {}
 
 
+def _nudge(w: float, rng: random.Random) -> float:
+    """`w` moved by up to 12 ulps either way."""
+    steps = rng.randint(-12, 12)
+    for _ in range(abs(steps)):
+        w = math.nextafter(w, math.inf if steps > 0 else 0.0)
+    return w
+
+
 def _decision_bits(d: InsertionDecision):
     """A decision with its score as text, so that two scores compare
     bit for bit."""
@@ -545,7 +557,8 @@ def test_hooked_run_matches_unhooked_run_and_traced_steps(data):
     saw the event holding it; and a rejected lone step carries
     conflict_score's score and removed order."""
     rng = random.Random(data.draw(st.integers(0, 10 ** 9)))
-    weights = data.draw(st.sampled_from(["uniform", "integer", "nextafter"]))
+    weights = data.draw(st.sampled_from(["uniform", "integer", "nextafter",
+                                         "bound"]))
     if data.draw(st.booleans()):
         k = data.draw(st.sampled_from([1.1, 1.5, 1.717191779457857, 2.0, 3.0]))
         make = lambda: ShadowMatcher(k)
@@ -563,14 +576,21 @@ def test_hooked_run_matches_unhooked_run_and_traced_steps(data):
             w = rng.uniform(0.05, 20.0)
         elif weights == "integer":
             w = float(rng.randint(1, 6))
-        else:
+        elif weights == "nextafter":
             # a few ulps from t times the weight the edge alone displaces,
             # some inside the rounding bound of its score and some past it
             conflicts = {traced.matching.get(u), traced.matching.get(v)} - {None}
-            w = t * sum(x.w for x in conflicts) or rng.uniform(0.5, 4.0)
-            steps = rng.randint(-12, 12)
-            for _ in range(abs(steps)):
-                w = math.nextafter(w, math.inf if steps > 0 else 0.0)
+            w = _nudge(t * sum(x.w for x in conflicts)
+                       or rng.uniform(0.5, 4.0), rng)
+        else:
+            # With a shadow in view, a few ulps from where the bound an
+            # unhooked step rejects by, W - t*(w(a) + w(b)), crosses zero.
+            nb = traced.neighborhood(edge(u, v, 1.0))
+            shadows = {nb.side1.shadow, nb.side2.shadow} - {None}
+            w = (t * sum(s.matched.w for s in (nb.side1, nb.side2)
+                         if s.matched is not None)
+                 - sum(s.w for s in shadows))
+            w = _nudge(w, rng) if shadows and w > 0 else rng.uniform(0.05, 20.0)
         edges.append(edge(u, v, w))
         events.append(traced.process_edge_traced(edges[-1], i))
 
@@ -612,6 +632,95 @@ def test_hooked_run_matches_unhooked_run_and_traced_steps(data):
     assert repr(both.weight) == repr(bare.weight)
     assert both.metrics == bare.metrics
     assert [trace_line(ev) for ev in sunk] == [trace_line(ev) for ev in events]
+
+
+def test_unhooked_run_rejects_without_scoring(monkeypatch):
+    """An unhooked run scores fewer steps than a hooked one, which
+    scores every step with a shadow in view, and ends the same."""
+    golden = Path(__file__).parent / "golden" / "gnp.txt"
+    steps = []
+    decide = ShadowMatcher._decide
+
+    def counted(self, cands, scored):
+        steps.append(cands)
+        return decide(self, cands, scored)
+
+    monkeypatch.setattr(ShadowMatcher, "_decide", counted)
+    k = optimal_k()[0]
+    bare = run_stream(open_stream(golden), k)
+    unhooked = len(steps)
+    hooked = run_stream(open_stream(golden), k,
+                        on_decision=lambda i, decision, matcher: None)
+    assert hooked == bare
+    assert 0 < unhooked < len(steps) - unhooked
+
+
+def _shadows_behind(k: float, wa: float, wb: float, ws1: float | None,
+                    ws2: float | None) -> ShadowMatcher:
+    """A matcher with (0, 2) and (1, 3) matched and (2, 4) and (3, 5)
+    parked behind them, either shadow left out for None.  Vertices 4
+    and 5 are free, so the input edge (0, 1) and both shadows are
+    disjoint and remove exactly the two matching edges."""
+    m = ShadowMatcher(k)
+    for e in (edge(0, 2, wa), edge(1, 3, wb)):
+        m.matching[e.u] = m.matching[e.v] = e
+    m.matched_edge_count = 2
+    for slot, ws in ((2, ws1), (3, ws2)):
+        if ws is not None:
+            m.shadow_slots[slot] = edge(slot, slot + 2, ws)
+            m.parked_edge_count += 1
+    return m
+
+
+@pytest.mark.parametrize("weights", [
+    (1.0, 20.0, 10.0, None),   # s1 alone wins, W - t*(w(a) + w(b)) < 0
+    (20.0, 1.0, None, 10.0),   # s2 alone wins
+    (1.0, 20.0, 10.0, 1.0),    # s1 alone wins beside a light s2
+    (0.8, 0.6, 0.9, 0.4),      # W - t*(w(a) + w(b)) within rounding of 0
+])
+def test_reject_bound_never_changes_a_step(weights):
+    """An unhooked step ends in the state a hooked step, which scores
+    every set, ends in: when a lone shadow wins though the input edge's
+    bound is negative, and when the input weight is a few ulps either
+    side of where the bound over all candidates crosses zero."""
+    k = 1.5
+    wa, wb, ws1, ws2 = weights
+    w0 = k * (wa + wb) - (ws1 or 0.0) - (ws2 or 0.0)
+    if w0 > 1.0:
+        inputs = [0.5]
+    else:
+        inputs = [w0]
+        for _ in range(12):
+            inputs = ([math.nextafter(inputs[0], 0.0)] + inputs
+                      + [math.nextafter(inputs[-1], math.inf)])
+    outcomes = set()
+    for w in inputs:
+        bare = _shadows_behind(k, *weights)
+        hooked = _shadows_behind(k, *weights)
+        drive(bare, [edge(0, 1, w)])
+        drive(hooked, [edge(0, 1, w)], on_decision=lambda i, d, m: None)
+        assert bare.matching == hooked.matching
+        assert bare.shadow_slots == hooked.shadow_slots
+        outcomes.add(bare.insertions)
+    # a lone shadow wins; at the margin some inputs win and some do not
+    assert outcomes == ({1} if w0 > 1.0 else {0, 1})
+
+
+@pytest.mark.parametrize("cands", [
+    (edge(0, 1, 1.0), edge(2, 4, 1.0)),                    # disjoint
+    (edge(0, 1, 1.0), edge(1, 2, 1.0)),                    # at the far end
+    (edge(0, 1, 1.0), edge(2, 3, 1.0)),                    # shared shadow
+    (edge(0, 1, 1.0), edge(2, 4, 1.0), edge(3, 5, 1.0)),   # all disjoint
+    (edge(0, 1, 1.0), edge(1, 2, 1.0), edge(3, 5, 1.0)),   # s1 at the far end
+    (edge(0, 1, 1.0), edge(2, 4, 1.0), edge(0, 3, 1.0)),   # s2 at the far end
+    (edge(0, 1, 1.0), edge(2, 4, 1.0), edge(3, 4, 1.0)),   # shadows meet
+    (edge(0, 1, 1.0), edge(1, 2, 1.0), edge(0, 3, 1.0)),   # both at e's ends
+])
+def test_disjoint_subset_count_matches_enumeration(cands):
+    """A step the bound rejects counts its sets as _decide would."""
+    want = len(_disjoint_subsets(tuple(sorted(cands))))
+    for order in itertools.permutations(cands):
+        assert _disjoint_subset_count(list(order)) == want
 
 
 @given(st.data())
