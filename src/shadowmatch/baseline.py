@@ -14,7 +14,7 @@ from __future__ import annotations
 from typing import Iterable
 
 from .graph import Edge, EdgeStream
-from .shadow import (DecisionHook, RunResult, ShadowMatcher, drive,
+from .shadow import (InsertHook, RunResult, ShadowMatcher, drive,
                      real_parameter)
 
 GAMMA_RATIO_SIX = 1.0
@@ -37,6 +37,7 @@ class BaselineMatcher(ShadowMatcher):
 
 
 def run_baseline(stream: EdgeStream | Iterable[Edge], gamma: float, *,
-                 on_decision: DecisionHook | None = None) -> RunResult:
-    """Feed a whole stream through a fresh baseline matcher."""
-    return drive(BaselineMatcher(gamma), stream, on_decision=on_decision)
+                 on_insert: InsertHook | None = None) -> RunResult:
+    """Feed a whole stream through a fresh baseline matcher, calling
+    `on_insert` with the decision of each step that inserted."""
+    return drive(BaselineMatcher(gamma), stream, on_insert=on_insert)

@@ -159,17 +159,13 @@ def cmd_run(args) -> int:
         feasible = certify(d) if args.verify and d.inserted else None
         trace_fh.write(encode(event, feasible) + "\n")
 
-    def check(_index, decision, _matcher):
-        if decision.inserted:
-            certify(decision)
-
     # One drive call, traced or not: with a trace file --verify
     # certifies each insertion in the sink as it writes the line,
-    # without one from the decision hook.
+    # without one from the insertion hook.
     trace_fh = open(args.trace, "w", encoding="utf-8") if args.trace else None
     try:
         result = drive(matcher, stream, trace=sink if trace_fh else None,
-                       on_decision=None if trace_fh or not args.verify else check)
+                       on_insert=None if trace_fh or not args.verify else certify)
     finally:
         if trace_fh:
             trace_fh.close()

@@ -112,16 +112,14 @@ def execute(order: Iterable[Edge], algo: AlgorithmSpec, *,
     `monotone` stays true while every insertion's exact weight change,
     w(chosen) - w(removed), is positive; `fsum` is correctly rounded,
     so its sign is the exact sign even where the float total would not
-    move.
+    move.  Both read the insertion hook, which only inserting steps call.
     """
     failures = 0
     monotone = True
     verify = verify and algo.name == "shadow"
 
-    def hook(i, decision, matcher):
+    def hook(decision):
         nonlocal failures, monotone
-        if not decision.inserted:
-            return
         if not math.fsum([e.w for e in decision.chosen]
                          + [-d.w for d in decision.removed]) > 0:
             monotone = False
@@ -129,9 +127,9 @@ def execute(order: Iterable[Edge], algo: AlgorithmSpec, *,
             failures += 1
 
     if algo.name == "shadow":
-        result = run_stream(order, algo.k, on_decision=hook)
+        result = run_stream(order, algo.k, on_insert=hook)
     else:
-        result = run_baseline(order, algo.gamma, on_decision=hook)
+        result = run_baseline(order, algo.gamma, on_insert=hook)
 
     m = result.metrics
     return RunOutcome(result.weight, result.matching, m.insertions,

@@ -21,21 +21,21 @@ once, as the body of the loop `drive` runs, traced or not
 (`process_edge` and `process_edge_traced` run it over one edge).  It
 reads the view straight from the matching and slot dicts; when the
 input edge is the only candidate it scores it inline.  Only a traced
-step builds the Neighborhood, with its seven named roles, and lists
-every scored set; an InsertionDecision is built only for a caller that
-reads it.  Tracing changes what a step reports, never what it decides.
+step builds the Neighborhood, with its seven named roles, lists every
+scored set and builds an InsertionDecision for each step; an untraced
+step builds one only for an insertion hook, and only when it inserts.
+Tracing changes what a step reports, never what it decides.
 
-A step that nobody reads (no trace sink, no decision hook) is not
-scored when three comparisons settle it (`_no_set_wins`).  Every
-candidate removes a matching edge at an end of the input edge: the
-input edge removes both, each shadow the one it is parked behind.  So
-a lone shadow scores at most its weight minus t times that edge, and
-any other set at most the candidates' total weight minus t times both.
-When each bound lies below zero by more than its rounding bound, no
-set can score above zero and the step is an exact rejection: it leaves
-the state alone, as a scored rejection does, and only counts its sets.
-Traced and hooked steps read the best set and its score, so they are
-always scored.
+An untraced step is not scored when three comparisons settle it
+(`_no_set_wins`).  Every candidate removes a matching edge at an end
+of the input edge: the input edge removes both, each shadow the one it
+is parked behind.  So a lone shadow scores at most its weight minus t
+times that edge, and any other set at most the candidates' total
+weight minus t times both.  When each bound lies below zero by more
+than its rounding bound, no set can score above zero and the step is
+an exact rejection: it leaves the state alone, as a scored rejection
+does, and only counts its sets.  A traced step reads the best set and
+its score, so it is always scored.
 
 A TraceEncoder writes a traced step as one JSON line, straight from its
 TraceEvent; it is the one definition of the trace schema, `trace_line`
@@ -442,24 +442,22 @@ class ShadowMatcher:
         not already in the matching (streams never repeat an edge).
         Violations raise ValueError.
 
-        This is the loop `drive` runs, run over the one edge, so both
-        take the same step; it also refreshes `last_candidate_sets` and
-        `last_touched_edges`.
+        It returns the decision of process_edge_traced, the loop `drive`
+        runs, as only a trace carries a rejected step's decision; it
+        also refreshes `last_candidate_sets` and `last_touched_edges`.
         """
-        decisions = []
-        _, self.last_candidate_sets, self.last_touched_edges, _ = self._steps(
-            (e,), lambda i, decision, matcher: decisions.append(decision))
-        return decisions[0]
+        return self.process_edge_traced(e, 0).decision
 
-    def _steps(self, edges: Iterable[Edge], on_decision: DecisionHook | None,
+    def _steps(self, edges: Iterable[Edge], on_insert: InsertHook | None,
                trace: TraceSink | None = None):
-        """The step, run over `edges`: the one copy of it, behind `drive`,
-        `process_edge` and `process_edge_traced`.
+        """The step, run over `edges`: the one copy of it, behind `drive`
+        and `process_edge_traced`.
 
         Returns (edges processed, most candidate sets, most touched edges,
-        most stored edges) over the steps.  An InsertionDecision is built
-        only for `trace` or `on_decision`; after each step `trace` gets
-        its TraceEvent, then `on_decision` its decision.
+        most stored edges) over the steps.  A traced step builds its
+        InsertionDecision and hands its TraceEvent to `trace`, then, if it
+        inserted, the decision to `on_insert`; an untraced step builds one
+        only for `on_insert`, and only when it inserts.
 
         The view is read straight from the dicts; the Neighborhood is
         built only for `trace`, from the same reads and before the step
@@ -470,10 +468,10 @@ class ShadowMatcher:
         when nothing is parked, hence on every step of a policy that
         never parks.  It is scored here as conflict_score scores a lone
         edge: the same float, the same exact fallback near zero and the
-        same `removed` order.  With a shadow in view and neither `trace`
-        nor `on_decision`, a step that `_no_set_wins` settles is rejected
-        without scoring: no set could score above zero, and nothing would
-        read which set came closest, so only its count of sets is kept.
+        same `removed` order.  With a shadow in view and no `trace`, a
+        step that `_no_set_wins` settles is rejected without scoring: no
+        set could score above zero, and nothing reads which set came
+        closest, so only its count of sets is kept.
         """
         matching = self.matching
         get = matching.get
@@ -482,7 +480,6 @@ class ShadowMatcher:
         inf = math.inf
         rounding = _ROUNDING
         underflow = _UNDERFLOW
-        emits = trace is not None or on_decision is not None
         scored = None
         max_sets = max_touched = max_stored = 0
         i = -1
@@ -544,7 +541,7 @@ class ShadowMatcher:
                     view.add(get(s2.v if s2.u == p2 else s2.u))
                 view.discard(None)
                 touched = len(view)
-                if not emits and _no_set_wins(t, w, a, b, s1, s2):
+                if trace is None and _no_set_wins(t, w, a, b, s1, s2):
                     # Nothing reads a rejection's sets but their count.
                     inserted = False
                     sets = _disjoint_subset_count(cands)
@@ -558,28 +555,29 @@ class ShadowMatcher:
                     max_sets = sets
             if touched > max_touched:
                 max_touched = touched
+            if trace is not None:
+                decision = InsertionDecision(chosen, removed, r, inserted)
+                # A lone candidate's score is the decision's gain object,
+                # so the encoder prints it as the gain.
+                trace(TraceEvent(i, nb, ((chosen, r),) if scored is None
+                                 else tuple(scored), decision))
             # Only an insertion can grow the stored-edge count.
             if inserted:
                 stored = self.matched_edge_count + self.parked_edge_count
                 if stored > max_stored:
                     max_stored = stored
-            if emits:
-                decision = InsertionDecision(chosen, removed, r, inserted)
-                if trace is not None:
-                    # A lone candidate's score is the decision's gain
-                    # object, so the encoder prints it as the gain.
-                    trace(TraceEvent(i, nb, ((chosen, r),) if scored is None
-                                     else tuple(scored), decision))
-                if on_decision is not None:
-                    on_decision(i, decision, self)
+                if on_insert is not None:
+                    on_insert(decision if trace is not None else
+                              InsertionDecision(chosen, removed, r, True))
         # A lone step scores one set; a step with a shadow in view, more.
         if i >= 0 and not max_sets:
             max_sets = 1
         return i + 1, max_sets, max_touched, max_stored
 
     def process_edge_traced(self, e: Edge, index: int) -> TraceEvent:
-        """Like process_edge, but return the step's TraceEvent, numbered
-        `index`: the same loop, run over the one edge with a trace sink."""
+        """Process one input edge as process_edge does, but return the
+        step's TraceEvent, numbered `index`: the loop `drive` runs, over
+        the one edge with a trace sink."""
         events = []
         _, self.last_candidate_sets, self.last_touched_edges, _ = self._steps(
             (e,), None, events.append)
@@ -717,27 +715,27 @@ class RunResult:
     metrics: RunMetrics
 
 
-DecisionHook = Callable[[int, InsertionDecision, "ShadowMatcher"], None]
+InsertHook = Callable[[InsertionDecision], None]
 TraceSink = Callable[[TraceEvent], None]
 
 
 def drive(matcher, stream: EdgeStream | Iterable[Edge], *,
           trace: TraceSink | None = None,
-          on_decision: DecisionHook | None = None) -> RunResult:
+          on_insert: InsertHook | None = None) -> RunResult:
     """Feed a whole stream through `matcher`: the package's one per-edge
     loop, behind run_stream, run_baseline, the harness and the CLI.
 
     The loop is the matcher's own step loop, traced or not: it keeps
     the run's maxima in locals, builds the Neighborhood only for `trace`
-    and a decision only for `trace` or `on_decision`; `process_edge` and
-    `process_edge_traced` are that loop over one edge.  The counters
+    and a decision only for `trace` or an insertion `on_insert` reads;
+    `process_edge_traced` is that loop over one edge.  The counters
     `matched_edge_count` and `parked_edge_count` keep the stored-edge
-    count O(1).  `trace` and `on_decision` are as in run_stream; without
-    either, a step that provably inserts nothing is rejected unscored,
-    with the same result.
+    count O(1).  `trace` and `on_insert` are as in run_stream; untraced,
+    a step that provably inserts nothing is rejected unscored, with the
+    same result.
     """
     steps, max_sets, max_touched, max_stored = matcher._steps(
-        stream, on_decision, trace)
+        stream, on_insert, trace)
     metrics = RunMetrics(steps, matcher.insertions, max_stored, max_sets,
                          max_touched)
     return RunResult(matcher.matching_edges(), matcher.matching_weight(),
@@ -746,7 +744,7 @@ def drive(matcher, stream: EdgeStream | Iterable[Edge], *,
 
 def run_stream(stream: EdgeStream | Iterable[Edge], k: float, *,
                trace: TraceSink | None = None,
-               on_decision: DecisionHook | None = None) -> RunResult:
+               on_insert: InsertHook | None = None) -> RunResult:
     """Feed a whole stream through a fresh matcher.
 
     Parameters
@@ -759,16 +757,13 @@ def run_stream(stream: EdgeStream | Iterable[Edge], k: float, *,
         Optional sink called with each step's TraceEvent as soon as the
         step is done.  Nothing is buffered, so tracing takes O(1)
         memory; pass `list.append` to keep the events.
-    on_decision
-        Optional hook called after every step with (index, decision,
-        matcher); the matcher is already mutated.  Used for invariant
-        checking and verification without paying for a full trace.
-        Without a hook or a trace no InsertionDecision is built, and a
-        step whose bound shows that no candidate set can score above
-        zero is rejected without scoring its sets; the result is the
-        same.
+    on_insert
+        Optional hook called with the InsertionDecision of each step
+        that inserted, after the state changed and after `trace` got
+        the step's event.  Used to certify insertions without paying
+        for a trace; rejected steps are read from `trace`.
     """
-    return drive(ShadowMatcher(k), stream, trace=trace, on_decision=on_decision)
+    return drive(ShadowMatcher(k), stream, trace=trace, on_insert=on_insert)
 
 
 # json.dumps spells the non-finite floats so; repr(x) is its spelling

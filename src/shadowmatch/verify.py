@@ -224,5 +224,5 @@ def _check_edges(chosen: tuple[Edge, ...], removed: tuple[Edge, ...],
             slack[bc | third] -= share
             slack[bd | third] -= w - share
         witness[c] = Fraction(share, w)
-        witness[d] = Fraction(w - share, w)
+        witness[d] = _ONE - witness[c]
     return AllocationCheck(True, covered, witness, chosen, removed, kq)

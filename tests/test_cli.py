@@ -15,11 +15,12 @@ import pytest
 
 from helpers import package_env
 from shadowmatch import cli
-from shadowmatch.baseline import run_baseline
+from shadowmatch.baseline import BaselineMatcher, run_baseline
 from shadowmatch.cli import main
 from shadowmatch.generators import GeneratorSpec, generate
 from shadowmatch.graph import open_stream
 from shadowmatch.harness import CSV_COLUMNS
+from shadowmatch.shadow import drive
 
 GOOD = "p 6 3\n0 1 3.0\n2 3 4.0\n4 5 5.0\n"
 
@@ -345,8 +346,9 @@ def test_run_verify_output_is_the_same_with_and_without_trace(
 @pytest.mark.parametrize("gamma", ["0", "1.0"])
 def test_run_baseline_trace_has_one_candidate_per_edge(tmp_path, capsys, gamma):
     """`run --algo baseline --trace` writes a line per edge from the one
-    step: no shadow in view, only the input edge as a candidate, and
-    the decisions of the untraced `run_baseline`."""
+    step: no shadow in view, only the input edge as a candidate, the
+    decisions a traced `drive` of the library's baseline reads, and
+    the weight of the untraced `run_baseline`."""
     path = tmp_path / "gnp.txt"
     trace = tmp_path / "trace.jsonl"
     assert main(["gen", "--kind", "gnp-random", "--n", "30", "--p", "0.5",
@@ -358,10 +360,12 @@ def test_run_baseline_trace_has_one_candidate_per_edge(tmp_path, capsys, gamma):
     records = [json.loads(ln) for ln in
                trace.read_text(encoding="utf-8").splitlines()]
     edges = list(open_stream(str(path)))
-    decisions = []
-    result = run_baseline(edges, float(gamma),
-                          on_decision=lambda i, d, m: decisions.append(d))
+    events = []
+    traced = drive(BaselineMatcher(float(gamma)), edges, trace=events.append)
+    decisions = [ev.decision for ev in events]
+    result = run_baseline(edges, float(gamma))
     assert out.splitlines()[0] == f"weight {result.weight!r}"
+    assert traced == result
     assert len(records) == len(edges) == len(decisions)
 
     def enc(es):

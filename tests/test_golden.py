@@ -1,10 +1,11 @@
 """Golden outputs: CLI bytes for fixed inputs must not drift.
 
-`tests/golden/` holds generated instances and the exact bytes the CLI
-printed or wrote for them.  Every case here reruns one command and
-compares its output byte for byte.  Commands run with the fixture
-directory as the working directory and relative input paths, because
-`compare` prints the path it was given as the instance id.
+`tests/golden/` holds generated instances, one hand-written stream
+(`lone_shadow.txt`), and the exact bytes the CLI printed or wrote for
+them.  Every case here reruns one command and compares its output
+byte for byte.  Commands run with the fixture directory as the working
+directory and relative input paths, because `compare` prints the path
+it was given as the instance id.
 
 After a deliberate output change, recapture with
 
@@ -43,6 +44,12 @@ INSTANCES = {
 RUNS = [
     *((f"{name[:-4]}.run.out", ["run", name, "--verify", "--trace", "TRACE"],
        f"{name[:-4]}.trace.jsonl.gz") for name in INSTANCES),
+    # Hand-written, so not in INSTANCES: its last step inserts a lone
+    # shadow, a set without the input edge, traced and through the
+    # untraced step's reject bound.
+    ("lone_shadow.run.out", ["run", "lone_shadow.txt", "--verify",
+                             "--trace", "TRACE"], "lone_shadow.trace.jsonl.gz"),
+    ("lone_shadow.run.out", ["run", "lone_shadow.txt", "--verify"], None),
     ("gnp.baseline.out", ["run", "gnp.txt", "--algo", "baseline"], None),
     ("gnp.baseline.out", ["run", "gnp.txt", "--algo", "baseline",
                           "--trace", "TRACE"], "gnp.baseline.trace.jsonl.gz"),

@@ -168,11 +168,28 @@ def test_enumerate_dedups_shared_shadow():
     assert len(enumerate_augmenting_sets(nb)) == 3
 
 
+def _untraced_step(m: ShadowMatcher, e: Edge):
+    """Run `e` through the untraced step of `m`, as `drive` does with an
+    insertion hook: (the decision if the step inserted, else None, its
+    count of candidate sets, its count of touched edges)."""
+    inserted = []
+    metrics = drive(m, [e], on_insert=inserted.append).metrics
+    assert len(inserted) <= 1
+    return (inserted[0] if inserted else None, metrics.max_candidate_sets,
+            metrics.max_touched_edges)
+
+
+def _if_inserted(d: InsertionDecision) -> InsertionDecision | None:
+    """`d` if its step inserted, else None: what an insertion hook sees."""
+    return d if d.inserted else None
+
+
 @pytest.mark.parametrize("w", [4.0, 13.0])
 def test_traced_step_scores_a_shared_shadow_once(w):
     """On a 4-cycle both sides hold the same parked edge: the traced step
-    scores the subsets enumerate_augmenting_sets gives, and decides as
-    the untraced step does, whether it rejects or inserts."""
+    scores the subsets enumerate_augmenting_sets gives, process_edge
+    returns its decision, and the untraced step decides and counts as
+    it does, whether it rejects or inserts."""
     def four_cycle():
         m = ShadowMatcher(2.0)
         for e in (edge(0, 2, 3.0), edge(1, 3, 3.0)):
@@ -182,15 +199,18 @@ def test_traced_step_scores_a_shared_shadow_once(w):
         m.parked_edge_count = 1
         return m
 
-    traced, lean = four_cycle(), four_cycle()
+    traced, plain, lean = four_cycle(), four_cycle(), four_cycle()
     y = edge(0, 1, w)
     sets = enumerate_augmenting_sets(traced.neighborhood(y))
     event = traced.process_edge_traced(y, 0)
     assert [subset for subset, _ in event.candidates] == sets
-    assert lean.process_edge(y) == event.decision
+    assert plain.process_edge(y) == event.decision
     assert event.decision.inserted == (w > 12.0)
-    assert lean.last_candidate_sets == traced.last_candidate_sets == 3
-    assert lean.last_touched_edges == traced.last_touched_edges == 4
+    assert plain.last_candidate_sets == traced.last_candidate_sets == 3
+    assert plain.last_touched_edges == traced.last_touched_edges == 4
+    assert _untraced_step(lean, y) == (_if_inserted(event.decision), 3, 4)
+    assert lean.matching == traced.matching
+    assert lean.shadow_slots == traced.shadow_slots
 
 
 @given(st.data())
@@ -461,11 +481,11 @@ def test_driver_counters_match_recounts(data):
 @given(st.data())
 @settings(max_examples=150, deadline=None)
 def test_untraced_step_matches_traced_step(data):
-    """process_edge and process_edge_traced run the one step loop, the
-    second with a trace sink that makes it build the Neighborhood and
-    list every scored set: twin matchers fed one stream must decide
-    alike and report the same work per step, so tracing never changes
-    a decision."""
+    """The one step loop, run untraced with an insertion hook and
+    traced, where a trace sink makes it build the Neighborhood and list
+    every scored set: twin matchers fed one stream must decide alike
+    and report the same work per step, so tracing never changes a
+    decision."""
     rng = random.Random(data.draw(st.integers(0, 10 ** 9)))
     weights = data.draw(st.sampled_from(["uniform", "integer", "nextafter"]))
     k = data.draw(st.sampled_from([1.1, 1.5, 1.717191779457857, 2.0, 3.0]))
@@ -487,12 +507,11 @@ def test_untraced_step_matches_traced_step(data):
                 w = math.nextafter(w, math.inf if steps > 0 else 0.0)
         e = edge(u, v, w)
         touched = len(lean.neighborhood(e).distinct_edges())
-        decision = lean.process_edge(e)
+        decision, sets, lean_touched = _untraced_step(lean, e)
         event = traced.process_edge_traced(e, i)
-        assert decision == event.decision
-        assert lean.last_touched_edges == traced.last_touched_edges == touched
-        assert (lean.last_candidate_sets == traced.last_candidate_sets
-                == len(event.candidates))
+        assert decision == _if_inserted(event.decision)
+        assert lean_touched == traced.last_touched_edges == touched
+        assert sets == traced.last_candidate_sets == len(event.candidates)
     assert lean.matching == traced.matching
     assert lean.shadow_slots == traced.shadow_slots
 
@@ -501,9 +520,9 @@ def test_untraced_step_matches_traced_step(data):
 @settings(max_examples=60, deadline=None)
 def test_baseline_untraced_step_matches_traced_step(data):
     """The baseline never parks, so its every step, traced or not, takes
-    the lone candidate path: twin matchers must decide alike, count
-    alike, and the traced step must list the one scored set it decided
-    on."""
+    the lone candidate path: twin matchers, one untraced with an
+    insertion hook, must decide alike, count alike, and the traced step
+    must list the one scored set it decided on."""
     rng = random.Random(data.draw(st.integers(0, 10 ** 9)))
     gamma = data.draw(st.sampled_from([0.0, GAMMA_RATIO_5_828, 1.0]))
     n = data.draw(st.integers(2, 10))
@@ -521,12 +540,13 @@ def test_baseline_untraced_step_matches_traced_step(data):
             for _ in range(abs(steps)):
                 w = math.nextafter(w, math.inf if steps > 0 else 0.0)
         e = edge(u, v, w)
-        decision = lean.process_edge(e)
+        decision, sets, touched = _untraced_step(lean, e)
         event = traced.process_edge_traced(e, i)
-        assert decision == event.decision
-        assert event.candidates == ((decision.chosen, decision.gain),)
-        assert lean.last_touched_edges == traced.last_touched_edges
-        assert lean.last_candidate_sets == traced.last_candidate_sets == 1
+        assert decision == _if_inserted(event.decision)
+        assert event.candidates == ((event.decision.chosen,
+                                     event.decision.gain),)
+        assert touched == traced.last_touched_edges
+        assert sets == traced.last_candidate_sets == 1
         assert lean.matched_edge_count == traced.matched_edge_count
     assert lean.insertions == traced.insertions
     assert lean.matching == traced.matching
@@ -550,11 +570,12 @@ def _decision_bits(d: InsertionDecision):
 @given(st.data())
 @settings(max_examples=150, deadline=None)
 def test_hooked_run_matches_unhooked_run_and_traced_steps(data):
-    """The step loop builds a decision only for a hook or a trace: for
-    either matcher, a run with an on_decision hook, one without, and
-    one with both a trace sink and a hook give the same RunResult; the
-    hook sees the traced step's decision at every step, after the sink
-    saw the event holding it; and a rejected lone step carries
+    """The step loop builds a decision only for a trace, or for an
+    insertion hook when the step inserted: for either matcher, a run
+    with an on_insert hook, one without, and one with both a trace sink
+    and a hook give the same RunResult; the hook sees the traced step's
+    decision at every inserting step, after the sink saw the event
+    holding it, and at no other step; and a rejected lone step carries
     conflict_score's score and removed order."""
     rng = random.Random(data.draw(st.integers(0, 10 ** 9)))
     weights = data.draw(st.sampled_from(["uniform", "integer", "nextafter",
@@ -584,7 +605,7 @@ def test_hooked_run_matches_unhooked_run_and_traced_steps(data):
                        or rng.uniform(0.5, 4.0), rng)
         else:
             # With a shadow in view, a few ulps from where the bound an
-            # unhooked step rejects by, W - t*(w(a) + w(b)), crosses zero.
+            # untraced step rejects by, W - t*(w(a) + w(b)), crosses zero.
             nb = traced.neighborhood(edge(u, v, 1.0))
             shadows = {nb.side1.shadow, nb.side2.shadow} - {None}
             w = (t * sum(s.matched.w for s in (nb.side1, nb.side2)
@@ -594,49 +615,51 @@ def test_hooked_run_matches_unhooked_run_and_traced_steps(data):
         edges.append(edge(u, v, w))
         events.append(traced.process_edge_traced(edges[-1], i))
 
-    seen, lone_rejects = [], []
-
-    def hook(i, decision, matcher):
-        seen.append((i, _decision_bits(decision)))
-        if len(events[i].candidates) == 1 and not decision.inserted:
-            # A rejection left the matching as the step scored it.
-            r, removed, _ = conflict_score(matcher.matching, decision.chosen, t)
-            lone_rejects.append(((decision.removed, repr(decision.gain)),
-                                 (removed, repr(r))))
-
-    hooked = drive(make(), edges, on_decision=hook)
+    seen = []
+    hooked = drive(make(), edges, on_insert=lambda decision:
+                   seen.append(_decision_bits(decision)))
     bare = drive(make(), edges)
     assert hooked.matching == bare.matching
     assert repr(hooked.weight) == repr(bare.weight)
     assert hooked.metrics == bare.metrics
     assert hooked.metrics == drive(make(), edges, trace=lambda ev: None).metrics
-    assert seen == [(i, _decision_bits(ev.decision))
-                    for i, ev in enumerate(events)]
-    for got, want in lone_rejects:
-        assert got == want
+    assert seen == [_decision_bits(ev.decision) for ev in events
+                    if ev.decision.inserted]
 
-    calls, sunk = [], []
+    calls, sunk, lone_rejects = [], [], []
+    matcher = make()
 
     def sink(ev):
         calls.append(("trace", ev.index))
         sunk.append(ev)
+        d = ev.decision
+        if len(ev.candidates) == 1 and not d.inserted:
+            # A rejection left the matching as the step scored it.
+            r, removed, _ = conflict_score(matcher.matching, d.chosen, t)
+            lone_rejects.append(((d.removed, repr(d.gain)),
+                                 (removed, repr(r))))
 
-    def traced_hook(i, decision, matcher):
-        calls.append(("hook", i))
-        assert decision == sunk[i].decision
+    def traced_hook(decision):
+        calls.append(("hook", sunk[-1].index))
+        assert decision is sunk[-1].decision
 
-    both = drive(make(), edges, trace=sink, on_decision=traced_hook)
-    assert calls == [(kind, i) for i in range(len(edges))
-                     for kind in ("trace", "hook")]
+    both = drive(matcher, edges, trace=sink, on_insert=traced_hook)
+    assert calls == [(kind, i) for i, ev in enumerate(events)
+                     for kind in ("trace", "hook")[:1 + ev.decision.inserted]]
     assert both.matching == bare.matching
     assert repr(both.weight) == repr(bare.weight)
     assert both.metrics == bare.metrics
     assert [trace_line(ev) for ev in sunk] == [trace_line(ev) for ev in events]
+    for got, want in lone_rejects:
+        assert got == want
 
 
 def test_unhooked_run_rejects_without_scoring(monkeypatch):
-    """An unhooked run scores fewer steps than a hooked one, which
-    scores every step with a shadow in view, and ends the same."""
+    """An untraced run scores fewer steps than a traced one, which
+    scores every step with a shadow in view, and ends the same; an
+    insertion hook leaves it untraced, so a hooked run scores exactly
+    the steps an unhooked one does (4 on gnp.txt, where a hook that
+    read every step scored 343)."""
     golden = Path(__file__).parent / "golden" / "gnp.txt"
     steps = []
     decide = ShadowMatcher._decide
@@ -647,12 +670,16 @@ def test_unhooked_run_rejects_without_scoring(monkeypatch):
 
     monkeypatch.setattr(ShadowMatcher, "_decide", counted)
     k = optimal_k()[0]
-    bare = run_stream(open_stream(golden), k)
-    unhooked = len(steps)
-    hooked = run_stream(open_stream(golden), k,
-                        on_decision=lambda i, decision, matcher: None)
-    assert hooked == bare
-    assert 0 < unhooked < len(steps) - unhooked
+
+    def scored_steps(**hooks):
+        del steps[:]
+        return run_stream(open_stream(golden), k, **hooks), len(steps)
+
+    bare, unhooked = scored_steps()
+    hooked, hooked_steps = scored_steps(on_insert=lambda decision: None)
+    traced, traced_steps = scored_steps(trace=lambda event: None)
+    assert hooked == bare == traced
+    assert 0 < unhooked == hooked_steps < traced_steps
 
 
 def _shadows_behind(k: float, wa: float, wb: float, ws1: float | None,
@@ -679,10 +706,12 @@ def _shadows_behind(k: float, wa: float, wb: float, ws1: float | None,
     (0.8, 0.6, 0.9, 0.4),      # W - t*(w(a) + w(b)) within rounding of 0
 ])
 def test_reject_bound_never_changes_a_step(weights):
-    """An unhooked step ends in the state a hooked step, which scores
-    every set, ends in: when a lone shadow wins though the input edge's
-    bound is negative, and when the input weight is a few ulps either
-    side of where the bound over all candidates crosses zero."""
+    """An untraced step, hooked or not, ends in the state a traced step,
+    which scores every set, ends in, and the hook sees the traced
+    step's decision when it inserts: when a lone shadow wins though the
+    input edge's bound is negative, and when the input weight is a few
+    ulps either side of where the bound over all candidates crosses
+    zero."""
     k = 1.5
     wa, wb, ws1, ws2 = weights
     w0 = k * (wa + wb) - (ws1 or 0.0) - (ws2 or 0.0)
@@ -697,13 +726,41 @@ def test_reject_bound_never_changes_a_step(weights):
     for w in inputs:
         bare = _shadows_behind(k, *weights)
         hooked = _shadows_behind(k, *weights)
+        scored = _shadows_behind(k, *weights)
+        inserted, events = [], []
         drive(bare, [edge(0, 1, w)])
-        drive(hooked, [edge(0, 1, w)], on_decision=lambda i, d, m: None)
-        assert bare.matching == hooked.matching
-        assert bare.shadow_slots == hooked.shadow_slots
+        drive(hooked, [edge(0, 1, w)], on_insert=inserted.append)
+        drive(scored, [edge(0, 1, w)], trace=events.append)
+        assert bare.matching == hooked.matching == scored.matching
+        assert bare.shadow_slots == hooked.shadow_slots == scored.shadow_slots
+        assert inserted == [ev.decision for ev in events
+                            if ev.decision.inserted]
         outcomes.add(bare.insertions)
     # a lone shadow wins; at the margin some inputs win and some do not
     assert outcomes == ({1} if w0 > 1.0 else {0, 1})
+
+
+def test_lone_shadow_wins_without_the_input_edge():
+    """On the pinned lone-shadow stream, step 6 inserts the parked
+    shadow (2, 3) alone and removes (1, 2), never its input edge
+    (1, 3): a candidate set without the input edge can win, which is
+    why `_no_set_wins` bounds each lone shadow on its own.  The trace
+    sink and the untraced run's insertion hook see the same decision."""
+    golden = Path(__file__).parent / "golden" / "lone_shadow.txt"
+    k = optimal_k()[0]
+    events, inserted = [], []
+    traced = run_stream(open_stream(golden), k, trace=events.append)
+    hooked = run_stream(open_stream(golden), k, on_insert=inserted.append)
+    assert traced == hooked
+    assert inserted == [ev.decision for ev in events if ev.decision.inserted]
+    last = events[6]
+    assert last.index == 6
+    assert last.neighborhood.input_edge == edge(1, 3, 5.0)
+    for d in (last.decision, inserted[-1]):
+        assert d.inserted and d.gain > 0
+        assert d.chosen == (edge(2, 3, 10.0),)
+        assert d.removed == (edge(1, 2, 1.0),)
+        assert edge(1, 3, 5.0) not in d.chosen
 
 
 @pytest.mark.parametrize("cands", [
