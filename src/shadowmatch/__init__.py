@@ -20,7 +20,7 @@ from .harness import (AlgorithmSpec, RunReport, aggregate, default_algorithms,
                       run_experiment)
 from .oracle import OptimalResult, OracleCapacityError, max_weight_matching
 from .shadow import (InsertionDecision, Neighborhood, RunMetrics, RunResult,
-                     ShadowMatcher, SideView, TraceEncoder, TraceEvent,
+                     ShadowMatcher, TraceEncoder, TraceEvent,
                      enumerate_augmenting_sets, run_stream, trace_line,
                      trace_to_dict)
 from .verify import AllocationCheck, check_locally_k_exceeding
@@ -32,7 +32,7 @@ __all__ = [
     "DuplicateEdgeError", "Edge", "EdgeStream", "GAMMA_RATIO_5_828",
     "GAMMA_RATIO_SIX", "GeneratorSpec", "InsertionDecision", "Neighborhood",
     "OptimalResult", "OracleCapacityError", "RunMetrics", "RunReport",
-    "RunResult", "ShadowMatcher", "SideView", "StreamFormatError",
+    "RunResult", "ShadowMatcher", "StreamFormatError",
     "TraceEncoder", "TraceEvent", "WeightSpec", "aggregate", "approx_bound",
     "check_locally_k_exceeding", "default_algorithms", "default_corpus",
     "edge", "emit_report", "enumerate_augmenting_sets", "format_edge",

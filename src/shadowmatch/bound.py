@@ -36,19 +36,15 @@ def approx_bound(k):
     return k + k / (k - 1) + (k ** 3 - k + 1) / k ** 2
 
 
-def optimal_k(lo: float = 1.0 + 1e-9, hi: float = 10.0,
-              tol: float = 1e-9) -> tuple[float, float]:
+def optimal_k() -> tuple[float, float]:
     """Minimize approx_bound over (1, 10] by ternary search.
 
-    Returns (k_star, approx_bound(k_star)).  The search window and the
-    absolute tolerance on k default to the documented values; convexity
-    of the bound makes ternary search exact up to that tolerance.
+    Returns (k_star, approx_bound(k_star)).  The search starts on
+    [1 + 1e-9, 10] and stops once the window is 1e-9 wide; convexity of
+    the bound makes ternary search exact up to that tolerance.
     """
-    if not (1.0 < lo < hi):
-        raise ValueError(f"need 1 < lo < hi, got lo={lo!r} hi={hi!r}")
-    if tol <= 0:
-        raise ValueError(f"tolerance must be positive, got {tol!r}")
-    while hi - lo > tol:
+    lo, hi = 1.0 + 1e-9, 10.0
+    while hi - lo > 1e-9:
         third = (hi - lo) / 3.0
         m1 = lo + third
         m2 = hi - third

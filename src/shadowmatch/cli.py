@@ -254,9 +254,9 @@ def main(argv=None) -> int:
     except (_UsageError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         # Bad parameter values (k <= 1, malformed specs) are usage
-        # errors; malformed stream text and unreadable files are input
-        # errors.
-        if isinstance(exc, (StreamFormatError, OSError)):
+        # errors; malformed stream text, bytes that are not UTF-8 and
+        # unreadable files are input errors.
+        if isinstance(exc, (StreamFormatError, UnicodeDecodeError, OSError)):
             return INPUT_ERROR
         return USAGE_ERROR
 

@@ -57,18 +57,13 @@ class WeightSpec:
 
 @dataclass(frozen=True)
 class GeneratorSpec:
-    """A reproducible instance description.
-
-    `weights_list`, when given, pins the edge weights of path-like
-    kinds explicitly (in construction order) instead of drawing them.
-    """
+    """A reproducible instance description."""
 
     kind: str
     n: int = 0
     p: float = 0.5
     q: float = 2.0
     weights: WeightSpec = field(default_factory=WeightSpec)
-    weights_list: tuple[float, ...] | None = None
     seed: int = 0
 
     def __post_init__(self):
@@ -141,12 +136,7 @@ def generate(spec: GeneratorSpec) -> tuple[DenseGraph, EdgeStream]:
     else:  # pragma: no cover - guarded by __post_init__
         raise AssertionError(spec.kind)
 
-    if spec.weights_list is not None:
-        if len(spec.weights_list) != len(pairs):
-            raise ValueError(
-                f"need {len(pairs)} weights, got {len(spec.weights_list)}")
-        weights = [float(w) for w in spec.weights_list]
-    elif spec.kind == "geometric-chain":
+    if spec.kind == "geometric-chain":
         weights = [float(spec.q) ** i for i in range(len(pairs))]
     else:
         weights = [spec.weights.draw(rng) for _ in pairs]

@@ -386,14 +386,14 @@ def small_graph_instances(seed: int | str = 0, draws: int = 50
 
 
 def random_instances(seed: int | str = 0, count: int = 10_000,
-                     orders: int = 10, max_n: int = 12,
-                     p: float = 0.5) -> Iterator[CorpusInstance]:
-    """Corpus part two: random graphs, several orders each."""
+                     orders: int = 10) -> Iterator[CorpusInstance]:
+    """Corpus part two: random graphs on 4 to 12 vertices, each pair an
+    edge with probability 1/2, several orders each."""
     for i in range(count):
         rng = random.Random(f"shadowmatch:corpus:{seed}:rand{i}")
-        n = rng.randint(4, max_n)
+        n = rng.randint(4, 12)
         pairs = [(a, b) for a in range(n) for b in range(a + 1, n)
-                 if rng.random() < p]
+                 if rng.random() < 0.5]
         spec = _weight_spec_for(i)
         edges = _draw_weights(pairs, spec, rng)
         graph = DenseGraph.from_edges(edges, range(n))

@@ -19,12 +19,13 @@ That is at most seven edges, so each step costs constant time and the
 whole pass stores at most 3 * floor(n/2) edges.  The step is written
 once, as the body of the loop `drive` runs, traced or not
 (`process_edge` and `process_edge_traced` run it over one edge).  It
-reads the view straight from the matching and slot dicts; when the
-input edge is the only candidate it scores it inline.  Only a traced
-step builds the Neighborhood, with its seven named roles, lists every
-scored set and builds an InsertionDecision for each step; an untraced
-step builds one only for an insertion hook, and only when it inserts.
-Tracing changes what a step reports, never what it decides.
+reads the view straight from the matching and slot dicts into locals;
+when the input edge is the only candidate it scores it inline.  Only a
+traced step packs those locals into a Neighborhood, the flat record of
+the seven roles, lists every scored set and builds an
+InsertionDecision for each step; an untraced step builds one only for
+an insertion hook, and only when it inserts.  Tracing changes what a
+step reports, never what it decides.
 
 An untraced step is not scored when three comparisons settle it
 (`_no_set_wins`).  Every candidate removes a matching edge at an end
@@ -73,7 +74,7 @@ import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable
+from typing import Callable, Iterable, NamedTuple
 
 from .graph import Edge, EdgeStream
 
@@ -84,71 +85,26 @@ _ROUNDING = 4 * math.ulp(1.0)
 _UNDERFLOW = 8 * math.ulp(0.0)
 
 
-@dataclass(slots=True)
-class SideView:
-    """What the matcher can see from one endpoint of the input edge.
+class Neighborhood(NamedTuple):
+    """The bounded local view of one step, as a trace records it: the
+    seven roles in trace order, None where a role is empty.
 
-    `anchor` is the input edge's endpoint.  If the matching covers it,
-    `matched` is that matching edge and `partner` the far endpoint.
-    If the slot at `partner` is occupied, `shadow` is the parked edge,
-    `shadow_far` its endpoint away from `partner`, and `far_cover` the
-    matching edge covering `shadow_far` (if any).
+    Side 1 hangs off the smaller endpoint y1 of the input edge y1y2,
+    side 2 off the larger one y2.  On side i, `giyi` is the matching
+    edge covering yi, `aigi` the shadow parked at its far end gi, and
+    `aici` the matching edge covering the shadow's far end ai.  The
+    same edge may appear under several roles: the two shadows can
+    coincide on a 4-cycle, and a far cover can equal the other side's
+    matching edge.  `_asdict()` maps each role name to its edge.
     """
 
-    anchor: int
-    matched: Edge | None = None
-    partner: int | None = None
-    shadow: Edge | None = None
-    shadow_far: int | None = None
-    far_cover: Edge | None = None
-
-
-@dataclass(slots=True)
-class Neighborhood:
-    """The bounded local view of one step, as a trace records it.
-
-    Role names follow the two sides of the input edge: side 1 hangs off
-    the smaller endpoint, side 2 off the larger one.  The same edge may
-    appear under several roles (the two shadows can coincide on a
-    4-cycle, and a far cover can equal the other side's matching edge);
-    `distinct_edges` collapses those.
-    """
-
-    input_edge: Edge
-    side1: SideView
-    side2: SideView
-
-    def roles(self) -> dict[str, Edge | None]:
-        """Map role label -> edge (or None) for tracing and tests."""
-        return {
-            "y1y2": self.input_edge,
-            "g1y1": self.side1.matched,
-            "a1g1": self.side1.shadow,
-            "a1c1": self.side1.far_cover,
-            "g2y2": self.side2.matched,
-            "a2g2": self.side2.shadow,
-            "a2c2": self.side2.far_cover,
-        }
-
-    def distinct_edges(self) -> tuple[Edge, ...]:
-        """All distinct edges in view, canonically sorted."""
-        out = {}
-        for e in self.roles().values():
-            if e is not None:
-                out[e.key] = e
-        return tuple(sorted(out.values()))
-
-    def candidates(self) -> tuple[Edge, ...]:
-        """The distinct non-matching edges available for insertion.
-
-        These are the input edge and the two shadows; the four other
-        roles are matching edges and can only ever be removed.
-        """
-        out = {self.input_edge.key: self.input_edge}
-        for side in (self.side1, self.side2):
-            if side.shadow is not None:
-                out[side.shadow.key] = side.shadow
-        return tuple(sorted(out.values()))
+    y1y2: Edge
+    g1y1: Edge | None = None
+    a1g1: Edge | None = None
+    a1c1: Edge | None = None
+    g2y2: Edge | None = None
+    a2g2: Edge | None = None
+    a2c2: Edge | None = None
 
 
 @dataclass(slots=True)
@@ -275,11 +231,15 @@ def _signed_float(q: Fraction) -> float:
 def enumerate_augmenting_sets(nb: Neighborhood) -> list[tuple[Edge, ...]]:
     """All non-empty pairwise-disjoint subsets of the candidate edges.
 
-    Enumeration order is the subset bitmask over the canonically
-    sorted candidates, so replays are bit-identical.  At most three
-    candidates exist, hence at most seven subsets.
+    The candidates are the distinct non-matching edges in view: the
+    input edge and the two shadows.  Enumeration order is the subset
+    bitmask over the canonically sorted candidates, so replays are
+    bit-identical.  At most three candidates exist, hence at most seven
+    subsets.
     """
-    return _disjoint_subsets(nb.candidates())
+    cands = {nb.y1y2, nb.a1g1, nb.a2g2}
+    cands.discard(None)
+    return _disjoint_subsets(tuple(sorted(cands)))
 
 
 def _disjoint_subsets(cands: tuple[Edge, ...]) -> list[tuple[Edge, ...]]:
@@ -388,10 +348,6 @@ class ShadowMatcher:
         self.matched_edge_count = 0
         self.parked_edge_count = 0
         self.insertions = 0
-        # Work counters of the last step taken by process_edge or
-        # process_edge_traced; drive keeps a run's maxima itself.
-        self.last_candidate_sets = 0
-        self.last_touched_edges = 0
 
     # -- inspection ---------------------------------------------------
 
@@ -410,23 +366,20 @@ class ShadowMatcher:
     # -- the step -----------------------------------------------------
 
     def neighborhood(self, e: Edge) -> Neighborhood:
-        """Assemble the bounded local view for input edge `e`."""
+        """Read the bounded local view for input edge `e` from the state:
+        the Neighborhood a traced step on `e` would record."""
         matching = self.matching
-        return Neighborhood(e, self._side(e.u, matching.get(e.u)),
-                            self._side(e.v, matching.get(e.v)))
-
-    def _side(self, anchor: int, matched: Edge | None) -> SideView:
-        """The view from `anchor`, which the matching edge `matched`
-        (or None) covers."""
-        if matched is None:
-            return SideView(anchor)
-        partner = matched.other(anchor)
-        shadow = self.shadow_slots.get(partner)
-        if shadow is None:
-            return SideView(anchor, matched, partner)
-        far = shadow.other(partner)
-        return SideView(anchor, matched, partner, shadow, far,
-                        self.matching.get(far))
+        roles = [e]
+        for y in e.u, e.v:
+            g = matching.get(y)
+            a = c = None
+            if g is not None:
+                partner = g.other(y)
+                a = self.shadow_slots.get(partner)
+                if a is not None:
+                    c = matching.get(a.other(partner))
+            roles += (g, a, c)
+        return Neighborhood(*roles)
 
     def gain_of(self, candidate_set: Iterable[Edge]) -> tuple[float, tuple[Edge, ...]]:
         """Score a candidate set against the current state.
@@ -443,8 +396,7 @@ class ShadowMatcher:
         Violations raise ValueError.
 
         It returns the decision of process_edge_traced, the loop `drive`
-        runs, as only a trace carries a rejected step's decision; it
-        also refreshes `last_candidate_sets` and `last_touched_edges`.
+        runs, as only a trace carries a rejected step's decision.
         """
         return self.process_edge_traced(e, 0).decision
 
@@ -459,19 +411,20 @@ class ShadowMatcher:
         inserted, the decision to `on_insert`; an untraced step builds one
         only for `on_insert`, and only when it inserts.
 
-        The view is read straight from the dicts; the Neighborhood is
-        built only for `trace`, from the same reads and before the step
-        changes the state.  A shadow always differs from the input edge
-        (its pair would be the matching edge at the anchor) and from
-        every matching edge, so only the two shadows can coincide.  With
-        no shadow in view the input edge is the only candidate, always so
-        when nothing is parked, hence on every step of a policy that
-        never parks.  It is scored here as conflict_score scores a lone
-        edge: the same float, the same exact fallback near zero and the
-        same `removed` order.  With a shadow in view and no `trace`, a
-        step that `_no_set_wins` settles is rejected without scoring: no
-        set could score above zero, and nothing reads which set came
-        closest, so only its count of sets is kept.
+        The view is read straight from the dicts into locals before the
+        step changes the state; a traced step builds its Neighborhood
+        from those locals and reads nothing more.  A shadow always
+        differs from the input edge (its pair would be the matching edge
+        at the anchor) and from every matching edge, so only the two
+        shadows can coincide.  With no shadow in view the input edge is
+        the only candidate, always so when nothing is parked, hence on
+        every step of a policy that never parks.  It is scored here as
+        conflict_score scores a lone edge: the same float, the same
+        exact fallback near zero and the same `removed` order.  With a
+        shadow in view and no `trace`, a step that `_no_set_wins`
+        settles is rejected without scoring: no set could score above
+        zero, and nothing reads which set came closest, so only its
+        count of sets is kept.
         """
         matching = self.matching
         get = matching.get
@@ -490,7 +443,7 @@ class ShadowMatcher:
             # One matching edge covers both endpoints iff e is already in.
             if not 0.0 < w < inf or (a is not None and a == b):
                 check_input(matching, e)
-            s1 = s2 = None
+            s1 = s2 = c1 = c2 = None
             if slots:
                 if a is not None:
                     p1 = a.v if a.u == u else a.u
@@ -498,9 +451,6 @@ class ShadowMatcher:
                 if b is not None:
                     p2 = b.v if b.u == v else b.u
                     s2 = slots.get(p2)
-            if trace is not None:
-                nb = Neighborhood(e, self._side(u, a), self._side(v, b))
-                scored = None
             if s1 is None and s2 is None:
                 # A lone edge meets at most one matching edge per end.
                 if a is None:
@@ -529,16 +479,14 @@ class ShadowMatcher:
                 touched = 1 + len(removed)
             else:
                 cands = [e]
-                view = {e, a, b}
                 if s1 is not None:
                     cands.append(s1)
-                    view.add(s1)
-                    view.add(get(s1.v if s1.u == p1 else s1.u))
+                    c1 = get(s1.v if s1.u == p1 else s1.u)
                 if s2 is not None:
                     if s2 != s1:
                         cands.append(s2)
-                    view.add(s2)
-                    view.add(get(s2.v if s2.u == p2 else s2.u))
+                    c2 = get(s2.v if s2.u == p2 else s2.u)
+                view = {e, a, b, s1, c1, s2, c2}
                 view.discard(None)
                 touched = len(view)
                 if trace is None and _no_set_wins(t, w, a, b, s1, s2):
@@ -559,8 +507,10 @@ class ShadowMatcher:
                 decision = InsertionDecision(chosen, removed, r, inserted)
                 # A lone candidate's score is the decision's gain object,
                 # so the encoder prints it as the gain.
-                trace(TraceEvent(i, nb, ((chosen, r),) if scored is None
-                                 else tuple(scored), decision))
+                trace(TraceEvent(
+                    i, Neighborhood(e, a, s1, c1, b, s2, c2),
+                    ((chosen, r),) if s1 is None and s2 is None
+                    else tuple(scored), decision))
             # Only an insertion can grow the stored-edge count.
             if inserted:
                 stored = self.matched_edge_count + self.parked_edge_count
@@ -579,8 +529,7 @@ class ShadowMatcher:
         step's TraceEvent, numbered `index`: the loop `drive` runs, over
         the one edge with a trace sink."""
         events = []
-        _, self.last_candidate_sets, self.last_touched_edges, _ = self._steps(
-            (e,), None, events.append)
+        self._steps((e,), None, events.append)
         event = events[0]
         event.index = index
         return event
@@ -728,7 +677,8 @@ def drive(matcher, stream: EdgeStream | Iterable[Edge], *,
     The loop is the matcher's own step loop, traced or not: it keeps
     the run's maxima in locals, builds the Neighborhood only for `trace`
     and a decision only for `trace` or an insertion `on_insert` reads;
-    `process_edge_traced` is that loop over one edge.  The counters
+    `process_edge_traced` is that loop over one edge, and one step's
+    work counts are the metrics of `drive(matcher, [e])`.  The counters
     `matched_edge_count` and `parked_edge_count` keep the stored-edge
     count O(1).  `trace` and `on_insert` are as in run_stream; untraced,
     a step that provably inserts nothing is rejected unscored, with the
@@ -818,16 +768,15 @@ class TraceEncoder:
         # spell(e)`: a call per edge would cost about what the memo saves.
         text = self._texts.get
         spell = self._spell
-        nb = event.neighborhood
-        s1, s2 = nb.side1, nb.side2
+        y1y2, g1y1, a1g1, a1c1, g2y2, a2g2, a2c2 = event.neighborhood
         d = event.decision
-        inp = text(id(nb.input_edge)) or spell(nb.input_edge)
-        g1y1 = text(id(s1.matched)) or spell(s1.matched)
-        a1g1 = text(id(s1.shadow)) or spell(s1.shadow)
-        a1c1 = text(id(s1.far_cover)) or spell(s1.far_cover)
-        g2y2 = text(id(s2.matched)) or spell(s2.matched)
-        a2g2 = text(id(s2.shadow)) or spell(s2.shadow)
-        a2c2 = text(id(s2.far_cover)) or spell(s2.far_cover)
+        inp = text(id(y1y2)) or spell(y1y2)
+        g1y1 = text(id(g1y1)) or spell(g1y1)
+        a1g1 = text(id(a1g1)) or spell(a1g1)
+        a1c1 = text(id(a1c1)) or spell(a1c1)
+        g2y2 = text(id(g2y2)) or spell(g2y2)
+        a2g2 = text(id(a2g2)) or spell(a2g2)
+        a2c2 = text(id(a2c2)) or spell(a2c2)
         # A score that is the decision's gain object, as a lone
         # candidate's is, prints as the gain does.
         gain = d.gain

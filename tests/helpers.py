@@ -186,12 +186,12 @@ def reference_trace_record(event, feasible: bool | None = None) -> dict:
     nb = event.neighborhood
     record = {
         "index": event.index,
-        "input": enc(nb.input_edge),
-        "S": {"y1y2": enc(nb.input_edge),
-              "g1y1": enc(nb.side1.matched), "a1g1": enc(nb.side1.shadow),
-              "a1c1": enc(nb.side1.far_cover),
-              "g2y2": enc(nb.side2.matched), "a2g2": enc(nb.side2.shadow),
-              "a2c2": enc(nb.side2.far_cover)},
+        "input": enc(nb.y1y2),
+        "S": {"y1y2": enc(nb.y1y2),
+              "g1y1": enc(nb.g1y1), "a1g1": enc(nb.a1g1),
+              "a1c1": enc(nb.a1c1),
+              "g2y2": enc(nb.g2y2), "a2g2": enc(nb.a2g2),
+              "a2c2": enc(nb.a2c2)},
         "candidates": [{"edges": [enc(e) for e in subset], "r": r}
                        for subset, r in event.candidates],
         "decision": {"A": [enc(e) for e in event.decision.chosen],

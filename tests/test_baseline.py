@@ -14,6 +14,7 @@ from helpers import random_edge_list, reference_baseline
 from shadowmatch.baseline import (GAMMA_RATIO_5_828, GAMMA_RATIO_SIX,
                                   BaselineMatcher, run_baseline)
 from shadowmatch.graph import edge, is_matching
+from shadowmatch.shadow import drive
 
 
 def test_gamma_presets():
@@ -161,10 +162,12 @@ def test_matches_the_reference_rule(data):
     ref = reference_baseline(edges, gamma)
     m = BaselineMatcher(gamma)
     for e, (inserted, removed) in zip(edges, ref["steps"]):
-        d = m.process_edge(e)
+        events = []
+        sets = drive(m, [e], trace=events.append).metrics.max_candidate_sets
+        d = events[0].decision
         assert (d.inserted, d.removed) == (inserted, removed)
         assert not m.shadow_slots
-        assert m.parked_edge_count == 0 and m.last_candidate_sets == 1
+        assert m.parked_edge_count == 0 and sets == 1
     res = run_baseline(list(edges), gamma)
     assert res.matching == m.matching_edges() == ref["matching"]
     assert res.weight == ref["weight"]

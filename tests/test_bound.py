@@ -67,10 +67,3 @@ def test_ratio_table():
     rows = ratio_table([1.5, 2.0])
     assert rows[1] == (2.0, 5.75)
     assert len(rows) == 2
-
-
-def test_optimal_k_argument_validation():
-    with pytest.raises(ValueError):
-        optimal_k(lo=0.5)
-    with pytest.raises(ValueError):
-        optimal_k(tol=0.0)

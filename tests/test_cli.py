@@ -280,13 +280,19 @@ def test_run_verify_near_tie_regression(tmp_path, capsys):
     ("0 1 1e-320\n1 2 3e-320\n2 3 1e-320\n", [], 0),
     (f"{2 ** 64} {2 ** 64 + 1} 1.5\n{2 ** 64 + 1} {2 ** 65} 4.0\n", [], 0),
     ("1 2 1.7e308\n3 4 1.7e308\n", [], 2),
+    (b"p 3 2\n1 2 1.0\n2 3 \xff\xfe\n", [], 2),
 ], ids=["nan", "inf", "overflow", "negative-zero", "header-too-many",
         "header-too-few", "header-counts-skipped-duplicates",
         "header-without-skipped-duplicates", "subnormal", "ids-above-2**64",
-        "weight-sum-overflow"])
+        "weight-sum-overflow", "not-utf-8"])
 def test_run_exit_codes_on_extreme_input(tmp_path, capsys, text, extra, code):
+    """Each stream exits with its documented code; `text` is written as
+    UTF-8, or as it is when given as bytes."""
     path = tmp_path / "inst.txt"
-    path.write_text(text, encoding="utf-8")
+    if isinstance(text, bytes):
+        path.write_bytes(text)
+    else:
+        path.write_text(text, encoding="utf-8")
     assert main(["run", str(path), "--verify", *extra]) == code
     if code == 0:
         assert capsys.readouterr().out.splitlines()[-1] == "verifier_failures 0"
@@ -303,6 +309,17 @@ def test_weight_sum_past_the_float_range_is_an_input_error(
     path = tmp_path / "huge.txt"
     path.write_text("1 2 1.7e308\n3 4 1.7e308\n", encoding="utf-8")
     assert main([argv[0], str(path), *argv[1:]]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ")
+
+
+@pytest.mark.parametrize("command", ["run", "compare"])
+def test_stream_that_is_not_utf8_is_an_input_error(tmp_path, capsys, command):
+    """Bytes that do not decode as UTF-8 are bad input: exit 2 with one
+    error line, for both commands that read a stream."""
+    path = tmp_path / "latin1.txt"
+    path.write_bytes(b"p 3 2\n1 2 1.0\n2 3 \xff\xfe\n")
+    assert main([command, str(path)]) == 2
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: ")
 

@@ -25,9 +25,8 @@ DISJOINT = [edge(0, 1, 3.0), edge(2, 3, 4.0), edge(4, 5, 5.0)]
 
 
 def _path_graph():
-    graph, _ = generate(GeneratorSpec("path", n=5,
-                                      weights_list=(1.0, 5.0, 1.0, 4.0)))
-    return graph
+    return DenseGraph.from_edges([edge(0, 1, 1.0), edge(1, 2, 5.0),
+                                  edge(2, 3, 1.0), edge(3, 4, 4.0)], range(5))
 
 
 def test_algorithm_spec_validation():

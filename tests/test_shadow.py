@@ -38,6 +38,12 @@ A2C2 = edge(5, 7, 1.0)
 Y1Y2 = edge(0, 1, 6.0)
 
 
+def _candidates(nb) -> tuple[Edge, ...]:
+    """The distinct non-matching edges in view, sorted: the input edge
+    and the two shadows; the four other roles can only be removed."""
+    return tuple(sorted({nb.y1y2, nb.a1g1, nb.a2g2} - {None}))
+
+
 def gadget_state(k: float = 1.5) -> ShadowMatcher:
     """Matcher state with both sides of the input edge fully populated.
 
@@ -80,31 +86,33 @@ def test_fresh_state_is_empty():
 def test_neighborhood_on_empty_state():
     m = ShadowMatcher(2.0)
     nb = m.neighborhood(edge(1, 2, 1.0))
-    assert nb.roles() == {"y1y2": edge(1, 2, 1.0), "g1y1": None, "a1g1": None,
-                          "a1c1": None, "g2y2": None, "a2g2": None,
-                          "a2c2": None}
-    assert nb.candidates() == (edge(1, 2, 1.0),)
+    assert nb._asdict() == {"y1y2": edge(1, 2, 1.0), "g1y1": None,
+                            "a1g1": None, "a1c1": None, "g2y2": None,
+                            "a2g2": None, "a2c2": None}
+    assert _candidates(nb) == (edge(1, 2, 1.0),)
 
 
 def test_neighborhood_single_matched_side():
     m = ShadowMatcher(2.0)
     m.process_edge(edge(1, 2, 3.0))
     nb = m.neighborhood(edge(2, 3, 1.0))
-    roles = nb.roles()
+    roles = nb._asdict()
     assert roles["g1y1"] == edge(1, 2, 3.0)
     assert roles["g2y2"] is None
     assert roles["a1g1"] is None
-    assert nb.side1.anchor == 2
-    assert nb.side1.partner == 1
+    # side 1 hangs off y1 = 2, whose matching edge leads to g1 = 1
+    assert nb.y1y2.u == 2
+    assert nb.g1y1.other(2) == 1
 
 
 def test_neighborhood_gadget_has_seven_distinct_edges():
     nb = gadget_state().neighborhood(Y1Y2)
-    assert nb.roles() == {"y1y2": Y1Y2, "g1y1": G1Y1, "a1g1": A1G1,
-                          "a1c1": A1C1, "g2y2": G2Y2, "a2g2": A2G2,
-                          "a2c2": A2C2}
-    assert len(nb.distinct_edges()) == 7
-    assert nb.candidates() == tuple(sorted([Y1Y2, A1G1, A2G2]))
+    assert nb._asdict() == {"y1y2": Y1Y2, "g1y1": G1Y1, "a1g1": A1G1,
+                            "a1c1": A1C1, "g2y2": G2Y2, "a2g2": A2G2,
+                            "a2c2": A2C2}
+    assert nb == (Y1Y2, G1Y1, A1G1, A1C1, G2Y2, A2G2, A2C2)
+    assert len(set(nb)) == 7
+    assert _candidates(nb) == tuple(sorted([Y1Y2, A1G1, A2G2]))
 
 
 def test_neighborhood_shadow_pulls_far_cover():
@@ -116,9 +124,10 @@ def test_neighborhood_shadow_pulls_far_cover():
     m.matched_edge_count = 2
     m.shadow_slots[3] = edge(2, 3, 1.0)
     nb = m.neighborhood(edge(4, 5, 1.0))
-    assert nb.side1.shadow == edge(2, 3, 1.0)
-    assert nb.side1.shadow_far == 2
-    assert nb.side1.far_cover == edge(1, 2, 5.0)
+    assert nb.a1g1 == edge(2, 3, 1.0)
+    # g1 = 3 is the far end of (3, 4) from y1 = 4; a1 = 2 the shadow's
+    assert nb.a1g1.other(nb.g1y1.other(4)) == 2
+    assert nb.a1c1 == edge(1, 2, 5.0)
 
 
 # -- candidate set enumeration ---------------------------------------------
@@ -144,7 +153,7 @@ def test_enumerate_excludes_adjacent_pairs():
     m.matched_edge_count = 1
     m.shadow_slots[3] = edge(1, 3, 2.0)  # parked edge touching vertex 1
     nb = m.neighborhood(edge(1, 2, 5.0))
-    assert nb.roles()["a2g2"] == edge(1, 3, 2.0)
+    assert nb.a2g2 == edge(1, 3, 2.0)
     sets = enumerate_augmenting_sets(nb)
     # both singletons, never the adjacent pair
     assert (edge(1, 2, 5.0),) in sets
@@ -162,9 +171,9 @@ def test_enumerate_dedups_shared_shadow():
     m.shadow_slots[2] = shared
     m.shadow_slots[3] = shared
     nb = m.neighborhood(edge(0, 1, 4.0))
-    assert nb.side1.shadow == shared
-    assert nb.side2.shadow == shared
-    assert nb.candidates() == tuple(sorted([edge(0, 1, 4.0), shared]))
+    assert nb.a1g1 == shared
+    assert nb.a2g2 == shared
+    assert _candidates(nb) == tuple(sorted([edge(0, 1, 4.0), shared]))
     assert len(enumerate_augmenting_sets(nb)) == 3
 
 
@@ -179,6 +188,16 @@ def _untraced_step(m: ShadowMatcher, e: Edge):
             metrics.max_touched_edges)
 
 
+def _traced_step(m: ShadowMatcher, e: Edge):
+    """Run `e` through the traced step of `m`, as `drive` does with a
+    trace sink: (the step's TraceEvent, its count of candidate sets, its
+    count of touched edges)."""
+    events = []
+    metrics = drive(m, [e], trace=events.append).metrics
+    assert len(events) == 1
+    return events[0], metrics.max_candidate_sets, metrics.max_touched_edges
+
+
 def _if_inserted(d: InsertionDecision) -> InsertionDecision | None:
     """`d` if its step inserted, else None: what an insertion hook sees."""
     return d if d.inserted else None
@@ -187,9 +206,10 @@ def _if_inserted(d: InsertionDecision) -> InsertionDecision | None:
 @pytest.mark.parametrize("w", [4.0, 13.0])
 def test_traced_step_scores_a_shared_shadow_once(w):
     """On a 4-cycle both sides hold the same parked edge: the traced step
-    scores the subsets enumerate_augmenting_sets gives, process_edge
-    returns its decision, and the untraced step decides and counts as
-    it does, whether it rejects or inserts."""
+    records the view neighborhood() reads, scores the subsets
+    enumerate_augmenting_sets gives, process_edge returns its decision,
+    and the untraced step decides and counts as it does, whether it
+    rejects or inserts."""
     def four_cycle():
         m = ShadowMatcher(2.0)
         for e in (edge(0, 2, 3.0), edge(1, 3, 3.0)):
@@ -201,13 +221,15 @@ def test_traced_step_scores_a_shared_shadow_once(w):
 
     traced, plain, lean = four_cycle(), four_cycle(), four_cycle()
     y = edge(0, 1, w)
-    sets = enumerate_augmenting_sets(traced.neighborhood(y))
-    event = traced.process_edge_traced(y, 0)
+    nb = traced.neighborhood(y)
+    sets = enumerate_augmenting_sets(nb)
+    event, traced_sets, traced_touched = _traced_step(traced, y)
+    assert event.neighborhood == nb
     assert [subset for subset, _ in event.candidates] == sets
     assert plain.process_edge(y) == event.decision
     assert event.decision.inserted == (w > 12.0)
-    assert plain.last_candidate_sets == traced.last_candidate_sets == 3
-    assert plain.last_touched_edges == traced.last_touched_edges == 4
+    assert traced_sets == len(event.candidates) == 3
+    assert traced_touched == 4
     assert _untraced_step(lean, y) == (_if_inserted(event.decision), 3, 4)
     assert lean.matching == traced.matching
     assert lean.shadow_slots == traced.shadow_slots
@@ -226,7 +248,7 @@ def test_enumerated_sets_are_disjoint_and_complete(data):
         for s in sets:
             assert brute_force_disjoint(s)
         # completeness: every disjoint subset of candidates shows up
-        cands = nb.candidates()
+        cands = _candidates(nb)
         expected = 0
         for mask in range(1, 1 << len(cands)):
             subset = tuple(c for i, c in enumerate(cands) if mask >> i & 1)
@@ -485,7 +507,8 @@ def test_untraced_step_matches_traced_step(data):
     traced, where a trace sink makes it build the Neighborhood and list
     every scored set: twin matchers fed one stream must decide alike
     and report the same work per step, so tracing never changes a
-    decision."""
+    decision, and the view a traced step records from its own reads is
+    the one neighborhood() reads."""
     rng = random.Random(data.draw(st.integers(0, 10 ** 9)))
     weights = data.draw(st.sampled_from(["uniform", "integer", "nextafter"]))
     k = data.draw(st.sampled_from([1.1, 1.5, 1.717191779457857, 2.0, 3.0]))
@@ -493,7 +516,7 @@ def test_untraced_step_matches_traced_step(data):
     pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
     rng.shuffle(pairs)
     lean, traced = ShadowMatcher(k), ShadowMatcher(k)
-    for i, (u, v) in enumerate(pairs):
+    for u, v in pairs:
         if weights == "uniform":
             w = rng.uniform(0.05, 20.0)
         elif weights == "integer":
@@ -506,12 +529,14 @@ def test_untraced_step_matches_traced_step(data):
             for _ in range(abs(steps)):
                 w = math.nextafter(w, math.inf if steps > 0 else 0.0)
         e = edge(u, v, w)
-        touched = len(lean.neighborhood(e).distinct_edges())
+        touched = len(set(lean.neighborhood(e)) - {None})
+        nb = traced.neighborhood(e)
         decision, sets, lean_touched = _untraced_step(lean, e)
-        event = traced.process_edge_traced(e, i)
+        event, traced_sets, traced_touched = _traced_step(traced, e)
+        assert event.neighborhood == nb
         assert decision == _if_inserted(event.decision)
-        assert lean_touched == traced.last_touched_edges == touched
-        assert sets == traced.last_candidate_sets == len(event.candidates)
+        assert lean_touched == traced_touched == touched
+        assert sets == traced_sets == len(event.candidates)
     assert lean.matching == traced.matching
     assert lean.shadow_slots == traced.shadow_slots
 
@@ -522,14 +547,15 @@ def test_baseline_untraced_step_matches_traced_step(data):
     """The baseline never parks, so its every step, traced or not, takes
     the lone candidate path: twin matchers, one untraced with an
     insertion hook, must decide alike, count alike, and the traced step
-    must list the one scored set it decided on."""
+    must record the view neighborhood() reads and list the one scored
+    set it decided on."""
     rng = random.Random(data.draw(st.integers(0, 10 ** 9)))
     gamma = data.draw(st.sampled_from([0.0, GAMMA_RATIO_5_828, 1.0]))
     n = data.draw(st.integers(2, 10))
     pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
     rng.shuffle(pairs)
     lean, traced = BaselineMatcher(gamma), BaselineMatcher(gamma)
-    for i, (u, v) in enumerate(pairs):
+    for u, v in pairs:
         if data.draw(st.booleans()):
             w = rng.uniform(0.05, 20.0)
         else:
@@ -540,13 +566,15 @@ def test_baseline_untraced_step_matches_traced_step(data):
             for _ in range(abs(steps)):
                 w = math.nextafter(w, math.inf if steps > 0 else 0.0)
         e = edge(u, v, w)
+        nb = traced.neighborhood(e)
         decision, sets, touched = _untraced_step(lean, e)
-        event = traced.process_edge_traced(e, i)
+        event, traced_sets, traced_touched = _traced_step(traced, e)
+        assert event.neighborhood == nb
         assert decision == _if_inserted(event.decision)
         assert event.candidates == ((event.decision.chosen,
                                      event.decision.gain),)
-        assert touched == traced.last_touched_edges
-        assert sets == traced.last_candidate_sets == 1
+        assert touched == traced_touched
+        assert sets == traced_sets == 1
         assert lean.matched_edge_count == traced.matched_edge_count
     assert lean.insertions == traced.insertions
     assert lean.matching == traced.matching
@@ -607,9 +635,8 @@ def test_hooked_run_matches_unhooked_run_and_traced_steps(data):
             # With a shadow in view, a few ulps from where the bound an
             # untraced step rejects by, W - t*(w(a) + w(b)), crosses zero.
             nb = traced.neighborhood(edge(u, v, 1.0))
-            shadows = {nb.side1.shadow, nb.side2.shadow} - {None}
-            w = (t * sum(s.matched.w for s in (nb.side1, nb.side2)
-                         if s.matched is not None)
+            shadows = {nb.a1g1, nb.a2g2} - {None}
+            w = (t * sum(g.w for g in (nb.g1y1, nb.g2y2) if g is not None)
                  - sum(s.w for s in shadows))
             w = _nudge(w, rng) if shadows and w > 0 else rng.uniform(0.05, 20.0)
         edges.append(edge(u, v, w))
@@ -755,7 +782,7 @@ def test_lone_shadow_wins_without_the_input_edge():
     assert inserted == [ev.decision for ev in events if ev.decision.inserted]
     last = events[6]
     assert last.index == 6
-    assert last.neighborhood.input_edge == edge(1, 3, 5.0)
+    assert last.neighborhood.y1y2 == edge(1, 3, 5.0)
     for d in (last.decision, inserted[-1]):
         assert d.inserted and d.gain > 0
         assert d.chosen == (edge(2, 3, 10.0),)
@@ -803,7 +830,7 @@ def test_trace_event_contents():
     assert len(events) == 2
     ev = events[1]
     assert ev.index == 1
-    assert ev.neighborhood.input_edge == edge(2, 3, 10.0)
+    assert ev.neighborhood.y1y2 == edge(2, 3, 10.0)
     assert len(ev.candidates) >= 1
     assert ev.decision.inserted
     assert ShadowMatcher(1.717).process_edge_traced(edge(1, 2, 1.0), 7).index == 7
