@@ -13,8 +13,7 @@ from .bound import approx_bound, optimal_k, ratio_table
 from .generators import GeneratorSpec, WeightSpec, generate, stream_orders
 from .graph import (DenseGraph, DuplicateEdgeError, Edge, EdgeStream,
                     StreamFormatError, edge, format_edge, is_matching,
-                    matching_weight, open_stream, parse_edge_line,
-                    write_stream)
+                    open_stream, parse_edge_line, write_stream)
 from .harness import (AlgorithmSpec, RunReport, aggregate, default_algorithms,
                       default_corpus, emit_report, read_reports_json,
                       run_experiment)
@@ -36,8 +35,8 @@ __all__ = [
     "TraceEncoder", "TraceEvent", "WeightSpec", "aggregate", "approx_bound",
     "check_locally_k_exceeding", "default_algorithms", "default_corpus",
     "edge", "emit_report", "enumerate_augmenting_sets", "format_edge",
-    "generate", "is_matching", "matching_weight", "max_weight_matching",
-    "open_stream", "optimal_k", "parse_edge_line", "ratio_table",
-    "read_reports_json", "run_baseline", "run_experiment", "run_stream",
-    "stream_orders", "trace_line", "trace_to_dict", "write_stream",
+    "generate", "is_matching", "max_weight_matching", "open_stream",
+    "optimal_k", "parse_edge_line", "ratio_table", "read_reports_json",
+    "run_baseline", "run_experiment", "run_stream", "stream_orders",
+    "trace_line", "trace_to_dict", "write_stream",
 ]

@@ -256,7 +256,7 @@ def main(argv=None) -> int:
         # Bad parameter values (k <= 1, malformed specs) are usage
         # errors; malformed stream text, bytes that are not UTF-8 and
         # unreadable files are input errors.
-        if isinstance(exc, (StreamFormatError, UnicodeDecodeError, OSError)):
+        if isinstance(exc, (StreamFormatError, OSError)):
             return INPUT_ERROR
         return USAGE_ERROR
 

@@ -74,9 +74,6 @@ class Edge(NamedTuple):
             return self.u
         raise ValueError(f"vertex {vertex} is not an endpoint of {self}")
 
-    def covers(self, vertex: int) -> bool:
-        return vertex == self.u or vertex == self.v
-
     def shares_vertex(self, other: "Edge") -> bool:
         return (self.u == other.u or self.u == other.v
                 or self.v == other.u or self.v == other.v)
@@ -253,9 +250,11 @@ def open_stream(source: Union[str, "os.PathLike[str]", IO[str]], *,
                 raise StreamFormatError(
                     f"header counts must be non-negative: {stripped!r}", line_no)
             break
-    except Exception:
+    except Exception as exc:
         if owns:
             fh.close()
+            if isinstance(exc, UnicodeDecodeError):
+                raise _not_utf8(source, exc) from None
         raise
 
     def edges() -> Iterator[Edge]:
@@ -289,6 +288,8 @@ def open_stream(source: Union[str, "os.PathLike[str]", IO[str]], *,
                     continue
                 seen.add(key)
                 yield Edge(u, v, w)
+        except UnicodeDecodeError as exc:
+            raise (_not_utf8(source, exc) if owns else exc) from None
         finally:
             if owns:
                 fh.close()
@@ -298,6 +299,27 @@ def open_stream(source: Union[str, "os.PathLike[str]", IO[str]], *,
 
     return EdgeStream(edges(), vertex_count=vertex_count,
                       edge_count=edge_count, source=name)
+
+
+def _not_utf8(path, exc: UnicodeDecodeError) -> StreamFormatError:
+    """The error for a stream file that is not UTF-8: the line and file
+    offset of its first bad byte, found by reading the file again, split
+    as text mode splits it.  A pipe cannot be read again, so its error
+    keeps the decoder's message."""
+    offset = 0
+    if os.path.isfile(path):
+        with open(path, encoding="utf-8", errors="surrogateescape",
+                  newline="") as fh:
+            for line_no, line in enumerate(fh, 1):
+                raw = line.encode("utf-8", "surrogateescape")
+                try:
+                    raw.decode("utf-8")
+                except UnicodeDecodeError as bad:
+                    return StreamFormatError(
+                        f"not UTF-8 at byte {offset + bad.start} "
+                        f"(0x{raw[bad.start]:02x}): {bad.reason}", line_no)
+                offset += len(raw)
+    return StreamFormatError(str(exc))
 
 
 def write_stream(edges: Iterable[Edge], fh: IO[str], *,
@@ -365,8 +387,3 @@ def is_matching(edges: Iterable[Edge]) -> bool:
         seen.add(e.u)
         seen.add(e.v)
     return True
-
-
-def matching_weight(edges: Iterable[Edge]) -> float:
-    """Total weight of an edge set, summed stably."""
-    return math.fsum(e.w for e in edges)

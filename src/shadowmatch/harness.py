@@ -38,38 +38,27 @@ CSV_COLUMNS = ("instance_id", "order_seed", "algorithm", "k_or_gamma",
 
 @dataclass(frozen=True)
 class AlgorithmSpec:
-    """Which matcher to run and with what threshold."""
+    """Which matcher to run, at which threshold: k or gamma."""
 
     name: str  # "shadow" or "baseline"
-    k: float | None = None
-    gamma: float | None = None
+    param: float
 
     def __post_init__(self):
-        if self.name == "shadow":
-            if self.k is None or self.gamma is not None:
-                raise ValueError("shadow takes k and no gamma")
-        elif self.name == "baseline":
-            if self.gamma is None or self.k is not None:
-                raise ValueError("baseline takes gamma and no k")
-        else:
+        if self.name not in ("shadow", "baseline"):
             raise ValueError(f"unknown algorithm {self.name!r}")
-
-    @property
-    def param(self) -> float:
-        return self.k if self.name == "shadow" else self.gamma  # type: ignore
 
     @property
     def label(self) -> str:
         if self.name == "shadow":
-            return f"shadow[k={self.k:g}]"
-        return f"baseline[gamma={self.gamma:g}]"
+            return f"shadow[k={self.param:g}]"
+        return f"baseline[gamma={self.param:g}]"
 
 
 def default_algorithms(k: float) -> tuple[AlgorithmSpec, ...]:
     """The standard comparison lineup: shadow at `k` plus both baselines."""
-    return (AlgorithmSpec("shadow", k=k),
-            AlgorithmSpec("baseline", gamma=GAMMA_RATIO_SIX),
-            AlgorithmSpec("baseline", gamma=GAMMA_RATIO_5_828))
+    return (AlgorithmSpec("shadow", k),
+            AlgorithmSpec("baseline", GAMMA_RATIO_SIX),
+            AlgorithmSpec("baseline", GAMMA_RATIO_5_828))
 
 
 @dataclass
@@ -116,20 +105,19 @@ def execute(order: Iterable[Edge], algo: AlgorithmSpec, *,
     """
     failures = 0
     monotone = True
-    verify = verify and algo.name == "shadow"
+    shadow = algo.name == "shadow"
+    verify = verify and shadow
 
     def hook(decision):
         nonlocal failures, monotone
         if not math.fsum([e.w for e in decision.chosen]
                          + [-d.w for d in decision.removed]) > 0:
             monotone = False
-        if verify and not check_locally_k_exceeding(decision, algo.k).feasible:
+        if verify and not check_locally_k_exceeding(decision, algo.param).feasible:
             failures += 1
 
-    if algo.name == "shadow":
-        result = run_stream(order, algo.k, on_insert=hook)
-    else:
-        result = run_baseline(order, algo.gamma, on_insert=hook)
+    result = (run_stream if shadow else run_baseline)(order, algo.param,
+                                                      on_insert=hook)
 
     m = result.metrics
     return RunOutcome(result.weight, result.matching, m.insertions,
@@ -385,10 +373,10 @@ def small_graph_instances(seed: int | str = 0, draws: int = 50
             yield CorpusInstance(f"atlas{gi}-d{d}", graph, tuple(orders))
 
 
-def random_instances(seed: int | str = 0, count: int = 10_000,
-                     orders: int = 10) -> Iterator[CorpusInstance]:
+def random_instances(seed: int | str = 0, count: int = 10_000
+                     ) -> Iterator[CorpusInstance]:
     """Corpus part two: random graphs on 4 to 12 vertices, each pair an
-    edge with probability 1/2, several orders each."""
+    edge with probability 1/2, each in 10 orders (all, if fewer)."""
     for i in range(count):
         rng = random.Random(f"shadowmatch:corpus:{seed}:rand{i}")
         n = rng.randint(4, 12)
@@ -397,13 +385,12 @@ def random_instances(seed: int | str = 0, count: int = 10_000,
         spec = _weight_spec_for(i)
         edges = _draw_weights(pairs, spec, rng)
         graph = DenseGraph.from_edges(edges, range(n))
-        labeled = stream_orders(graph, orders, f"{seed}:rand{i}")
+        labeled = stream_orders(graph, 10, f"{seed}:rand{i}")
         yield CorpusInstance(f"rand{i}-n{n}", graph, tuple(labeled))
 
 
 def default_corpus(seed: int | str = 0, *, draws: int = 50,
-                   random_count: int = 10_000, random_orders: int = 10
-                   ) -> Iterator[CorpusInstance]:
+                   random_count: int = 10_000) -> Iterator[CorpusInstance]:
     """The full desk corpus: exhaustive small graphs, then random ones."""
     yield from small_graph_instances(seed, draws)
-    yield from random_instances(seed, random_count, random_orders)
+    yield from random_instances(seed, random_count)

@@ -157,46 +157,27 @@ def check_input(matching: dict[int, Edge], e: Edge) -> None:
 
 def conflict_score(matching: dict[int, Edge], chosen: tuple[Edge, ...],
                    t: float) -> tuple[float, tuple[Edge, ...], float | Fraction]:
-    """Score the candidate set `chosen` against `matching` at threshold t.
+    """Score the candidate set `chosen`, of any size, against `matching`
+    at threshold t, in one loop.
 
-    Returns (r, removed, key) where removed is the sorted tuple of
-    matching edges sharing a vertex with the set and
-    r = w(set) - t * w(removed) is a float with the exact sign.  `key`
-    ranks candidate sets: it is r, or the exact Fraction when the float
-    lies within its rounding bound of zero.
+    Returns (r, removed, key): removed is the sorted tuple of matching
+    edges sharing a vertex with the set, and r = w(set) - t * w(removed),
+    each sum taken from 0.0 in tuple order, is a float with the exact
+    sign.  `key` ranks candidate sets: it is r, or the exact Fraction
+    when the float lies within its rounding bound of zero.
     """
-    if len(chosen) == 1:
-        # A lone edge meets at most one matching edge per end, the same
-        # one at both ends when it is itself matched.  t * w(removed) is
-        # the float the loop below would give: 0.0 + x == x, and two
-        # terms add alike in either order.
-        f = chosen[0]
-        w_chosen = f.w
-        a = matching.get(f.u)
-        b = matching.get(f.v)
-        if a is not None and b is not None and a != b:
-            removed = (a, b) if a < b else (b, a)
-            w_removed = t * (a.w + b.w)
-        elif a is not None or b is not None:
-            d = a if a is not None else b
-            removed = (d,)
-            w_removed = t * d.w
-        else:
-            removed = ()
-            w_removed = 0.0
-    else:
-        conflicts = set()
-        w_chosen = 0.0
-        for f in chosen:
-            w_chosen += f.w
-            conflicts.add(matching.get(f.u))
-            conflicts.add(matching.get(f.v))
-        conflicts.discard(None)
-        removed = tuple(sorted(conflicts))
-        w_removed = 0.0
-        for d in removed:
-            w_removed += d.w
-        w_removed *= t
+    conflicts = set()
+    w_chosen = 0.0
+    for f in chosen:
+        w_chosen += f.w
+        conflicts.add(matching.get(f.u))
+        conflicts.add(matching.get(f.v))
+    conflicts.discard(None)
+    removed = tuple(sorted(conflicts))
+    w_removed = 0.0
+    for d in removed:
+        w_removed += d.w
+    w_removed *= t
     r = w_chosen - w_removed
     if abs(r) > _ROUNDING * (w_chosen + w_removed) + _UNDERFLOW:
         return r, removed, r
@@ -251,8 +232,6 @@ def _disjoint_subsets(cands: tuple[Edge, ...]) -> list[tuple[Edge, ...]]:
     earlier subset plus it.  A subset that is not disjoint has no
     disjoint superset, so it is dropped as soon as it appears.
     """
-    if len(cands) == 1:
-        return [cands]
     out = []
     for x in cands:
         grown = [s + (x,) for s in out
@@ -419,12 +398,12 @@ class ShadowMatcher:
         shadows can coincide.  With no shadow in view the input edge is
         the only candidate, always so when nothing is parked, hence on
         every step of a policy that never parks.  It is scored here as
-        conflict_score scores a lone edge: the same float, the same
-        exact fallback near zero and the same `removed` order.  With a
-        shadow in view and no `trace`, a step that `_no_set_wins`
-        settles is rejected without scoring: no set could score above
-        zero, and nothing reads which set came closest, so only its
-        count of sets is kept.
+        conflict_score's loop scores it: the same float, as 0.0 + x is x
+        and x + y is y + x, the same exact fallback near zero and the
+        same `removed` order.  With a shadow in view and no `trace`, a
+        step that `_no_set_wins` settles is rejected without scoring: no
+        set could score above zero, and nothing reads which set came
+        closest, so only its count of sets is kept.
         """
         matching = self.matching
         get = matching.get

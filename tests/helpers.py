@@ -143,7 +143,7 @@ def check_matcher_invariants(matcher, n: int) -> None:
     slots = matcher.shadow_slots
     # every matching edge is keyed under exactly its two endpoints
     for v, e in matching.items():
-        assert e.covers(v)
+        assert v in e.key
         assert matching[e.u] is e and matching[e.v] is e
     edges = set(matching.values())
     # it is a matching: 2 keys per edge
@@ -153,7 +153,7 @@ def check_matcher_invariants(matcher, n: int) -> None:
     # and no edge is both matched and parked
     for v, s in slots.items():
         assert v in matching, f"slot at unmatched vertex {v}"
-        assert s.covers(v)
+        assert v in s.key
         assert s.key != matching[v].key
     slot_edges = {s.key for s in slots.values()}
     assert not (slot_edges & {e.key for e in edges}), \

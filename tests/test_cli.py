@@ -313,15 +313,29 @@ def test_weight_sum_past_the_float_range_is_an_input_error(
     assert len(err) == 1 and err[0].startswith("error: ")
 
 
+# A long stream whose last line holds the first bad byte, far past the
+# first chunk the text decoder reads.
+_LONG = (b"p 5000 5000\n"
+         + b"".join(b"%d %d 1.5\n" % (i, i + 1) for i in range(4999))
+         + b"4999 5000 2.\xff\n")
+
+
 @pytest.mark.parametrize("command", ["run", "compare"])
 def test_stream_that_is_not_utf8_is_an_input_error(tmp_path, capsys, command):
     """Bytes that do not decode as UTF-8 are bad input: exit 2 with one
-    error line, for both commands that read a stream."""
+    error line, for both commands that read a stream, naming the line
+    and the file offset of the first bad byte."""
     path = tmp_path / "latin1.txt"
-    path.write_bytes(b"p 3 2\n1 2 1.0\n2 3 \xff\xfe\n")
-    assert main([command, str(path)]) == 2
-    err = capsys.readouterr().err.splitlines()
-    assert len(err) == 1 and err[0].startswith("error: ")
+    for data, line, offset in [
+            (b"p 3 2\n1 2 1.0\n2 3 \xff\xfe\n", 3, 18),
+            # a lone CR ends a line, as it does for the parser
+            (b"p 3 2\r1 2 1.0\r\n2 3 \xe2\x82A\n", 3, 19),
+            (_LONG, 5001, len(_LONG) - 2)]:
+        path.write_bytes(data)
+        assert main([command, str(path)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(
+            f"error: line {line}: not UTF-8 at byte {offset} (")
 
 
 def test_run_empty_file(tmp_path, capsys):

@@ -10,6 +10,7 @@ from itertools import islice
 import pytest
 
 from shadowmatch import harness
+from shadowmatch.bound import optimal_k
 from shadowmatch.generators import GeneratorSpec, generate
 from shadowmatch.graph import DenseGraph, edge
 from shadowmatch.harness import (CSV_COLUMNS, AlgorithmSpec, aggregate,
@@ -31,29 +32,34 @@ def _path_graph():
 
 def test_algorithm_spec_validation():
     with pytest.raises(ValueError):
+        AlgorithmSpec("greedy", 2.0)
+    with pytest.raises(TypeError):
         AlgorithmSpec("shadow")
-    with pytest.raises(ValueError):
-        AlgorithmSpec("shadow", k=2.0, gamma=1.0)
-    with pytest.raises(ValueError):
-        AlgorithmSpec("baseline", k=2.0)
-    with pytest.raises(ValueError):
-        AlgorithmSpec("greedy", k=2.0)
-    assert AlgorithmSpec("shadow", k=2.0).param == 2.0
-    assert AlgorithmSpec("baseline", gamma=1.0).param == 1.0
-    assert AlgorithmSpec("shadow", k=2.0).label == "shadow[k=2]"
-    assert AlgorithmSpec("baseline", gamma=1.0).label == "baseline[gamma=1]"
+    assert AlgorithmSpec("shadow", 2.0).param == 2.0
+    assert AlgorithmSpec("baseline", 1.0).param == 1.0
+    assert AlgorithmSpec("shadow", 2.0).label == "shadow[k=2]"
+    assert AlgorithmSpec("baseline", 1.0).label == "baseline[gamma=1]"
 
 
 def test_default_algorithms_lineup():
     algos = default_algorithms(1.75)
     assert [a.name for a in algos] == ["shadow", "baseline", "baseline"]
-    assert algos[0].k == 1.75
-    assert algos[1].gamma == 1.0
-    assert algos[2].gamma == pytest.approx(0.7071067811865476)
+    assert algos[0].param == 1.75
+    assert algos[1].param == 1.0
+    assert algos[2].param == pytest.approx(0.7071067811865476)
+
+
+def test_lineup_labels_the_bench_keys_on():
+    """The benchmark keys its summed weights by these labels, at k*."""
+    algos = default_algorithms(optimal_k()[0])
+    assert [(a.label, a.param) for a in algos] == [
+        ("shadow[k=1.71719]", 1.717191779457857),
+        ("baseline[gamma=1]", 1.0),
+        ("baseline[gamma=0.707107]", 0.7071067811865476)]
 
 
 def test_execute_matches_direct_run():
-    out = execute(DISJOINT, AlgorithmSpec("shadow", k=2.0), verify=True)
+    out = execute(DISJOINT, AlgorithmSpec("shadow", 2.0), verify=True)
     direct = run_stream(DISJOINT, 2.0)
     assert out.weight == direct.weight == 12.0
     assert out.insertions == 3
@@ -62,13 +68,13 @@ def test_execute_matches_direct_run():
 
 
 def test_execute_baseline():
-    out = execute(DISJOINT, AlgorithmSpec("baseline", gamma=1.0))
+    out = execute(DISJOINT, AlgorithmSpec("baseline", 1.0))
     assert out.weight == 12.0
     assert out.monotone
 
 
-@pytest.mark.parametrize("algo", [AlgorithmSpec("shadow", k=1.75),
-                                  AlgorithmSpec("baseline", gamma=1.0)])
+@pytest.mark.parametrize("algo", [AlgorithmSpec("shadow", 1.75),
+                                  AlgorithmSpec("baseline", 1.0)])
 def test_monotone_reads_the_exact_change_not_the_float_total(algo):
     # the second insertion adds 1.0, but 1e16 + 1.0 rounds back to 1e16
     order = [edge(0, 1, 1e16), edge(2, 3, 1.0)]
@@ -113,7 +119,7 @@ def test_run_experiment_exhaustive_orders():
 
 def test_run_experiment_file_order():
     graph = DenseGraph.from_edges(DISJOINT)
-    reports = run_experiment(graph, [AlgorithmSpec("shadow", k=2.0)],
+    reports = run_experiment(graph, [AlgorithmSpec("shadow", 2.0)],
                              file_order=tuple(reversed(DISJOINT)))
     assert len(reports) == 1
     assert reports[0].order_seed == "file"
@@ -121,7 +127,7 @@ def test_run_experiment_file_order():
 
 def test_run_experiment_without_oracle():
     graph = DenseGraph.from_edges(DISJOINT)
-    (report,) = run_experiment(graph, [AlgorithmSpec("shadow", k=2.0)],
+    (report,) = run_experiment(graph, [AlgorithmSpec("shadow", 2.0)],
                                oracle=False)
     assert report.opt_weight is None
     assert report.ratio is None
@@ -130,7 +136,7 @@ def test_run_experiment_without_oracle():
 def test_run_experiment_oracle_capacity_degrades_gracefully():
     edges = [edge(i, i + 1, float(i + 1)) for i in range(12)]
     graph = DenseGraph.from_edges(edges)
-    (report,) = run_experiment(graph, [AlgorithmSpec("shadow", k=2.0)],
+    (report,) = run_experiment(graph, [AlgorithmSpec("shadow", 2.0)],
                                oracle_limit=5)
     assert report.opt_weight is None
 
@@ -201,7 +207,7 @@ def test_emit_csv_shape_and_precision():
 
 def test_emit_csv_empty_optimum_field():
     graph = DenseGraph.from_edges(DISJOINT)
-    reports = run_experiment(graph, [AlgorithmSpec("shadow", k=2.0)],
+    reports = run_experiment(graph, [AlgorithmSpec("shadow", 2.0)],
                              oracle=False)
     rows = list(csv.reader(io.StringIO(emit_report(reports, "csv"))))
     assert rows[1][5] == "" and rows[1][6] == ""
@@ -269,19 +275,19 @@ def test_small_graph_instances_deterministic():
 
 
 def test_random_instances_shape():
-    insts = list(islice(random_instances(seed=0, count=8, orders=3), 0, 8))
+    insts = list(islice(random_instances(seed=0, count=8), 0, 8))
     assert len(insts) == 8
     for inst in insts:
         n = len(inst.graph.vertices)
         assert 4 <= n <= 12
-        assert len(inst.orders) == 3 or all(
+        assert len(inst.orders) == 10 or all(
             label.startswith("perm") for label, _ in inst.orders)
         for _, order in inst.orders:
             assert sorted(order) == list(inst.graph.edges)
 
 
 def test_random_instances_vary_weight_distributions():
-    insts = list(islice(random_instances(seed=2, count=10, orders=1), 0, 10))
+    insts = list(islice(random_instances(seed=2, count=10), 0, 10))
     integral = [all(e.w == int(e.w) for e in inst.graph.edges)
                 for inst in insts if inst.graph.edges]
     # the 5-cycle of weight specs guarantees both kinds appear
@@ -289,8 +295,7 @@ def test_random_instances_vary_weight_distributions():
 
 
 def test_default_corpus_is_both_parts_chained():
-    insts = list(default_corpus(seed=0, draws=1, random_count=2,
-                                random_orders=1))
+    insts = list(default_corpus(seed=0, draws=1, random_count=2))
     assert len(insts) == 211
     assert insts[0].instance_id.startswith("atlas")
     assert insts[-1].instance_id.startswith("rand")

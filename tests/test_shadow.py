@@ -303,35 +303,52 @@ def test_gadget_argmax_matches_brute_force():
 
 
 @given(st.data())
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=600, deadline=None)
 def test_lone_edge_score_matches_set_and_sort(data):
-    """conflict_score reads a lone edge's conflicts straight from the
-    matching; it must return what collecting them in a set and sorting
-    does, exact Fraction keys included."""
+    """conflict_score scores sets of every size in one loop; on a lone
+    edge and on two or three pairwise-disjoint edges it must return
+    what collecting the conflicts in a set and sorting them does, exact
+    Fraction keys included, also a few ulps from a zero score."""
     t = data.draw(st.sampled_from(
         [optimal_k()[0], 1.0 + 0.0, 1.0 + GAMMA_RATIO_5_828, 1.0 + 1.0]))
-    u, v, x, y = data.draw(st.permutations(range(8)))[:4]
-    # Which ends of (u, v) the matching covers; "self" means (u, v) is
-    # itself matched, as when gain_of scores a matching edge.
-    ends = data.draw(st.sampled_from(["none", "u", "v", "both", "self"]))
+    size = data.draw(st.integers(1, 3))
+    vs = data.draw(st.permutations(range(12)))
+    pairs = [vs[2 * i:2 * i + 2] for i in range(size)]
+    fresh = list(vs[2 * size:])
+    side = {x: i for i, pair in enumerate(pairs) for x in pair}
     weights = st.floats(1e-3, 1e3)
-    a, b = edge(u, x, data.draw(weights)), edge(v, y, data.draw(weights))
-    covers = {"u": [a], "v": [b], "both": [a, b]}.get(ends, [])
+    # Each end of the set is left free, matched to a fresh vertex, or
+    # matched to an end of another edge of the set, so that one
+    # matching edge can meet two edges of the set.
     matching = {}
-    for m in covers:
+    for x in side:
+        if x in matching:
+            continue
+        how = data.draw(st.sampled_from(["free", "fresh", "shared"]))
+        if how == "free":
+            continue
+        others = [y for y in side if y not in matching and side[y] != side[x]]
+        y = (data.draw(st.sampled_from(others)) if how == "shared" and others
+             else fresh.pop())
+        m = edge(x, y, data.draw(weights))
         matching[m.u] = matching[m.v] = m
-    w = data.draw(weights)
+    ws = [data.draw(weights) for _ in pairs]
+    covers = sorted({matching[x] for x in side if x in matching})
     if covers and data.draw(st.booleans()):
-        # a few ulps from t times the weight the edge displaces
-        w = sum(m.w for m in covers) * t
-        steps = data.draw(st.integers(-2, 2))
-        for _ in range(abs(steps)):
-            w = math.nextafter(w, math.inf if steps > 0 else 0.0)
-    e = edge(u, v, w)
-    if ends == "self":
-        matching[u] = matching[v] = e
-    r, removed, key = conflict_score(matching, (e,), t)
-    r_ref, removed_ref, key_ref = reference_conflict_score(matching, (e,), t)
+        # the last edge's weight a few ulps from a zero score
+        w = t * sum(m.w for m in covers) - sum(ws[:-1])
+        if w > 0:
+            steps = data.draw(st.integers(-2, 2))
+            for _ in range(abs(steps)):
+                w = math.nextafter(w, math.inf if steps > 0 else 0.0)
+            ws[-1] = w
+    chosen = tuple(edge(u, v, w) for (u, v), w in zip(pairs, ws))
+    if size == 1 and data.draw(st.integers(0, 4)) == 0:
+        # the edge itself matched, as when gain_of scores a matching edge
+        e = chosen[0]
+        matching = {e.u: e, e.v: e}
+    r, removed, key = conflict_score(matching, chosen, t)
+    r_ref, removed_ref, key_ref = reference_conflict_score(matching, chosen, t)
     assert removed == removed_ref
     assert repr(r) == repr(r_ref)
     assert type(key) is type(key_ref) and key == key_ref
