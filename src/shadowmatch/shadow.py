@@ -20,7 +20,11 @@ whole pass stores at most 3 * floor(n/2) edges.  The step is written
 once, as the body of the loop `drive` runs, traced or not
 (`process_edge` and `process_edge_traced` run it over one edge).  It
 reads the view straight from the matching and slot dicts into locals;
-when the input edge is the only candidate it scores it inline.  Only a
+when the input edge is the only candidate it scores it inline.  With a
+shadow in view it scores every candidate set from the conflicts the
+view already read (`_decide`), with no further read of the matching:
+the input edge removes the matching edges at its ends, each shadow the
+one it is parked behind and the one at its far end.  Only a
 traced step packs those locals into a Neighborhood, the flat record of
 the seven roles, lists every scored set and builds an
 InsertionDecision for each step; an untraced step builds one only for
@@ -59,7 +63,8 @@ in exact rationals, so r(A) > 0 agrees with the exact certificate in
 verify.py, and such scores are also ranked exactly.  A winning set of
 two or three edges is also compared exactly against its own subsets
 whose float scores lie within rounding of its own, so an edge whose
-exact marginal is negative is never inserted.  Ties on r(A) are broken
+exact marginal is negative is never inserted; that settle step reuses
+the rounding bound each set's score record keeps.  Ties on r(A) are broken
 deterministically: larger w(A) first, then fewer edges, then the
 lexicographically smallest sorted edge list.
 
@@ -74,6 +79,7 @@ import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import itemgetter
 from typing import Callable, Iterable, NamedTuple
 
 from .graph import Edge, EdgeStream
@@ -158,13 +164,14 @@ def check_input(matching: dict[int, Edge], e: Edge) -> None:
 def conflict_score(matching: dict[int, Edge], chosen: tuple[Edge, ...],
                    t: float) -> tuple[float, tuple[Edge, ...], float | Fraction]:
     """Score the candidate set `chosen`, of any size, against `matching`
-    at threshold t, in one loop.
+    at threshold t.
 
     Returns (r, removed, key): removed is the sorted tuple of matching
     edges sharing a vertex with the set, and r = w(set) - t * w(removed),
     each sum taken from 0.0 in tuple order, is a float with the exact
     sign.  `key` ranks candidate sets: it is r, or the exact Fraction
-    when the float lies within its rounding bound of zero.
+    when the float lies within its rounding bound of zero.  The score
+    is `_score`'s, as a step scores its sets.
     """
     conflicts = set()
     w_chosen = 0.0
@@ -173,16 +180,42 @@ def conflict_score(matching: dict[int, Edge], chosen: tuple[Edge, ...],
         conflicts.add(matching.get(f.u))
         conflicts.add(matching.get(f.v))
     conflicts.discard(None)
-    removed = tuple(sorted(conflicts))
+    return _score(chosen, w_chosen, tuple(sorted(conflicts)), t)[:3]
+
+
+def _score(chosen: tuple[Edge, ...], w_chosen: float,
+           removed: tuple[Edge, ...], t: float):
+    """The score record of the candidate set `chosen`, of weight
+    `w_chosen` summed from 0.0 in tuple order, whose conflicts are the
+    sorted `removed`: (r, removed,
+    key) as conflict_score returns them, then `bound`, how far the
+    float r can lie from the exact score short of the underflow term.
+    conflict_score and `_decide` score through it; a step whose input
+    edge is the only candidate scores inline as it does."""
     w_removed = 0.0
     for d in removed:
         w_removed += d.w
     w_removed *= t
     r = w_chosen - w_removed
-    if abs(r) > _ROUNDING * (w_chosen + w_removed) + _UNDERFLOW:
-        return r, removed, r
+    bound = _ROUNDING * (w_chosen + w_removed)
+    if abs(r) > bound + _UNDERFLOW:
+        return r, removed, r, bound
     exact = _exact_score(chosen, removed, t)
-    return _signed_float(exact), removed, exact
+    return _signed_float(exact), removed, exact, bound
+
+
+def _picker(m: int) -> Callable[[tuple], tuple]:
+    """The function from a tuple to the tuple of its items at the set
+    bits of m, in order: how a step reads a set's conflicts off its
+    view.  itemgetter of one index gives the bare item, so one bit or
+    none takes a slice."""
+    js = [j for j in range(4) if m >> j & 1]
+    if len(js) > 1:
+        return itemgetter(*js)
+    return itemgetter(slice(js[0], js[0] + 1) if js else slice(0))
+
+
+_PICK = tuple(_picker(m) for m in range(16))
 
 
 def _exact_score(chosen: tuple[Edge, ...], removed: tuple[Edge, ...],
@@ -190,13 +223,6 @@ def _exact_score(chosen: tuple[Edge, ...], removed: tuple[Edge, ...],
     """w(chosen) - t * w(removed) in exact rationals."""
     return (sum(Fraction(f.w) for f in chosen)
             - Fraction(t) * sum(Fraction(d.w) for d in removed))
-
-
-def _rounding_bound(chosen: tuple[Edge, ...], removed: tuple[Edge, ...],
-                    t: float) -> float:
-    """How far the float score of `chosen` can lie from the exact one."""
-    return _ROUNDING * (sum(f.w for f in chosen)
-                        + t * sum(d.w for d in removed))
 
 
 def _signed_float(q: Fraction) -> float:
@@ -218,26 +244,49 @@ def enumerate_augmenting_sets(nb: Neighborhood) -> list[tuple[Edge, ...]]:
     bit-identical.  At most three candidates exist, hence at most seven
     subsets.
     """
-    cands = {nb.y1y2, nb.a1g1, nb.a2g2}
-    cands.discard(None)
-    return _disjoint_subsets(tuple(sorted(cands)))
+    cands = _candidates(nb.y1y2, nb.a1g1, nb.a2g2)
+    cands.sort()
+    return _disjoint_subsets(cands)
 
 
-def _disjoint_subsets(cands: tuple[Edge, ...]) -> list[tuple[Edge, ...]]:
-    """The non-empty pairwise-disjoint subsets of the sorted `cands`,
-    in subset bitmask order.
+def _candidates(e: Edge, s1: Edge | None, s2: Edge | None) -> list[Edge]:
+    """The distinct candidate edges of a view: the input edge `e` and
+    the shadows that are present, once each (they coincide on a
+    4-cycle); a shadow never equals the input edge."""
+    cands = [e]
+    if s1 is not None:
+        cands.append(s1)
+    if s2 is not None and s2 != s1:
+        cands.append(s2)
+    return cands
+
+
+def _disjoint_subsets(cands: list[Edge]) -> list[tuple[Edge, ...]]:
+    """The non-empty pairwise-disjoint subsets of the one to three
+    sorted `cands`, in subset bitmask order.
 
     Bitmask order puts the subsets holding the j-th candidate right
     after those of the first j - 1: first the j-th alone, then each
     earlier subset plus it.  A subset that is not disjoint has no
     disjoint superset, so it is dropped as soon as it appears.
     """
-    out = []
-    for x in cands:
-        grown = [s + (x,) for s in out
-                 if not any(x.shares_vertex(f) for f in s)]
-        out.append((x,))
-        out += grown
+    x = cands[0]
+    if len(cands) == 1:
+        return [(x,)]
+    y = cands[1]
+    xy = not x.shares_vertex(y)
+    out = [(x,), (y,), (x, y)] if xy else [(x,), (y,)]
+    if len(cands) == 3:
+        z = cands[2]
+        xz = not x.shares_vertex(z)
+        yz = not y.shares_vertex(z)
+        out.append((z,))
+        if xz:
+            out.append((x, z))
+        if yz:
+            out.append((y, z))
+        if xy and xz and yz:
+            out.append((x, y, z))
     return out
 
 
@@ -398,12 +447,14 @@ class ShadowMatcher:
         shadows can coincide.  With no shadow in view the input edge is
         the only candidate, always so when nothing is parked, hence on
         every step of a policy that never parks.  It is scored here as
-        conflict_score's loop scores it: the same float, as 0.0 + x is x
-        and x + y is y + x, the same exact fallback near zero and the
-        same `removed` order.  With a shadow in view and no `trace`, a
-        step that `_no_set_wins` settles is rejected without scoring: no
-        set could score above zero, and nothing reads which set came
-        closest, so only its count of sets is kept.
+        `_score` scores it: the same float, as 0.0 + x is x and x + y is
+        y + x, the same exact fallback near zero and the same `removed`
+        order.  With a shadow in view and no `trace`, a step that
+        `_no_set_wins` settles is rejected without scoring: no set could
+        score above zero, and nothing reads which set came closest, so
+        only its count of sets is kept.  Any other step with a shadow in
+        view hands `_decide` the view it read, e, a, b, s1, c1, s2 and
+        c2, and `_decide` scores every set from the conflicts in it.
         """
         matching = self.matching
         get = matching.get
@@ -457,13 +508,9 @@ class ShadowMatcher:
                     self._apply(chosen, removed)
                 touched = 1 + len(removed)
             else:
-                cands = [e]
                 if s1 is not None:
-                    cands.append(s1)
                     c1 = get(s1.v if s1.u == p1 else s1.u)
                 if s2 is not None:
-                    if s2 != s1:
-                        cands.append(s2)
                     c2 = get(s2.v if s2.u == p2 else s2.u)
                 view = {e, a, b, s1, c1, s2, c2}
                 view.discard(None)
@@ -471,13 +518,12 @@ class ShadowMatcher:
                 if trace is None and _no_set_wins(t, w, a, b, s1, s2):
                     # Nothing reads a rejection's sets but their count.
                     inserted = False
-                    sets = _disjoint_subset_count(cands)
+                    sets = _disjoint_subset_count(_candidates(e, s1, s2))
                 else:
-                    cands.sort()
                     if trace is not None:
                         scored = []
                     chosen, removed, r, inserted, sets = self._decide(
-                        tuple(cands), scored)
+                        e, a, b, s1, c1, s2, c2, scored)
                 if sets > max_sets:
                     max_sets = sets
             if touched > max_touched:
@@ -513,39 +559,73 @@ class ShadowMatcher:
         event.index = index
         return event
 
-    def _decide(self, cands: tuple[Edge, ...], scored: list | None):
-        """Score every disjoint subset of the sorted candidate edges,
+    def _decide(self, e: Edge, a: Edge | None, b: Edge | None,
+                s1: Edge | None, c1: Edge | None, s2: Edge | None,
+                c2: Edge | None, scored: list | None):
+        """Score every disjoint subset of the view's candidate edges,
         insert the best one if its score is positive, and append each
         (subset, r) to `scored` when it is a list.
 
+        The view is the step's: input edge `e`, the matching edges `a`
+        and `b` at its ends, the shadows `s1` behind `a` and `s2` behind
+        `b`, and the matching edges `c1` and `c2` at the shadows' far
+        ends.  Their conflicts are known from it: `e` removes a and b,
+        `s1` a and c1, `s2` b and c2.  So each set's conflicts are read
+        off the view, as a bitmask over the distinct matching edges in
+        it, with no read of the matching.
+
         Returns (chosen, removed, r, inserted, number of sets scored).
         """
-        matching = self.matching
         t = self.threshold
-        best = None
+        # The distinct matching edges in view, sorted.  a and b differ,
+        # as e is not in the matching, and one is present, as a shadow
+        # is; c1 may be b, and c2 may be a or c1.
+        held = ([a, b] if a is not None and b is not None
+                else [a if b is None else b])
+        if c1 is not None and c1 != b:
+            held.append(c1)
+        if c2 is not None and c2 != a and c2 != c1:
+            held.append(c2)
+        held.sort()
+        held = tuple(held)
+        ma = 0 if a is None else 1 << held.index(a)
+        mb = 0 if b is None else 1 << held.index(b)
+        me = ma | mb
+        m1 = ma if c1 is None else ma | 1 << held.index(c1)
+        m2 = mb if c2 is None else mb | 1 << held.index(c2)
+        cands = _candidates(e, s1, s2)
+        cands.sort()
         sets = _disjoint_subsets(cands)
         scores = []
+        chosen = None
         for subset in sets:
-            score = conflict_score(matching, subset, t)
+            w_chosen = 0.0
+            m = 0
+            for f in subset:
+                w_chosen += f.w
+                m |= me if f is e else m1 if f is s1 else m2
+            score = _score(subset, w_chosen, _PICK[m](held), t)
             scores.append(score)
-            r, removed, key = score
+            key = score[2]
             if scored is not None:
-                scored.append((subset, r))
-            if best is None or _better(key, subset, best[0], best[2]):
-                best = (key, r, subset, removed)
+                scored.append((subset, score[0]))
+            if (chosen is None or key > best_key or key == best_key
+                    and _better(key, subset, best_key, chosen)):
+                chosen, best_key, best = subset, key, score
 
-        key, r, chosen, removed = best
-        inserted = key > 0
+        r, removed, _, _ = best
+        inserted = best_key > 0
         if inserted and len(chosen) > 1:
-            r, chosen, removed = self._settle_near_ties(r, chosen, removed,
-                                                        sets, scores)
+            r, chosen, removed = self._settle_near_ties(chosen, best, sets,
+                                                        scores)
         if inserted:
             self._apply(chosen, removed)
         return chosen, removed, r, inserted, len(sets)
 
-    def _settle_near_ties(self, r: float, chosen: tuple[Edge, ...],
-                          removed: tuple[Edge, ...], sets: list, scores: list):
-        """Rank a winning multi-edge set exactly against its own subsets.
+    def _settle_near_ties(self, chosen: tuple[Edge, ...], score: tuple,
+                          sets: list, scores: list):
+        """Rank the winning multi-edge set `chosen`, scored `score`,
+        exactly against its own subsets.
 
         When a proper subset scores within both sets' rounding bounds of
         the winner, floats cannot tell them apart, and the superset may
@@ -553,17 +633,19 @@ class ShadowMatcher:
         then cannot pay for what it removes, and the insertion fails the
         exact certificate.  Such subsets are compared in Fraction, and
         the best of those that is exactly higher replaces the winner.
-        `sets` and `scores` are every scored set and its conflict_score,
-        the proper subsets of `chosen` among them.  Returns (r, chosen,
-        removed) of the set to insert.
+        `sets` and `scores` are every scored set and its `_score`
+        record, the proper subsets of `chosen` among them, so each
+        set's rounding bound is read, not summed again.  Returns (r,
+        chosen, removed) of the set to insert.
         """
         t = self.threshold
-        bound = _rounding_bound(chosen, removed, t) + _UNDERFLOW
+        r, removed, _, bound = score
+        bound += _UNDERFLOW
         exact = best = None
-        for sub, (r_sub, removed_sub, _) in zip(sets, scores):
+        for sub, (r_sub, removed_sub, _, bound_sub) in zip(sets, scores):
             if len(sub) >= len(chosen) or not all(f in chosen for f in sub):
                 continue
-            if abs(r_sub - r) > bound + _rounding_bound(sub, removed_sub, t):
+            if abs(r_sub - r) > bound + bound_sub:
                 continue
             if exact is None:
                 exact = _exact_score(chosen, removed, t)

@@ -1,11 +1,11 @@
 """Golden outputs: CLI bytes for fixed inputs must not drift.
 
-`tests/golden/` holds generated instances, one hand-written stream
-(`lone_shadow.txt`), and the exact bytes the CLI printed or wrote for
-them.  Every case here reruns one command and compares its output
-byte for byte.  Commands run with the fixture directory as the working
-directory and relative input paths, because `compare` prints the path
-it was given as the instance id.
+`tests/golden/` holds generated instances, two hand-written streams
+(`lone_shadow.txt`, `ascending.txt`), and the exact bytes the CLI
+printed or wrote for them.  Every case here reruns one command and
+compares its output byte for byte.  Commands run with the fixture
+directory as the working directory and relative input paths, because
+`compare` prints the path it was given as the instance id.
 
 After a deliberate output change, recapture with
 
@@ -50,6 +50,10 @@ RUNS = [
     ("lone_shadow.run.out", ["run", "lone_shadow.txt", "--verify",
                              "--trace", "TRACE"], "lone_shadow.trace.jsonl.gz"),
     ("lone_shadow.run.out", ["run", "lone_shadow.txt", "--verify"], None),
+    # Hand-written too: ascending weights, so a third of the steps insert
+    # a parked shadow with the input edge and settle near ties.
+    ("ascending.run.out", ["run", "ascending.txt", "--verify", "--trace",
+                           "TRACE"], "ascending.trace.jsonl.gz"),
     ("gnp.baseline.out", ["run", "gnp.txt", "--algo", "baseline"], None),
     ("gnp.baseline.out", ["run", "gnp.txt", "--algo", "baseline",
                           "--trace", "TRACE"], "gnp.baseline.trace.jsonl.gz"),

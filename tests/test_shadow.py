@@ -7,9 +7,10 @@ import json
 import math
 import random
 from pathlib import Path
+from unittest.mock import patch
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from helpers import (brute_force_disjoint, check_matcher_invariants,
@@ -17,6 +18,7 @@ from helpers import (brute_force_disjoint, check_matcher_invariants,
                      reference_trace_record)
 from shadowmatch.baseline import (GAMMA_RATIO_5_828, BaselineMatcher,
                                   run_baseline)
+from shadowmatch import shadow as shadow_module
 from shadowmatch.bound import optimal_k
 from shadowmatch.graph import Edge, edge, open_stream
 from shadowmatch.shadow import (_MEMO_EDGES, InsertionDecision, ShadowMatcher,
@@ -606,6 +608,35 @@ def _nudge(w: float, rng: random.Random) -> float:
     return w
 
 
+# How _draw_weight draws the weight of each edge of a stream.
+_WEIGHTS = ["uniform", "integer", "nextafter", "bound"]
+
+
+def _draw_weight(weights: str, matcher: ShadowMatcher, u: int, v: int,
+                 rng: random.Random) -> float:
+    """A weight for the next edge (u, v) fed to `matcher`, drawn as
+    `weights` says: uniform, a small integer, or a few ulps from where
+    a score of the step crosses zero."""
+    t = matcher.threshold
+    if weights == "uniform":
+        return rng.uniform(0.05, 20.0)
+    if weights == "integer":
+        return float(rng.randint(1, 6))
+    if weights == "nextafter":
+        # a few ulps from t times the weight the edge alone displaces,
+        # some inside the rounding bound of its score and some past it
+        conflicts = {matcher.matching.get(u), matcher.matching.get(v)} - {None}
+        return _nudge(t * sum(x.w for x in conflicts)
+                      or rng.uniform(0.5, 4.0), rng)
+    # With a shadow in view, a few ulps from where the bound an untraced
+    # step rejects by, W - t*(w(a) + w(b)), crosses zero.
+    nb = matcher.neighborhood(edge(u, v, 1.0))
+    shadows = {nb.a1g1, nb.a2g2} - {None}
+    w = (t * sum(g.w for g in (nb.g1y1, nb.g2y2) if g is not None)
+         - sum(s.w for s in shadows))
+    return _nudge(w, rng) if shadows and w > 0 else rng.uniform(0.05, 20.0)
+
+
 def _decision_bits(d: InsertionDecision):
     """A decision with its score as text, so that two scores compare
     bit for bit."""
@@ -623,8 +654,7 @@ def test_hooked_run_matches_unhooked_run_and_traced_steps(data):
     holding it, and at no other step; and a rejected lone step carries
     conflict_score's score and removed order."""
     rng = random.Random(data.draw(st.integers(0, 10 ** 9)))
-    weights = data.draw(st.sampled_from(["uniform", "integer", "nextafter",
-                                         "bound"]))
+    weights = data.draw(st.sampled_from(_WEIGHTS))
     if data.draw(st.booleans()):
         k = data.draw(st.sampled_from([1.1, 1.5, 1.717191779457857, 2.0, 3.0]))
         make = lambda: ShadowMatcher(k)
@@ -638,25 +668,7 @@ def test_hooked_run_matches_unhooked_run_and_traced_steps(data):
     t = traced.threshold
     edges, events = [], []
     for i, (u, v) in enumerate(pairs):
-        if weights == "uniform":
-            w = rng.uniform(0.05, 20.0)
-        elif weights == "integer":
-            w = float(rng.randint(1, 6))
-        elif weights == "nextafter":
-            # a few ulps from t times the weight the edge alone displaces,
-            # some inside the rounding bound of its score and some past it
-            conflicts = {traced.matching.get(u), traced.matching.get(v)} - {None}
-            w = _nudge(t * sum(x.w for x in conflicts)
-                       or rng.uniform(0.5, 4.0), rng)
-        else:
-            # With a shadow in view, a few ulps from where the bound an
-            # untraced step rejects by, W - t*(w(a) + w(b)), crosses zero.
-            nb = traced.neighborhood(edge(u, v, 1.0))
-            shadows = {nb.a1g1, nb.a2g2} - {None}
-            w = (t * sum(g.w for g in (nb.g1y1, nb.g2y2) if g is not None)
-                 - sum(s.w for s in shadows))
-            w = _nudge(w, rng) if shadows and w > 0 else rng.uniform(0.05, 20.0)
-        edges.append(edge(u, v, w))
+        edges.append(edge(u, v, _draw_weight(weights, traced, u, v, rng)))
         events.append(traced.process_edge_traced(edges[-1], i))
 
     seen = []
@@ -708,9 +720,9 @@ def test_unhooked_run_rejects_without_scoring(monkeypatch):
     steps = []
     decide = ShadowMatcher._decide
 
-    def counted(self, cands, scored):
-        steps.append(cands)
-        return decide(self, cands, scored)
+    def counted(self, e, a, b, s1, c1, s2, c2, scored):
+        steps.append(e)
+        return decide(self, e, a, b, s1, c1, s2, c2, scored)
 
     monkeypatch.setattr(ShadowMatcher, "_decide", counted)
     k = optimal_k()[0]
@@ -822,6 +834,139 @@ def test_disjoint_subset_count_matches_enumeration(cands):
     want = len(_disjoint_subsets(tuple(sorted(cands))))
     for order in itertools.permutations(cands):
         assert _disjoint_subset_count(list(order)) == want
+
+
+def _reference_sets(nb) -> list[tuple[Edge, ...]]:
+    """The disjoint subsets of the view's candidates by brute force, in
+    increasing subset bitmask over the sorted candidates."""
+    cands = _candidates(nb)
+    subsets = (tuple(c for i, c in enumerate(cands) if mask >> i & 1)
+               for mask in range(1, 1 << len(cands)))
+    return [subset for subset in subsets if brute_force_disjoint(subset)]
+
+
+def _assert_step_scores_match_reference(m: ShadowMatcher, e: Edge) -> None:
+    """Run `e` through a traced step of `m` and check every scored set
+    against reference_conflict_score on the matching as it was before
+    the step: the sets of the view in bitmask order, each with its `r`
+    to the bit and its sorted `removed`, which a step reads off its
+    view and a spy on `shadow._score` sees."""
+    before = dict(m.matching)
+    nb = m.neighborhood(e)
+    seen = []
+    score = shadow_module._score
+
+    def spy(chosen, w_chosen, removed, t):
+        seen.append((chosen, removed))
+        return score(chosen, w_chosen, removed, t)
+
+    with patch.object(shadow_module, "_score", spy):
+        event = m.process_edge_traced(e, 0)
+    if len(event.candidates) == 1:
+        # the lone input edge, scored inline: its removed is the decision's
+        seen = [(event.decision.chosen, event.decision.removed)]
+    sets = _reference_sets(nb)
+    assert [subset for subset, _ in event.candidates] == sets
+    assert [subset for subset, _ in seen] == sets
+    for (subset, r), (_, removed) in zip(event.candidates, seen):
+        r_ref, removed_ref, _ = reference_conflict_score(before, subset,
+                                                         m.threshold)
+        assert repr(r) == repr(r_ref)
+        assert removed == removed_ref
+
+
+@given(st.data())
+@settings(max_examples=150, deadline=None)
+def test_step_scores_match_the_reference(data):
+    """Every scored set of every traced step of a stream, read off the
+    step's view, scores as reference_conflict_score does on the
+    matching: weights uniform, small integers, a few ulps from a zero
+    score, or ascending over a wide range, as on the ascending bench
+    stream, where a third of the steps insert a shadow."""
+    rng = random.Random(data.draw(st.integers(0, 10 ** 9)))
+    weights = data.draw(st.sampled_from(_WEIGHTS + ["ascending"]))
+    k = data.draw(st.sampled_from([1.1, 1.5, 1.717191779457857, 2.0, 3.0]))
+    n = data.draw(st.integers(2, 12))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    rng.shuffle(pairs)
+    rising = sorted(math.exp(rng.uniform(0.0, 150.0)) for _ in pairs)
+    m = ShadowMatcher(k)
+    for i, (u, v) in enumerate(pairs):
+        w = (rising[i] if weights == "ascending"
+             else _draw_weight(weights, m, u, v, rng))
+        _assert_step_scores_match_reference(m, edge(u, v, w))
+
+
+def _view_state(k: float, matched: list[Edge],
+                parked: dict[int, Edge]) -> ShadowMatcher:
+    """A matcher holding the `matched` edges and a shadow parked at each
+    vertex of `parked`, for an input edge (0, 1)."""
+    m = ShadowMatcher(k)
+    for e in matched:
+        m.matching[e.u] = m.matching[e.v] = e
+    m.matched_edge_count = len(matched)
+    m.shadow_slots.update(parked)
+    m.parked_edge_count = len(set(parked.values()))
+    return m
+
+
+# Views of an input edge (0, 1) whose roles coincide, each as (matched
+# pairs, {slot vertex: parked pair}) with (0, 2) and (1, 3) matched
+# unless said otherwise.
+_COINCIDENCES = {
+    # one shadow behind both sides: a1g1 == a2g2, a1c1 == g2y2 and
+    # a2c2 == g1y1
+    "shared shadow": ([(0, 2), (1, 3)], {2: (2, 3), 3: (2, 3)}),
+    # the far cover of s1 is the other side's matching edge, at y2 and
+    # at g2
+    "far cover at y2": ([(0, 2), (1, 3), (5, 7)], {2: (1, 2), 3: (3, 5)}),
+    "far cover at g2": ([(0, 2), (1, 3), (5, 7)], {2: (2, 3), 3: (3, 5)}),
+    # both shadows end on one matching edge: a1c1 == a2c2
+    "equal far covers": ([(0, 2), (1, 3), (4, 5)], {2: (2, 4), 3: (3, 5)}),
+    # a shadow whose far end is free: no a1c1, and then neither far cover
+    "missing far cover": ([(0, 2), (1, 3), (5, 7)], {2: (2, 4), 3: (3, 5)}),
+    "missing far covers": ([(0, 2), (1, 3)], {2: (2, 4), 3: (3, 5)}),
+    # one side only: y2 free, or matched with nothing parked behind
+    "free y2": ([(0, 2), (4, 6)], {2: (2, 4)}),
+    "one shadow": ([(0, 2), (1, 3), (4, 6)], {2: (2, 4)}),
+}
+
+
+@pytest.mark.parametrize("view", sorted(_COINCIDENCES))
+@given(data=st.data())
+@settings(max_examples=40, deadline=None)
+def test_coinciding_roles_score_as_the_reference(view, data):
+    """On hand-built views whose roles coincide or are missing, a step
+    scores every set as reference_conflict_score does, for random
+    weights and for input weights a few ulps from where some set's
+    score crosses zero."""
+    matched, parked = _COINCIDENCES[view]
+    weight = st.floats(0.05, 20.0)
+    k = data.draw(st.sampled_from([1.1, 1.5, 1.717191779457857, 3.0]))
+    pairs = matched + sorted(parked.values())
+    ws = {pair: data.draw(weight) for pair in pairs}
+    m = _view_state(k, [edge(*p, ws[p]) for p in matched],
+                    {x: edge(*p, ws[p]) for x, p in parked.items()})
+    nb = m.neighborhood(edge(0, 1, 1.0))
+    assert (nb.a1g1 == nb.a2g2) == (view == "shared shadow")
+    assert (nb.a1c1 is not None
+            and nb.a1c1 == nb.a2c2) == (view == "equal far covers")
+    assert (nb.a1c1 is not None
+            and nb.a1c1 == nb.g2y2) == (view in ("shared shadow",
+                                                 "far cover at y2",
+                                                 "far cover at g2"))
+    assert (nb.a1c1 is None) == view.startswith("missing")
+    w = data.draw(weight)
+    if data.draw(st.booleans()):
+        # a few ulps from where a set holding the input edge scores zero
+        subset = data.draw(st.sampled_from(
+            [s for s in _reference_sets(nb) if nb.y1y2 in s]))
+        _, removed, _ = reference_conflict_score(m.matching, subset, k)
+        w = (k * sum(d.w for d in removed)
+             - sum(f.w for f in subset if f != nb.y1y2))
+        w = _nudge(w, random.Random(data.draw(st.integers(0, 10 ** 9))))
+        assume(0.0 < w < math.inf)
+    _assert_step_scores_match_reference(m, edge(0, 1, w))
 
 
 @given(st.data())
