@@ -39,8 +39,13 @@ times that edge, and any other set at most the candidates' total
 weight minus t times both.  When each bound lies below zero by more
 than its rounding bound, no set can score above zero and the step is
 an exact rejection: it leaves the state alone, as a scored rejection
-does, and only counts its sets.  A traced step reads the best set and
-its score, so it is always scored.
+does, and only counts its sets and touched edges.  It stops counting
+once a step has touched seven edges.  Seven distinct edges in view make
+the three candidates pairwise disjoint, since a shadow that meets the
+input edge or the other shadow has a far cover equal to a matching
+edge at the input edge or to the other far cover.  So that step also
+counted seven sets, and no later count can raise either maximum.  A
+traced step reads the best set and its score, so it is always scored.
 
 A TraceEncoder writes a traced step as one JSON line, straight from its
 TraceEvent; it is the one definition of the trace schema, `trace_line`
@@ -452,9 +457,14 @@ class ShadowMatcher:
         order.  With a shadow in view and no `trace`, a step that
         `_no_set_wins` settles is rejected without scoring: no set could
         score above zero, and nothing reads which set came closest, so
-        only its count of sets is kept.  Any other step with a shadow in
-        view hands `_decide` the view it read, e, a, b, s1, c1, s2 and
-        c2, and `_decide` scores every set from the conflicts in it.
+        only its counts of sets and touched edges are kept.  Once a step
+        has touched seven edges, a settled step keeps neither and reads
+        no far cover: the step that touched seven also counted seven
+        sets (see the module docstring), so no count can raise either
+        maximum.  Before that, the check costs one comparison.  Any
+        other step with a shadow in view hands `_decide` the view it
+        read, e, a, b, s1, c1, s2 and c2, and `_decide` scores every set
+        from the conflicts in it.
         """
         matching = self.matching
         get = matching.get
@@ -508,6 +518,11 @@ class ShadowMatcher:
                     self._apply(chosen, removed)
                 touched = 1 + len(removed)
             else:
+                settled = trace is None and _no_set_wins(t, w, a, b, s1, s2)
+                if settled and max_touched == 7:
+                    # Nothing reads a rejection but its counts, and they
+                    # cannot raise either maximum any more.
+                    continue
                 if s1 is not None:
                     c1 = get(s1.v if s1.u == p1 else s1.u)
                 if s2 is not None:
@@ -515,8 +530,7 @@ class ShadowMatcher:
                 view = {e, a, b, s1, c1, s2, c2}
                 view.discard(None)
                 touched = len(view)
-                if trace is None and _no_set_wins(t, w, a, b, s1, s2):
-                    # Nothing reads a rejection's sets but their count.
+                if settled:
                     inserted = False
                     sets = _disjoint_subset_count(_candidates(e, s1, s2))
                 else:

@@ -3,16 +3,17 @@
 from __future__ import annotations
 
 import io
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import reference_stream
-from shadowmatch.graph import (DenseGraph, DuplicateEdgeError, EdgeStream,
-                               StreamFormatError, edge, format_edge,
-                               is_matching, open_stream, parse_edge_line,
-                               write_stream)
+from shadowmatch.graph import (DenseGraph, DuplicateEdgeError, Edge,
+                               EdgeStream, StreamFormatError, edge,
+                               format_edge, is_matching, open_stream,
+                               parse_edge_line, write_stream)
 
 
 def test_parse_simple_line():
@@ -267,3 +268,15 @@ def test_open_stream_matches_reference_parser(text, on_duplicate):
         return reference_stream(io.StringIO(text, newline=None), on_duplicate)
 
     assert _outcome(ours) == _outcome(reference)
+
+
+def test_parsed_golden_edges_are_plain_edges():
+    """The parser builds each edge without Edge's own constructor: every
+    edge of a golden stream is still exactly an Edge, equal to the one
+    the checked factory builds."""
+    golden = Path(__file__).parent / "golden" / "gnp.txt"
+    edges = list(open_stream(golden))
+    assert len(edges) == 1093
+    for e in edges:
+        assert type(e) is Edge
+        assert e == edge(e.u, e.v, e.w)

@@ -738,6 +738,116 @@ def test_unhooked_run_rejects_without_scoring(monkeypatch):
     assert 0 < unhooked == hooked_steps < traced_steps
 
 
+def _settled(k: float, event: TraceEvent) -> bool:
+    """Whether the untraced step of `event` is one `_no_set_wins`
+    settles: a shadow is in view and the bound rejects every set."""
+    nb = event.neighborhood
+    return ((nb.a1g1 is not None or nb.a2g2 is not None)
+            and shadow_module._no_set_wins(k, nb.y1y2.w, nb.g1y1, nb.g2y2,
+                                           nb.a1g1, nb.a2g2))
+
+
+def _spy_on_set_counts(monkeypatch) -> list[Edge]:
+    """Wrap `_disjoint_subset_count`, by which a settled step counts its
+    sets, and return the list it appends each counted input edge to."""
+    counted = []
+    count = shadow_module._disjoint_subset_count
+    monkeypatch.setattr(shadow_module, "_disjoint_subset_count",
+                        lambda cands: counted.append(cands[0]) or count(cands))
+    return counted
+
+
+def _shadow_pair(x: int, far_cover: bool) -> list[Edge]:
+    """A stream that leaves (x, x+2) and (x+1, x+3) matched, the light
+    shadows (x+2, x+4) and (x+3, x+5) parked behind them and (x+5, x+7)
+    matched, and with `far_cover` (x+4, x+6) matched too.  The three
+    candidates of an input edge (x, x+1) are then pairwise disjoint:
+    seven sets, over seven touched edges with the far cover and over
+    six without."""
+    edges = [edge(x + 2, x + 4, 1.0), edge(x, x + 2, 10.0),
+             edge(x + 3, x + 5, 1.0), edge(x + 1, x + 3, 10.0),
+             edge(x + 5, x + 7, 10.0)]
+    return edges + [edge(x + 4, x + 6, 10.0)] if far_cover else edges
+
+
+def test_settled_steps_count_until_seven_edges_are_touched(monkeypatch):
+    """A settled step stops counting once a step has touched seven
+    edges, not once one has counted seven sets.  The step on (0, 1)
+    counts seven sets over six touched edges; the step on (10, 11) is
+    the first to touch seven and is settled, so it must still be
+    counted; the settled step on (20, 21) after it need not be.  The
+    untraced, hooked and traced runs give the same result."""
+    k = 1.5
+    inputs = [edge(0, 1, 0.5), edge(10, 11, 0.5), edge(20, 21, 0.5)]
+    edges = (_shadow_pair(0, False) + _shadow_pair(10, True)
+             + _shadow_pair(20, True) + inputs)
+    events = []
+    traced = drive(ShadowMatcher(k), edges, trace=events.append)
+    work = [(len(set(ev.neighborhood) - {None}), len(ev.candidates))
+            for ev in events]
+    assert all(sets == 1 for _, sets in work[:-3])
+    assert work[-3:] == [(6, 7), (7, 7), (7, 7)]
+    for ev in events[-3:]:
+        assert _settled(k, ev) and not ev.decision.inserted
+
+    counted = _spy_on_set_counts(monkeypatch)
+    bare = drive(ShadowMatcher(k), edges)
+    hooked = drive(ShadowMatcher(k), edges, on_insert=lambda decision: None)
+    assert bare == hooked == traced
+    assert traced.metrics.max_candidate_sets == 7
+    assert traced.metrics.max_touched_edges == 7
+    assert counted == inputs[:2] * 2
+
+
+@given(st.data())
+@settings(max_examples=100, deadline=None)
+def test_seven_touched_edges_mean_seven_candidate_sets(data):
+    """Why a settled step may stop counting once a step has touched
+    seven edges: seven distinct edges in view make the three candidates
+    pairwise disjoint, as a shadow meeting the input edge or the other
+    shadow makes its far cover a, b or the other far cover.  So that
+    step counted seven sets too, the most there are, and no later count
+    can raise either maximum.  Sorted weights insert more edges, so
+    more steps see two shadows."""
+    rng = random.Random(data.draw(st.integers(0, 10 ** 9)))
+    k = data.draw(st.sampled_from([1.1, 1.5, 1.717191779457857, 2.0, 3.0]))
+    n = data.draw(st.integers(10, 16))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    rng.shuffle(pairs)
+    weights = [rng.uniform(0.05, 20.0) for _ in pairs]
+    if data.draw(st.booleans()):
+        weights.sort()
+    m = ShadowMatcher(k)
+    for (u, v), w in zip(pairs, weights):
+        event, sets, touched = _traced_step(m, edge(u, v, w))
+        if touched == 7:
+            assert sets == 7 == len(event.candidates)
+
+
+def test_golden_run_counts_settled_steps_until_seven_are_touched(
+        monkeypatch):
+    """An untraced run of gnp.txt counts the sets of exactly the settled
+    steps up to the first that touches seven edges (step 199, itself
+    settled): 40 counts, where counting every settled step made 339.
+    Its result is the traced run's."""
+    golden = Path(__file__).parent / "golden" / "gnp.txt"
+    k = optimal_k()[0]
+    events = []
+    traced = run_stream(open_stream(golden), k, trace=events.append)
+    first_seven = next(ev.index for ev in events
+                       if len(set(ev.neighborhood) - {None}) == 7)
+    settled = [ev.index for ev in events if _settled(k, ev)]
+    assert first_seven == 199
+    assert len(settled) == 339
+
+    index = {ev.neighborhood.y1y2: ev.index for ev in events}
+    counted = _spy_on_set_counts(monkeypatch)
+    assert run_stream(open_stream(golden), k) == traced
+    assert [index[e] for e in counted] == [i for i in settled
+                                           if i <= first_seven]
+    assert len(counted) == 40
+
+
 def _shadows_behind(k: float, wa: float, wb: float, ws1: float | None,
                     ws2: float | None) -> ShadowMatcher:
     """A matcher with (0, 2) and (1, 3) matched and (2, 4) and (3, 5)
