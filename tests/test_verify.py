@@ -4,16 +4,25 @@ from __future__ import annotations
 
 import math
 import random
+import re
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import _fourier_motzkin, random_edge_list, reference_feasible
-from shadowmatch.graph import edge
-from shadowmatch.shadow import InsertionDecision, ShadowMatcher
+from shadowmatch import cli, harness, verify
+from shadowmatch.bound import optimal_k
+from shadowmatch.cli import main
+from shadowmatch.graph import edge, open_stream
+from shadowmatch.harness import AlgorithmSpec
+from shadowmatch.shadow import InsertionDecision, ShadowMatcher, run_stream
 from shadowmatch.verify import AllocationCheck, check_locally_k_exceeding
+
+ASCENDING = Path(__file__).parent / "golden" / "ascending.txt"
+K_STAR = optimal_k()[0]
 
 A1C1 = edge(4, 6, 1.0)
 G1Y1 = edge(0, 2, 2.0)
@@ -455,3 +464,112 @@ def test_near_tie_subset_is_inserted_and_certifies(k):
             _assert_witness_ok(check_locally_k_exceeding(decision, k))
     # the last step inserts the exactly better pair, not the triple
     assert decision.inserted and len(decision.chosen) == 2
+
+
+def test_golden_multi_edge_insertions_certify():
+    """Real multi-edge traffic: every one of the 105 multi-edge
+    insertions of the ascending golden stream evicts an edge shared by
+    two inserted edges.  Each verdict matches Fourier-Motzkin, and the
+    witness, read after the verdict, satisfies the system."""
+    decisions = []
+    run_stream(open_stream(ASCENDING), K_STAR, on_insert=decisions.append)
+    multi = [d for d in decisions if len(d.chosen) > 1]
+    assert (len(decisions), len(multi)) == (270, 105)
+    for d in multi:
+        covered = {x for e in d.chosen for x in (e.u, e.v)}
+        assert any(r.u in covered and r.v in covered for r in d.removed)
+    for d in decisions:
+        check = check_locally_k_exceeding(d, K_STAR)
+        assert check.feasible == reference_feasible(d, K_STAR)
+        _assert_witness_ok(check)
+
+
+def test_product_paths_build_no_witness(tmp_path, monkeypatch):
+    """`run --verify` (traced or not), `compare --verify` and the
+    harness read only the verdict, so no witness is built; a witness
+    read twice is built once."""
+    builds = []
+    checks = []
+    real_witness = verify._witness
+
+    def witness(check):
+        builds.append(check)
+        return real_witness(check)
+
+    def counted(decision, k):
+        checks.append(decision)
+        return check_locally_k_exceeding(decision, k)
+
+    monkeypatch.setattr(verify, "_witness", witness)
+    monkeypatch.setattr(cli, "check_locally_k_exceeding", counted)
+    monkeypatch.setattr(harness, "check_locally_k_exceeding", counted)
+    path = str(ASCENDING)
+    assert main(["run", path, "--verify"]) == 0
+    assert main(["run", path, "--verify",
+                 "--trace", str(tmp_path / "trace.jsonl")]) == 0
+    assert main(["compare", path, "--verify", "--format", "csv"]) == 0
+    out = harness.execute(list(open_stream(ASCENDING)),
+                          AlgorithmSpec("shadow", K_STAR), verify=True)
+    assert out.verifier_failures == 0
+    assert len(checks) == 4 * 270
+    assert builds == []
+
+    decision = next(d for d in checks if len(d.chosen) > 1)
+    check = check_locally_k_exceeding(decision, K_STAR)
+    first = dict(check.witness)
+    assert check.witness == first
+    assert len(builds) == 1
+    _assert_witness_ok(check)
+    assert len(builds) == 1
+
+
+def _first_error(chosen, removed):
+    """The documented order of the malformed-decision errors, as a
+    pattern for the message expected, or None when well formed."""
+    if len(chosen) > 3:
+        return "at most three edges"
+    ends = [x for e in chosen for x in (e.u, e.v)]
+    if len(set(ends)) < len(ends):
+        return "pairwise disjoint"
+    hits = [x for d in removed for x in (d.u, d.v) if x in ends]
+    if len(set(hits)) < len(hits):
+        return "at most one removed edge"
+    pairs = {(e.u, e.v) for e in chosen}
+    for d in removed:
+        if (d.u, d.v) in pairs:
+            return re.escape(f"removed edge {d} is also inserted")
+    return None
+
+
+@given(hand_built_decisions(), st.sets(
+    st.sampled_from(["second-removed", "removed-is-inserted", "overlap"]),
+    min_size=1), st.data())
+@settings(max_examples=300, deadline=None)
+def test_malformed_decisions_raise_in_documented_order(decision, kinds, data):
+    """Well-formed decisions made malformed in one to three ways at
+    once: a second removed edge at a covered vertex, a removed edge on
+    an inserted pair, an inserted edge overlapping another (a fourth
+    one, when three were inserted).  The first error in the documented
+    order is the one raised, on the one-edge path and the general one."""
+    chosen = list(decision.chosen)
+    removed = list(decision.removed)
+    covered = sorted(x for e in chosen for x in (e.u, e.v))
+    weight = st.floats(0.05, 20.0)
+    fresh = iter(range(1000, 1010))
+    if "second-removed" in kinds:
+        x = data.draw(st.sampled_from(covered))
+        while sum(x in (d.u, d.v) for d in removed) < 2:
+            removed.append(edge(x, next(fresh), data.draw(weight)))
+    if "removed-is-inserted" in kinds:
+        e = data.draw(st.sampled_from(decision.chosen))
+        removed.append(edge(e.u, e.v, data.draw(weight)))
+    if "overlap" in kinds:
+        x = data.draw(st.sampled_from(covered))
+        chosen.insert(data.draw(st.integers(0, len(chosen))),
+                      edge(x, next(fresh), data.draw(weight)))
+    removed = data.draw(st.permutations(removed))
+    message = _first_error(chosen, removed)
+    assert message is not None
+    bad = InsertionDecision(tuple(chosen), tuple(removed), 0.0, True)
+    with pytest.raises(ValueError, match=message):
+        check_locally_k_exceeding(bad, 2.0)
