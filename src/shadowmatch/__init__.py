@@ -19,8 +19,8 @@ from .harness import (AlgorithmSpec, RunReport, aggregate, default_algorithms,
                       run_experiment)
 from .oracle import OptimalResult, OracleCapacityError, max_weight_matching
 from .shadow import (InsertionDecision, Neighborhood, RunMetrics, RunResult,
-                     ShadowMatcher, TraceEncoder, TraceEvent,
-                     enumerate_augmenting_sets, run_stream, trace_line,
+                     ShadowMatcher, TraceEvent, enumerate_augmenting_sets,
+                     read_trace, run_stream, trace_header, trace_line,
                      trace_to_dict)
 from .verify import AllocationCheck, check_locally_k_exceeding
 
@@ -32,11 +32,12 @@ __all__ = [
     "GAMMA_RATIO_SIX", "GeneratorSpec", "InsertionDecision", "Neighborhood",
     "OptimalResult", "OracleCapacityError", "RunMetrics", "RunReport",
     "RunResult", "ShadowMatcher", "StreamFormatError",
-    "TraceEncoder", "TraceEvent", "WeightSpec", "aggregate", "approx_bound",
+    "TraceEvent", "WeightSpec", "aggregate", "approx_bound",
     "check_locally_k_exceeding", "default_algorithms", "default_corpus",
     "edge", "emit_report", "enumerate_augmenting_sets", "format_edge",
     "generate", "is_matching", "max_weight_matching", "open_stream",
     "optimal_k", "parse_edge_line", "ratio_table", "read_reports_json",
-    "run_baseline", "run_experiment", "run_stream", "stream_orders",
-    "trace_line", "trace_to_dict", "write_stream",
+    "read_trace", "run_baseline", "run_experiment", "run_stream",
+    "stream_orders", "trace_header", "trace_line", "trace_to_dict",
+    "write_stream",
 ]

@@ -23,7 +23,7 @@ from .generators import GRAPH_KINDS, WEIGHT_KINDS, GeneratorSpec, WeightSpec, ge
 from .graph import (DenseGraph, StreamFormatError, format_edge, open_stream,
                     write_stream)
 from .harness import default_algorithms, emit_report, run_experiment
-from .shadow import ShadowMatcher, TraceEncoder, drive
+from .shadow import ShadowMatcher, drive, trace_header, trace_line
 # trace_to_dict is unused here; the benchmark's traced run wraps it by name.
 from .shadow import trace_to_dict  # noqa: F401
 from .verify import check_locally_k_exceeding
@@ -152,18 +152,18 @@ def cmd_run(args) -> int:
         failures += not ok
         return ok
 
-    encode = TraceEncoder().line
-
     def sink(event):
         d = event.decision
         feasible = certify(d) if args.verify and d.inserted else None
-        trace_fh.write(encode(event, feasible) + "\n")
+        trace_fh.write(trace_line(event, feasible) + "\n")
 
     # One drive call, traced or not: with a trace file --verify
     # certifies each insertion in the sink as it writes the line,
     # without one from the insertion hook.
     trace_fh = open(args.trace, "w", encoding="utf-8") if args.trace else None
     try:
+        if trace_fh:
+            trace_fh.write(trace_header(matcher) + "\n")
         result = drive(matcher, stream, trace=sink if trace_fh else None,
                        on_insert=None if trace_fh or not args.verify else certify)
     finally:

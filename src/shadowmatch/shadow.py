@@ -47,12 +47,13 @@ edge at the input edge or to the other far cover.  So that step also
 counted seven sets, and no later count can raise either maximum.  A
 traced step reads the best set and its score, so it is always scored.
 
-A TraceEncoder writes a traced step as one JSON line, straight from its
-TraceEvent; it is the one definition of the trace schema, `trace_line`
-is one line of it, and `trace_to_dict` is that line parsed back.  An
-encoder writes each edge's text once while the edge stays in view,
-keyed by object identity, and remembers at most _MEMO_EDGES edges, so
-a trace takes O(1) memory.
+A trace is a header line (`trace_header`) and then one line per step
+(`trace_line`), written from the step's TraceEvent with no state kept
+between lines.  A line holds only what cannot be derived from it and
+the lines before it: the input edge whole, the other roles by their
+endpoint pair, the scores, the chosen set's position and the outcome.
+`read_trace` derives the rest and gives back each step's full record,
+the dict `trace_to_dict` builds from the event.
 
 An insertion candidate A (a set of one to three pairwise disjoint
 non-matching edges from the neighborhood) is scored by
@@ -85,7 +86,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import itemgetter
-from typing import Callable, Iterable, NamedTuple
+from typing import Callable, Iterable, Iterator, NamedTuple
 
 from .graph import Edge, EdgeStream
 
@@ -544,8 +545,6 @@ class ShadowMatcher:
                 max_touched = touched
             if trace is not None:
                 decision = InsertionDecision(chosen, removed, r, inserted)
-                # A lone candidate's score is the decision's gain object,
-                # so the encoder prints it as the gain.
                 trace(TraceEvent(
                     i, Neighborhood(e, a, s1, c1, b, s2, c2),
                     ((chosen, r),) if s1 is None and s2 is None
@@ -801,99 +800,135 @@ def _json_float(x: float) -> str:
     return _JSON_NON_FINITE.get(s, s)
 
 
-# The most edges a TraceEncoder remembers the text of before it starts
-# over: as many as a run stores, 3 * floor(n/2), up to n = 2730.  A full
-# memo takes about 1.2 MiB, the edges it keeps alive included.
-_MEMO_EDGES = 4096
+_TRACE_VERSION = 2
 
 
-class TraceEncoder:
-    """Writes TraceEvents as JSON trace lines, spelling each edge's
-    [u, v, w] text once for as long as the edge stays in view.
-
-    Matched and parked edges show up on many lines in a row, so the
-    encoder keeps their text, keyed by object identity: edges that
-    compare equal can print differently (Edge(1, 2, 3) and
-    edge(1, 2, 3.0)).  The memo holds the edges it keys, so no other
-    object can take one's id while its text is kept.  It holds at most
-    _MEMO_EDGES of them and is emptied when full, so an encoder takes
-    O(1) memory however long the trace.  One encoder serves one trace.
-    """
-
-    __slots__ = ("_texts", "_held")
-
-    def __init__(self):
-        self._texts: dict[int, str] = {}
-        self._held: list[Edge | None] = []
-
-    def _spell(self, e: Edge | None) -> str:
-        """Write the JSON text of `e` (null for None) and remember it."""
-        held = self._held
-        if len(held) >= _MEMO_EDGES:
-            held.clear()
-            self._texts.clear()
-        held.append(e)
-        text = self._texts[id(e)] = ("null" if e is None
-                                     else f"[{e.u}, {e.v}, {e.w!r}]")
-        return text
-
-    def line(self, event: TraceEvent, feasible: bool | None = None) -> str:
-        """The trace line of `event`, as :func:`trace_line` writes it."""
-        # Each edge's text is looked up inline, as `text(id(e)) or
-        # spell(e)`: a call per edge would cost about what the memo saves.
-        text = self._texts.get
-        spell = self._spell
-        y1y2, g1y1, a1g1, a1c1, g2y2, a2g2, a2c2 = event.neighborhood
-        d = event.decision
-        inp = text(id(y1y2)) or spell(y1y2)
-        g1y1 = text(id(g1y1)) or spell(g1y1)
-        a1g1 = text(id(a1g1)) or spell(a1g1)
-        a1c1 = text(id(a1c1)) or spell(a1c1)
-        g2y2 = text(id(g2y2)) or spell(g2y2)
-        a2g2 = text(id(a2g2)) or spell(a2g2)
-        a2c2 = text(id(a2c2)) or spell(a2c2)
-        # A score that is the decision's gain object, as a lone
-        # candidate's is, prints as the gain does.
-        gain = d.gain
-        r = _json_float(gain)
-        cands = []
-        for subset, score in event.candidates:
-            if len(subset) == 1:
-                edges = text(id(subset[0])) or spell(subset[0])
-            else:
-                edges = ", ".join([text(id(e)) or spell(e) for e in subset])
-            score = r if score is gain else _json_float(score)
-            cands.append(f'{{"edges": [{edges}], "r": {score}}}')
-        chosen = ", ".join([text(id(e)) or spell(e) for e in d.chosen])
-        removed = ", ".join([text(id(e)) or spell(e) for e in d.removed])
-        verdict = ("" if feasible is None else '"allocation_feasible": '
-                   f'{"true" if feasible else "false"}, ')
-        return (
-            f'{{"S": {{"a1c1": {a1c1}, "a1g1": {a1g1}, "a2c2": {a2c2}, '
-            f'"a2g2": {a2g2}, "g1y1": {g1y1}, "g2y2": {g2y2}, '
-            f'"y1y2": {inp}}}, "candidates": [{", ".join(cands)}], '
-            f'"decision": {{"A": [{chosen}], {verdict}'
-            f'"inserted": {"true" if d.inserted else "false"}, '
-            f'"r": {r}, "removed": [{removed}]}}, '
-            f'"index": {event.index}, "input": {inp}}}')
+def trace_header(matcher: ShadowMatcher) -> str:
+    """The first line of a trace of `matcher`'s run, without the
+    newline: the trace version, the threshold t the steps score at and
+    whether removed edges are parked."""
+    return json.dumps({"trace": _TRACE_VERSION, "threshold": matcher.threshold,
+                       "parks": matcher.parks})
 
 
 def trace_line(event: TraceEvent, feasible: bool | None = None) -> str:
-    """Render one TraceEvent as its JSON trace line, without the newline.
+    """Render one TraceEvent as its trace line, without the newline.
 
-    The line is `json.dumps(record, sort_keys=True)` of the record
-    :func:`trace_to_dict` returns, written straight from the event:
-    edges serialize as [u, v, w] triples, role names key the local
-    view, and a non-finite score is spelled Infinity or -Infinity.
-    `feasible`, when not None, is the verifier's verdict on an
-    insertion and goes in as `decision.allocation_feasible`.  A whole
-    trace is cheaper through one TraceEncoder, which writes the same
-    lines.
+    The line is a JSON array of what a reader cannot derive from the
+    same line and the lines before it:
+
+        [index, [u, v, w], g1y1, a1g1, a1c1, g2y2, a2g2, a2c2,
+         [r, ...], chosen, inserted]
+
+    The input edge is spelled whole, the six other roles by their
+    endpoint pair [u, v] (null where empty), since every stored edge
+    was inserted as an input edge earlier in the trace.  The scores
+    follow the candidate sets in enumeration order, spelled as
+    json.dumps spells them, and `chosen` is the position of the
+    decision's set among them.  `feasible`, when not None, is the
+    verifier's verdict on an insertion and is appended as a twelfth
+    item.  :func:`read_trace` gives back each line's full record.
     """
-    return TraceEncoder().line(event, feasible)
+    e, g1y1, a1g1, a1c1, g2y2, a2g2, a2c2 = event.neighborhood
+    d = event.decision
+    cands = event.candidates
+    if len(cands) == 1:
+        pos = 0
+        scores = _json_float(cands[0][1])
+    else:
+        pos = [subset for subset, _ in cands].index(d.chosen)
+        scores = ",".join([_json_float(r) for _, r in cands])
+    return (
+        f"[{event.index},[{e.u},{e.v},{e.w!r}],"
+        f"{'null' if g1y1 is None else f'[{g1y1.u},{g1y1.v}]'},"
+        f"{'null' if a1g1 is None else f'[{a1g1.u},{a1g1.v}]'},"
+        f"{'null' if a1c1 is None else f'[{a1c1.u},{a1c1.v}]'},"
+        f"{'null' if g2y2 is None else f'[{g2y2.u},{g2y2.v}]'},"
+        f"{'null' if a2g2 is None else f'[{a2g2.u},{a2g2.v}]'},"
+        f"{'null' if a2c2 is None else f'[{a2c2.u},{a2c2.v}]'},"
+        f"[{scores}],{pos},{'true' if d.inserted else 'false'}"
+        f"{'' if feasible is None else ',true' if feasible else ',false'}]")
 
 
-def trace_to_dict(event: TraceEvent) -> dict:
-    """Render one TraceEvent as a JSON-ready dict: the parse of its
-    :func:`trace_line`, so the line alone defines the schema."""
-    return json.loads(trace_line(event))
+def _record(index: int, nb: Neighborhood,
+            candidates: Iterable[tuple[tuple[Edge, ...], float]],
+            chosen: tuple[Edge, ...], removed: Iterable[Edge], r: float,
+            inserted: bool, feasible: bool | None) -> dict:
+    """The JSON-ready record of one step: edges as [u, v, w] lists,
+    roles keyed by name, and `allocation_feasible` only with a
+    verdict."""
+    def enc(e):
+        return None if e is None else [e.u, e.v, e.w]
+
+    decision = {"A": [enc(f) for f in chosen], "inserted": inserted,
+                "r": r, "removed": [enc(f) for f in removed]}
+    if feasible is not None:
+        decision["allocation_feasible"] = feasible
+    return {"S": {role: enc(f) for role, f in zip(nb._fields, nb)},
+            "candidates": [{"edges": [enc(f) for f in subset], "r": score}
+                           for subset, score in candidates],
+            "decision": decision, "index": index, "input": enc(nb.y1y2)}
+
+
+def trace_to_dict(event: TraceEvent, feasible: bool | None = None) -> dict:
+    """Render one TraceEvent as its JSON-ready record, the dict
+    :func:`read_trace` gives back for the event's trace line."""
+    d = event.decision
+    return _record(event.index, event.neighborhood, event.candidates,
+                   d.chosen, d.removed, d.gain, d.inserted, feasible)
+
+
+def read_trace(lines: Iterable[str]) -> Iterator[dict]:
+    """Read a trace, header first, and yield each step's record as
+    :func:`trace_to_dict` builds it from the step's TraceEvent.
+
+    Each line is decoded from itself, the header and the sets inserted
+    on earlier lines; no step is replayed.  A role's endpoint pair
+    names the edge last inserted on that pair: a stored edge leaves
+    every slot when an edge on its pair is inserted, as the insertion
+    removes the matching edges at both its ends.  The candidate sets
+    are the disjoint subsets of the input edge and the shadows, in the
+    order a step enumerates them; the decision's `removed` is its set's
+    conflicts in view (the input edge's are g1y1 and g2y2, a1g1's are
+    g1y1 and a1c1, a2g2's g2y2 and a2c2), sorted, and its `r` is its
+    set's score.  The reader keeps one edge per inserted pair.
+    """
+    lines = iter(lines)
+    header = json.loads(next(lines, "null"))
+    if not isinstance(header, dict) or header.get("trace") != _TRACE_VERSION:
+        raise ValueError(f"not a version {_TRACE_VERSION} trace header: "
+                         f"{header!r}")
+    stored: dict[tuple[int, int], Edge] = {}
+    for line_no, line in enumerate(lines, 2):
+        items = json.loads(line)
+        index, (u, v, w), *roles, scores, pos, inserted = items[:11]
+        feasible = items[11] if len(items) > 11 else None
+        try:
+            g1y1, a1g1, a1c1, g2y2, a2g2, a2c2 = [
+                None if p is None else stored[p[0], p[1]] for p in roles]
+        except KeyError as exc:
+            raise ValueError(f"trace line {line_no}: no earlier line "
+                             f"inserted the edge {list(exc.args[0])}") from None
+        e = Edge(u, v, w)
+        cands = _candidates(e, a1g1, a2g2)
+        cands.sort()
+        sets = _disjoint_subsets(cands)
+        if len(scores) != len(sets) or not 0 <= pos < len(sets):
+            raise ValueError(f"trace line {line_no}: {len(scores)} scores and "
+                             f"set {pos} of {len(sets)} candidate sets")
+        chosen = sets[pos]
+        conflicts = set()
+        if e in chosen:
+            conflicts.update((g1y1, g2y2))
+        if a1g1 in chosen:
+            conflicts.update((g1y1, a1c1))
+        if a2g2 in chosen:
+            conflicts.update((g2y2, a2c2))
+        conflicts.discard(None)
+        if inserted:
+            for f in chosen:
+                stored[f.u, f.v] = f
+        yield _record(index, Neighborhood(e, g1y1, a1g1, a1c1, g2y2, a2g2,
+                                          a2c2),
+                      zip(sets, scores), chosen, sorted(conflicts),
+                      scores[pos], inserted, feasible)

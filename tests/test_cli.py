@@ -20,7 +20,7 @@ from shadowmatch.cli import main
 from shadowmatch.generators import GeneratorSpec, generate
 from shadowmatch.graph import open_stream
 from shadowmatch.harness import CSV_COLUMNS
-from shadowmatch.shadow import drive
+from shadowmatch.shadow import ShadowMatcher, drive, read_trace, trace_header
 
 GOOD = "p 6 3\n0 1 3.0\n2 3 4.0\n4 5 5.0\n"
 
@@ -61,14 +61,43 @@ def test_run_trace_writes_json_lines(stream_file, tmp_path, capsys):
     assert main(["run", stream_file, "--k", "2.0", "--verify",
                  "--trace", str(trace)]) == 0
     capsys.readouterr()
-    records = [json.loads(ln) for ln in
-               trace.read_text(encoding="utf-8").splitlines()]
+    lines = trace.read_text(encoding="utf-8").splitlines()
+    assert json.loads(lines[0]) == {"trace": 2, "threshold": 2.0,
+                                    "parks": True}
+    records = list(read_trace(lines))
     assert len(records) == 3
     for i, rec in enumerate(records):
         assert rec["index"] == i
         assert set(rec) == {"index", "input", "S", "candidates", "decision"}
         assert rec["decision"]["inserted"] is True
         assert rec["decision"]["allocation_feasible"] is True
+
+
+def test_run_trace_keeps_the_steps_before_an_input_error(tmp_path, capsys):
+    """A stream that fails at a later line exits 2 and leaves the header
+    and one line per step before the error, which read back."""
+    path = tmp_path / "bad.txt"
+    path.write_text("0 1 3.0\n2 3 4.0\n1 2 9.0\n4 5 nope\n",
+                    encoding="utf-8")
+    trace = tmp_path / "trace.jsonl"
+    assert main(["run", str(path), "--verify", "--trace", str(trace)]) == 2
+    assert "line 4" in capsys.readouterr().err
+    lines = trace.read_text(encoding="utf-8").splitlines()
+    assert lines[0] == trace_header(ShadowMatcher(cli._K_STAR))
+    records = list(read_trace(lines))
+    assert [rec["index"] for rec in records] == [0, 1, 2]
+    assert records[2]["decision"]["removed"] == [[0, 1, 3.0], [2, 3, 4.0]]
+
+
+def test_run_trace_of_an_empty_stream_is_its_header(tmp_path, capsys):
+    path = tmp_path / "empty.txt"
+    path.write_text("p 4 0\n", encoding="utf-8")
+    trace = tmp_path / "trace.jsonl"
+    assert main(["run", str(path), "--trace", str(trace)]) == 0
+    assert capsys.readouterr().out == "weight 0.0\n"
+    header = trace_header(ShadowMatcher(cli._K_STAR))
+    assert trace.read_text(encoding="utf-8") == header + "\n"
+    assert list(read_trace([header])) == []
 
 
 def test_run_usage_errors(stream_file, tmp_path):
@@ -388,8 +417,10 @@ def test_run_baseline_trace_has_one_candidate_per_edge(tmp_path, capsys, gamma):
     assert main(["run", str(path), "--algo", "baseline", "--gamma", gamma,
                  "--trace", str(trace)]) == 0
     out = capsys.readouterr().out
-    records = [json.loads(ln) for ln in
-               trace.read_text(encoding="utf-8").splitlines()]
+    lines = trace.read_text(encoding="utf-8").splitlines()
+    assert json.loads(lines[0]) == {"trace": 2, "threshold": 1.0 + float(gamma),
+                                    "parks": False}
+    records = list(read_trace(lines))
     edges = list(open_stream(str(path)))
     events = []
     traced = drive(BaselineMatcher(float(gamma)), edges, trace=events.append)

@@ -7,6 +7,11 @@ compares its output byte for byte.  Commands run with the fixture
 directory as the working directory and relative input paths, because
 `compare` prints the path it was given as the instance id.
 
+Traces are pinned twice.  `*.trace-v2.jsonl.gz` holds the trace bytes
+the CLI writes; `*.trace.jsonl.gz` holds the same runs in the first
+trace format, one full record per line, and is never rewritten: every
+version 2 trace must read back, through `read_trace`, as those lines.
+
 After a deliberate output change, recapture with
 
     PYTHONPATH=src python tests/test_golden.py
@@ -19,6 +24,7 @@ from __future__ import annotations
 import contextlib
 import gzip
 import io
+import json
 import os
 import sys
 from pathlib import Path
@@ -26,6 +32,7 @@ from pathlib import Path
 import pytest
 
 from shadowmatch.cli import main
+from shadowmatch.shadow import read_trace
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -40,7 +47,7 @@ INSTANCES = {
                  "--seed", "2"],
 }
 
-# (golden stdout file, argv, golden trace file or None)
+# (golden stdout file, argv, golden record trace file or None)
 RUNS = [
     *((f"{name[:-4]}.run.out", ["run", name, "--verify", "--trace", "TRACE"],
        f"{name[:-4]}.trace.jsonl.gz") for name in INSTANCES),
@@ -61,6 +68,12 @@ RUNS = [
                                "--verify", "--format", fmt], None)
       for fmt in ("csv", "json", "table")),
 ]
+
+
+def _v2(trace_golden: str) -> str:
+    """The file pinning the trace bytes of the run whose records
+    `trace_golden` holds."""
+    return trace_golden.replace(".trace.", ".trace-v2.")
 
 
 def _run(argv: list[str], trace: Path | None = None
@@ -101,7 +114,19 @@ def test_cli_bytes(golden, argv, trace_golden, tmp_path):
     assert code == 0
     assert out == (GOLDEN / golden).read_bytes()
     if trace_golden is not None:
-        assert trace == gzip.decompress((GOLDEN / trace_golden).read_bytes())
+        assert trace == gzip.decompress((GOLDEN / _v2(trace_golden)).read_bytes())
+
+
+@pytest.mark.parametrize("trace_golden", sorted(
+    {trace for _, _, trace in RUNS if trace is not None}))
+def test_traces_read_back_as_their_records(trace_golden):
+    """Each pinned trace, read back and dumped with sorted keys, is the
+    record golden of the same run, line for line."""
+    lines = gzip.decompress((GOLDEN / _v2(trace_golden)).read_bytes())
+    records = gzip.decompress((GOLDEN / trace_golden).read_bytes())
+    got = [json.dumps(record, sort_keys=True)
+           for record in read_trace(lines.decode("utf-8").splitlines())]
+    assert got == records.decode("utf-8").splitlines()
 
 
 def test_traces_repeat_in_one_process(tmp_path):
@@ -121,7 +146,8 @@ def test_compare_jobs_matches_serial():
 
 
 def capture() -> None:
-    """Rewrite every golden file from the current program."""
+    """Rewrite every golden file from the current program, but for the
+    record traces (`*.trace.jsonl.gz`), which stay as they are."""
     GOLDEN.mkdir(exist_ok=True)
     for name, args in INSTANCES.items():
         with open(GOLDEN / name, "w", encoding="utf-8") as fh:
@@ -134,7 +160,7 @@ def capture() -> None:
         assert code == 0, (argv, code)
         (GOLDEN / golden).write_bytes(out)
         if trace_golden is not None:
-            (GOLDEN / trace_golden).write_bytes(
+            (GOLDEN / _v2(trace_golden)).write_bytes(
                 gzip.compress(trace, mtime=0))
     scratch.unlink(missing_ok=True)
 

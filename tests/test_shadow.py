@@ -2,10 +2,13 @@
 
 from __future__ import annotations
 
+import contextlib
+import io
 import itertools
 import json
 import math
 import random
+import tracemalloc
 from pathlib import Path
 from unittest.mock import patch
 
@@ -21,12 +24,13 @@ from shadowmatch.baseline import (GAMMA_RATIO_5_828, BaselineMatcher,
 from shadowmatch import shadow as shadow_module
 from shadowmatch.bound import optimal_k
 from shadowmatch.graph import Edge, edge, open_stream
-from shadowmatch.shadow import (_MEMO_EDGES, InsertionDecision, ShadowMatcher,
-                                TraceEncoder, TraceEvent,
+from shadowmatch.cli import main
+from shadowmatch.shadow import (InsertionDecision, ShadowMatcher, TraceEvent,
                                 _disjoint_subset_count, _disjoint_subsets,
                                 conflict_score, drive,
                                 enumerate_augmenting_sets, run_stream,
-                                trace_line, trace_to_dict)
+                                read_trace, trace_header, trace_line,
+                                trace_to_dict)
 
 # The two-sided gadget, by role.  Weights are chosen so the unique best
 # step for the final input edge is to insert it together with the
@@ -705,7 +709,8 @@ def test_hooked_run_matches_unhooked_run_and_traced_steps(data):
     assert both.matching == bare.matching
     assert repr(both.weight) == repr(bare.weight)
     assert both.metrics == bare.metrics
-    assert [trace_line(ev) for ev in sunk] == [trace_line(ev) for ev in events]
+    assert ([_record_text(trace_to_dict(ev)) for ev in sunk]
+            == [_record_text(trace_to_dict(ev)) for ev in events])
     for got, want in lone_rejects:
         assert got == want
 
@@ -1148,30 +1153,45 @@ def test_trace_candidate_scores_match_decisions():
         assert ev.decision.inserted == (best > 0)
 
 
-def _assert_trace_line_is_the_json_of_its_record(ev: TraceEvent) -> None:
-    for feasible in (None, True, False):
-        line = trace_line(ev, feasible)
-        assert line == json.dumps(reference_trace_record(ev, feasible),
-                                  sort_keys=True)
-        assert json.dumps(json.loads(line), sort_keys=True) == line
-    assert trace_to_dict(ev) == json.loads(trace_line(ev))
+def _record_text(record: dict) -> str:
+    """A record as json.dumps spells it: an int weight prints as 3 and
+    a float one as 3.0, which dict equality would not tell apart."""
+    return json.dumps(record, sort_keys=True)
+
+
+def _assert_trace_reads_back(matcher, events, verdicts) -> list[str]:
+    """Write `events` of a run of `matcher` as a trace, with the verdict
+    of each, and assert that `read_trace` gives back every event's
+    reference record and that `trace_to_dict` builds the same one.
+    Returns the trace lines."""
+    lines = [trace_header(matcher)]
+    lines += [trace_line(ev, f) for ev, f in zip(events, verdicts)]
+    want = [_record_text(reference_trace_record(ev, f))
+            for ev, f in zip(events, verdicts)]
+    assert [_record_text(rec) for rec in read_trace(lines)] == want
+    assert [_record_text(trace_to_dict(ev, f))
+            for ev, f in zip(events, verdicts)] == want
+    return lines
 
 
 @given(st.data())
 @settings(max_examples=150, deadline=None)
 def test_trace_line_matches_sorted_json_dumps(data):
-    """trace_line writes its JSON by hand: every event's line must be the
-    bytes json.dumps(..., sort_keys=True) gives for the same record,
-    with and without a verifier verdict, at float ties and with scores
-    past the float range."""
+    """Every step's trace line, read back by read_trace from the lines
+    before it, dumps with sorted keys to the bytes of its reference
+    record: for the shadow matcher and the baseline, with and without
+    a verifier verdict, at float ties and with scores past the float
+    range."""
     rng = random.Random(data.draw(st.integers(0, 10 ** 9)))
     weights = data.draw(st.sampled_from(
         ["uniform", "integer", "nextafter", "huge"]))
     k = data.draw(st.sampled_from([1.1, 1.717191779457857, 3.0]))
+    matcher = (ShadowMatcher(k) if data.draw(st.booleans())
+               else BaselineMatcher(k - 1.0))
     n = data.draw(st.integers(2, 9))
     pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
     rng.shuffle(pairs)
-    matcher = ShadowMatcher(k)
+    events = []
     for i, (u, v) in enumerate(pairs):
         if weights == "uniform":
             w = rng.uniform(0.05, 20.0)
@@ -1186,50 +1206,94 @@ def test_trace_line_matches_sorted_json_dumps(data):
             steps = rng.randint(-3, 3)
             for _ in range(abs(steps)):
                 w = math.nextafter(w, math.inf if steps > 0 else 0.0)
-        _assert_trace_line_is_the_json_of_its_record(
-            matcher.process_edge_traced(edge(u, v, w), i))
+        events.append(matcher.process_edge_traced(edge(u, v, w), i))
+    verdicts = [rng.choice([None, True, False]) for _ in events]
+    _assert_trace_reads_back(matcher, events, verdicts)
 
 
 def test_trace_line_spells_non_finite_scores_as_json_does():
     m = ShadowMatcher(1.717191779457857)
-    m.process_edge_traced(edge(1, 2, 1.7e308), 0)
-    ev = m.process_edge_traced(edge(2, 3, 1e308), 1)
+    events = [m.process_edge_traced(edge(1, 2, 1.7e308), 0),
+              m.process_edge_traced(edge(2, 3, 1e308), 1)]
+    ev = events[1]
     assert ev.decision.gain == -math.inf
-    assert '"r": -Infinity' in trace_line(ev)
-    _assert_trace_line_is_the_json_of_its_record(ev)
+    assert trace_line(ev).endswith(",[-Infinity],0,false]")
+    _assert_trace_reads_back(m, events, [None, None])
     # No step scores above the float range (a shadow weighs under 1/k
     # of the edge that evicted it), so +Infinity is set by hand.
     ev.candidates = tuple((subset, math.inf) for subset, _ in ev.candidates)
-    assert '"r": Infinity' in trace_line(ev)
-    _assert_trace_line_is_the_json_of_its_record(ev)
+    ev.decision.gain = math.inf
+    assert trace_line(ev).endswith(",[Infinity],0,false]")
+    _assert_trace_reads_back(m, events, [None, None])
 
 
 def test_trace_encoder_never_shares_text_between_equal_edges():
-    """Edge(1, 2, 3) == edge(1, 2, 3.0), but they print differently; one
-    encoder across three runs must spell each as its own record does."""
+    """Edge(1, 2, 3) == edge(1, 2, 3.0), but they print differently:
+    each input's own spelling must survive into its line and into the
+    roles that name it on later lines."""
     first, second = Edge(1, 2, 3), edge(1, 2, 3.0)
     assert first == second
-    encoder = TraceEncoder()
-    for e in (first, second, first):
+    for e, spelled in ((first, "[1,2,3]"), (second, "[1,2,3.0]"),
+                       (first, "[1,2,3]")):
+        matcher = ShadowMatcher(1.5)
         events = []
-        run_stream([e, edge(2, 3, 9.0)], 1.5, trace=events.append)
-        for ev in events:
-            line = encoder.line(ev)
-            assert line == json.dumps(reference_trace_record(ev),
-                                      sort_keys=True)
-            assert line == trace_line(ev)
-    assert '"input": [1, 2, 3]}' in encoder.line(events[0])
+        drive(matcher, [e, edge(2, 3, 9.0), edge(3, 4, 1.0)],
+              trace=events.append)
+        lines = _assert_trace_reads_back(matcher, events, [None] * 3)
+        assert lines[1].startswith(f"[0,{spelled},")
+        records = list(read_trace(lines))
+        # (2, 3) evicts (1, 2) and parks it; (3, 4) sees it as a shadow.
+        assert records[2]["S"]["a1g1"] == json.loads(spelled)
 
 
-def test_trace_encoder_memo_stays_within_its_bound():
-    # Disjoint edges all insert, so every line brings a new edge.
-    stream = [edge(2 * i, 2 * i + 1, 1.0 + i % 7)
-              for i in range(_MEMO_EDGES + 500)]
-    encoder = TraceEncoder()
-    lines = []
-    run_stream(stream, 1.5, trace=lambda ev: lines.append(encoder.line(ev)))
-    assert len(encoder._held) <= _MEMO_EDGES
-    assert len(encoder._texts) <= _MEMO_EDGES
+def test_read_trace_names_a_pair_by_its_last_insertion():
+    """A parallel edge fed straight to drive while its twin is parked:
+    the one way a pair can name two edges.  Before the new edge inserts
+    a role on the pair is the twin; after it, the new edge, since the
+    insertion removed the twin from every slot."""
+    twin, parallel = edge(0, 1, 1.0), edge(0, 1, 50.0)
+    stream = [twin, edge(1, 2, 10.0), edge(2, 3, 1.0), parallel,
+              edge(0, 5, 1.0)]
+    matcher = ShadowMatcher(1.5)
+    events = []
+    drive(matcher, stream, trace=events.append)
+    assert [ev.decision.inserted for ev in events] == [True, True, False,
+                                                        True, False]
+    assert events[2].neighborhood.a1g1 is twin
+    assert events[4].neighborhood.g1y1 is parallel
+    assert twin not in matcher.shadow_slots.values()
+    records = list(read_trace(_assert_trace_reads_back(
+        matcher, events, [True, True, None, True, None])))
+    assert records[2]["S"]["a1g1"] == [0, 1, 1.0]
+    assert records[4]["S"]["g1y1"] == [0, 1, 50.0]
+
+
+def test_trace_encoder_memo_stays_within_its_bound(tmp_path):
+    """Encoding keeps nothing between lines: a trace of more than 4,096
+    disjoint inserting edges, each a new edge, leaves the encoder's
+    memory where it started, and the CLI writes every line as the
+    stateless trace_line does, after the header."""
+    stream = [edge(2 * i, 2 * i + 1, 1.0 + i % 7) for i in range(4096 + 500)]
     events = []
     run_stream(stream, 1.5, trace=events.append)
-    assert lines == [trace_line(ev) for ev in events]
+    assert all(ev.decision.inserted for ev in events)
+    tracemalloc.start()
+    try:
+        trace_line(events[0])
+        before = tracemalloc.get_traced_memory()[0]
+        for ev in events:
+            trace_line(ev)
+        grown = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert grown < 16 * 1024
+    path = tmp_path / "disjoint.txt"
+    path.write_text("".join(f"{e.u} {e.v} {e.w!r}\n" for e in stream),
+                    encoding="utf-8")
+    trace = tmp_path / "trace.jsonl"
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["run", str(path), "--k", "1.5", "--trace",
+                     str(trace)]) == 0
+    lines = trace.read_text(encoding="utf-8").splitlines()
+    assert lines[0] == trace_header(ShadowMatcher(1.5))
+    assert lines[1:] == [trace_line(ev) for ev in events]
