@@ -16,6 +16,10 @@ line oriented:
     3 4 1.0
 
 Blank lines are ignored.  Files are UTF-8 with LF or CRLF endings.
+
+A repeated endpoint pair is found exactly, at the cost of one int per
+distinct pair read, and at most n*n bytes for the pairs with both ids
+below a declared n once the stream is dense (see :func:`open_stream`).
 """
 
 from __future__ import annotations
@@ -24,6 +28,7 @@ import itertools
 import logging
 import math
 import os
+from array import array
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import IO, Iterable, Iterator, NamedTuple, Union
@@ -209,6 +214,17 @@ def open_stream(source: Union[str, "os.PathLike[str]", IO[str]], *,
     raises the error naming what is wrong and the line number.  Both
     paths convert with `int` and `float`, so they accept the same lines
     and yield the same edges.
+
+    Both paths then look the pair up among those already read.  Each
+    pair u < v is held as the int v*v + u, about 28-32 bytes plus its
+    set slot, half what a tuple of the two ids would take.  With a
+    header, once n*n/64 or more of the pairs held have both ids below
+    n, and at most one in 16 does not, those pairs move to a table of
+    n*n bytes, one per pair, about what the set held for them; later
+    such pairs cost one byte lookup and nothing more.  This is checked
+    after n*n/64 edge lines, and at least 64, and again each time that
+    count doubles.  Pairs with an id of n or above stay in the set.  A
+    header alone allocates nothing.
     """
     if on_duplicate not in ("error", "skip"):
         raise ValueError(f"on_duplicate must be 'error' or 'skip', got {on_duplicate!r}")
@@ -258,7 +274,18 @@ def open_stream(source: Union[str, "os.PathLike[str]", IO[str]], *,
         raise
 
     def edges() -> Iterator[Edge]:
-        seen: set[tuple[int, int]] = set()
+        # Each pair u < v is held as the int v*v + u, distinct for every
+        # pair since v*v + u < (v+1)**2.  The keys below area = n*n are
+        # the pairs with v < n.  After n*n/64 edge lines, and again
+        # each time that count doubles, _dense_table is asked to move
+        # them to a byte table.  Not before 64 lines: the set is a few
+        # KiB until then, and the move costs as much as reading a few
+        # edges.
+        seen: set[int] = set()
+        table = bytearray()
+        area = 0
+        dense_at = (max(vertex_count * vertex_count >> 6, 64)
+                    if vertex_count else 0)
         read = 0
         try:
             for n, raw in itertools.chain(pending, numbered):
@@ -278,15 +305,27 @@ def open_stream(source: Union[str, "os.PathLike[str]", IO[str]], *,
                 elif u > v:
                     u, v = v, u
                 read += 1
-                key = (u, v)
-                if key in seen:
+                key = v * v + u
+                if key < area:
+                    repeat = table[key]
+                    table[key] = 1
+                else:
+                    repeat = key in seen
+                    seen.add(key)
+                    if read == dense_at:
+                        table = _dense_table(seen, vertex_count)
+                        if table:
+                            area = len(table)
+                            dense_at = 0
+                        else:
+                            dense_at *= 2
+                if repeat:
                     if on_duplicate == "error":
                         raise DuplicateEdgeError(
                             f"duplicate edge {u} {v} (weights may differ)", n)
                     log.warning("%s line %d: skipping duplicate edge %d %d",
                                 name, n, u, v)
                     continue
-                seen.add(key)
                 # Edge(u, v, w) runs the NamedTuple's generated __new__,
                 # a Python frame that costs about twice the tuple build.
                 yield tuple.__new__(Edge, (u, v, w))
@@ -301,6 +340,31 @@ def open_stream(source: Union[str, "os.PathLike[str]", IO[str]], *,
 
     return EdgeStream(edges(), vertex_count=vertex_count,
                       edge_count=edge_count, source=name)
+
+
+def _dense_table(seen: set[int], n: int) -> bytearray:
+    """Move the keys of `seen` below n*n into a new table of n*n bytes,
+    one flag per key, and return it; `seen` keeps the rest.
+
+    The table is built only when it takes n*n/64 keys or more, so that
+    it costs about 64 bytes or less per key, near what the set holds
+    for each, and at least 15 of every 16 held keys; otherwise `seen`
+    is left as it is and the table returned is empty.  The moved keys
+    are first copied to an array of 8 bytes each, and `seen` is
+    emptied before the table is allocated, so the set, its ints and
+    the table are never held at once.
+    """
+    area = n * n
+    low = array("Q", filter(area.__gt__, seen))
+    if len(low) < area >> 6 or 16 * len(low) < 15 * len(seen):
+        return bytearray()
+    high = [key for key in seen if key >= area]
+    seen.clear()
+    seen.update(high)
+    table = bytearray(area)
+    for key in low:
+        table[key] = 1
+    return table
 
 
 def _not_utf8(path, exc: UnicodeDecodeError) -> StreamFormatError:
@@ -366,7 +430,8 @@ class DenseGraph:
         es = tuple(sorted(edges))
         keys = [e.key for e in es]
         if len(set(keys)) != len(keys):
-            dup = next(k for k in keys if keys.count(k) > 1)
+            # Sorted, so a repeated pair's edges lie next to each other.
+            dup = next(a for a, b in zip(keys, keys[1:]) if a == b)
             raise ValueError(f"duplicate edge {dup} in graph")
         verts = set(vertices)
         for e in es:

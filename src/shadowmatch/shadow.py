@@ -656,9 +656,9 @@ class ShadowMatcher:
         bound += _UNDERFLOW
         exact = best = None
         for sub, (r_sub, removed_sub, _, bound_sub) in zip(sets, scores):
-            if len(sub) >= len(chosen) or not all(f in chosen for f in sub):
-                continue
             if abs(r_sub - r) > bound + bound_sub:
+                continue
+            if len(sub) >= len(chosen) or not all(f in chosen for f in sub):
                 continue
             if exact is None:
                 exact = _exact_score(chosen, removed, t)

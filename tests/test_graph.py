@@ -3,6 +3,9 @@
 from __future__ import annotations
 
 import io
+import logging
+import random
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -178,6 +181,9 @@ def test_dense_graph_from_edges():
     assert g.edge_set is g.edge_set  # built once per graph
     with pytest.raises(ValueError):
         DenseGraph.from_edges([edge(1, 2, 3.0), edge(2, 1, 4.0)])
+    with pytest.raises(ValueError, match=r"duplicate edge \(1, 2\) in graph"):
+        DenseGraph.from_edges([edge(3, 4, 1.0), edge(4, 3, 1.0),
+                               edge(2, 1, 4.0), edge(1, 2, 3.0)])
 
 
 def test_is_matching():
@@ -268,6 +274,150 @@ def test_open_stream_matches_reference_parser(text, on_duplicate):
         return reference_stream(io.StringIO(text, newline=None), on_duplicate)
 
     assert _outcome(ours) == _outcome(reference)
+
+
+@st.composite
+def _dense_stream_text(draw):
+    """Stream text under a small `p n m` header, or none, whose pairs
+    mostly are new and have both ids below n, so that the parser moves
+    the pairs it holds to its byte table once it holds 64.  Up to three
+    repeats of earlier pairs, in either order, fall anywhere, before or
+    after that point; some ids are n or above, which the table never
+    holds; in some streams a few lines take the checked path."""
+    n = draw(st.sampled_from([None, 0, 1, 12, 16, 24]))
+    below = n if n else 10
+    fresh = iter(draw(st.permutations(
+        [(u, v) for v in range(below) for u in range(v)])))
+    kinds = st.sampled_from(["low"] * 30 + ["high"]
+                            + ["odd"] * draw(st.sampled_from([0, 0, 1])))
+    length = draw(st.integers(0, 140))
+    repeats = draw(st.lists(st.integers(0, length), max_size=3))
+    lines: list[str] = []
+    pairs: list[tuple[int, int]] = []
+    for i in range(length):
+        if i in repeats and pairs:
+            u, v = draw(st.sampled_from(pairs))
+        else:
+            kind = draw(kinds)
+            if kind == "odd":
+                lines.append(draw(_edge_line(1)))
+                continue
+            if kind == "high":
+                u = draw(st.integers(0, below + 2))
+                v = draw(st.integers(below, below + 2))
+            else:
+                u, v = next(fresh, (0, 0))
+            if u == v:
+                continue
+        if draw(st.booleans()):
+            u, v = v, u
+        pairs.append((u, v))
+        lines.append(f"{u} {v} {draw(st.floats(1e-3, 1e6))!r}")
+    if n is not None:
+        count = len(lines) + draw(st.sampled_from([0, 0, 0, -1, 1]))
+        lines.insert(0, f"p {n} {max(0, count)}")
+    return "".join(f"{line}\n" for line in lines)
+
+
+@given(_dense_stream_text(), st.sampled_from(["error", "skip"]))
+@settings(max_examples=200, deadline=None)
+def test_open_stream_matches_reference_parser_on_dense_streams(text,
+                                                               on_duplicate):
+    """A dense declared stream parses as the plain parser parses it,
+    repeats caught or skipped alike before and after the parser moves
+    its pairs to the byte table, and for ids at or above n."""
+    def ours():
+        stream = open_stream(io.StringIO(text), on_duplicate=on_duplicate)
+        return stream.vertex_count, stream.edge_count, list(stream)
+
+    def reference():
+        return reference_stream(io.StringIO(text), on_duplicate)
+
+    assert _outcome(ours) == _outcome(reference)
+
+
+def _parse_peak(text: str, on_duplicate: str = "error") -> int:
+    """Peak traced bytes of parsing `text`, its edges dropped as read;
+    a header's wrong edge count is not an error here."""
+    fh = io.StringIO(text)
+    tracemalloc.start()
+    try:
+        try:
+            for _ in open_stream(fh, on_duplicate=on_duplicate):
+                pass
+        except StreamFormatError as exc:
+            assert "header declares" in str(exc)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_dense_declared_stream_holds_about_n_squared_bytes():
+    """Repeats in a declared stream of 8,000 pairs on 200 vertices are
+    found in under 2 n*n bytes: one byte per pair once the stream is
+    dense, where a set of the pairs would hold over 600 KB."""
+    n = 200
+    rng = random.Random(7)
+    pairs = rng.sample([(u, v) for v in range(n) for u in range(v)], 8000)
+    text = f"p {n} {len(pairs)}\n" + "".join(
+        f"{v} {u} {rng.uniform(0.1, 10.0)!r}\n" for u, v in pairs)
+    assert _parse_peak(text) < 2 * n * n
+    for u, v in (pairs[0], pairs[-1]):
+        with pytest.raises(DuplicateEdgeError,
+                           match=f"line 8002: duplicate edge {u} {v} "):
+            list(open_stream(io.StringIO(text + f"{u} {v} 1.0\n")))
+
+
+def test_pairs_at_or_above_n_stay_in_the_set():
+    """Under `p 16 m` the parser first tries the table after 64 edge
+    lines, and moves if at most 4 of the 64 pairs held have an id of 16
+    or more.  With the pair 3 20 read first and pairs below 16 after
+    it, the first 63 of those move to the table and 3 20 stays in the
+    set: a repeat of either kind is still found, and so is one of a
+    pair read after the move."""
+    low = [(u, v) for v in range(16) for u in range(v)]
+    pairs = [(3, 20)] + low[:70]
+    text = f"p 16 {len(pairs) + 1}\n" + "".join(
+        f"{u} {v} 1.0\n" for u, v in pairs)
+    for u, v in ((3, 20), low[0], low[62], low[69]):
+        with pytest.raises(DuplicateEdgeError,
+                           match=f"line 73: duplicate edge {u} {v} "):
+            list(open_stream(io.StringIO(text + f"{v} {u} 2.0\n")))
+
+
+def test_sparse_declared_stream_builds_no_table():
+    """A declared stream whose pairs mostly have an id at or above n
+    never moves them to a table, even once n*n/64 pairs below n are
+    held among them: it peaks within a few KiB of the same lines with
+    no header."""
+    rng = random.Random(3)
+    high = rng.sample([(u, v) for v in range(200, 400) for u in range(v)],
+                      3700)
+    low = rng.sample([(u, v) for v in range(200) for u in range(v)], 700)
+    pairs = high[:700] + low + high[700:]
+    body = "".join(f"{u} {v} 1.0\n" for u, v in pairs)
+    with_header = _parse_peak(f"p 200 {len(pairs)}\n" + body)
+    assert with_header < _parse_peak(body) + 4 * 1024
+
+
+def test_header_alone_allocates_nothing():
+    """A header declaring 100,000 vertices reserves no table: with
+    three edge lines behind it, parsing peaks within a few KiB of the
+    same three lines with no header."""
+    body = "1 2 1.0\n70000 99999 2.0\n5 99999 3.0\n"
+    with_header = _parse_peak("p 100000 1000000000\n" + body)
+    without = _parse_peak(body)
+    assert with_header < without + 4 * 1024
+
+
+def test_skipped_repeats_build_no_table(caplog):
+    """Repeats skipped under `p 256 m` do not count as pairs held: 1,100
+    lines of one pair never build the 64 KiB table, and parsing peaks
+    within a few KiB of the same lines with no header."""
+    caplog.set_level(logging.ERROR, logger="shadowmatch.graph")
+    body = "1 2 1.0\n" * 1100
+    with_header = _parse_peak("p 256 1100\n" + body, "skip")
+    assert with_header < _parse_peak(body, "skip") + 4 * 1024
 
 
 def test_parsed_golden_edges_are_plain_edges():
