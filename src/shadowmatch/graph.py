@@ -390,10 +390,14 @@ def _not_utf8(path, exc: UnicodeDecodeError) -> StreamFormatError:
 
 def write_stream(edges: Iterable[Edge], fh: IO[str], *,
                  vertex_count: int | None = None) -> int:
-    """Write edges in stream text form; returns the number written."""
+    """Write edges in stream text form; returns the number written.
+
+    With no `vertex_count` the header's n is one more than the largest
+    id (0 with no edges), so it bounds every id written.
+    """
     edges = list(edges)
     if vertex_count is None:
-        vertex_count = len({x for e in edges for x in e.key})
+        vertex_count = max((e.v for e in edges), default=-1) + 1
     fh.write(f"p {vertex_count} {len(edges)}\n")
     for e in edges:
         fh.write(format_edge(e) + "\n")

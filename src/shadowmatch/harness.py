@@ -2,9 +2,11 @@
 
 A run feeds one edge order of one instance to one algorithm and
 produces a RunReport: final weight, the exact optimum (when the oracle
-is allowed to run), their ratio, and work counters.  Reports serialize
-to an aligned text table, CSV with a fixed column set, or JSON that
-round-trips losslessly.
+is allowed to run), their ratio, and work counters.  Only a verified
+shadow run is hooked, to certify each insertion; every other run
+builds no per-insertion decision.  Reports serialize to an aligned
+text table, CSV with a fixed column set, or JSON that round-trips
+losslessly.
 
 The default desk corpus used by the acceptance checks lives here too:
 every graph on up to six vertices (one representative per isomorphism
@@ -80,7 +82,8 @@ class RunReport:
 
 @dataclass
 class RunOutcome:
-    """Raw result of one run before it is folded into a report."""
+    """Raw result of one run before it is folded into a report.
+    `verifier_failures` is 0 on a run that was not verified."""
 
     weight: float
     matching: tuple[Edge, ...]
@@ -89,7 +92,6 @@ class RunOutcome:
     max_candidate_sets: int
     max_touched_edges: int
     verifier_failures: int
-    monotone: bool
 
 
 def execute(order: Iterable[Edge], algo: AlgorithmSpec, *,
@@ -98,31 +100,24 @@ def execute(order: Iterable[Edge], algo: AlgorithmSpec, *,
 
     With `verify` set (shadow only), every insertion is certified by
     the exact allocation check; failures are counted, never raised.
-    `monotone` stays true while every insertion's exact weight change,
-    w(chosen) - w(removed), is positive; `fsum` is correctly rounded,
-    so its sign is the exact sign even where the float total would not
-    move.  Both read the insertion hook, which only inserting steps call.
+    Only such a run is hooked: any other builds no decision at all.
     """
     failures = 0
-    monotone = True
-    shadow = algo.name == "shadow"
-    verify = verify and shadow
 
-    def hook(decision):
-        nonlocal failures, monotone
-        if not math.fsum([e.w for e in decision.chosen]
-                         + [-d.w for d in decision.removed]) > 0:
-            monotone = False
-        if verify and not check_locally_k_exceeding(decision, algo.param).feasible:
-            failures += 1
+    def certify(decision):
+        nonlocal failures
+        failures += not check_locally_k_exceeding(decision, algo.param).feasible
 
-    result = (run_stream if shadow else run_baseline)(order, algo.param,
-                                                      on_insert=hook)
+    if algo.name == "shadow":
+        result = run_stream(order, algo.param,
+                            on_insert=certify if verify else None)
+    else:
+        result = run_baseline(order, algo.param)
 
     m = result.metrics
     return RunOutcome(result.weight, result.matching, m.insertions,
                       m.max_stored_edges, m.max_candidate_sets,
-                      m.max_touched_edges, failures, monotone)
+                      m.max_touched_edges, failures)
 
 
 def ratio_of(opt_weight: float | None, final_weight: float) -> float | None:

@@ -15,8 +15,11 @@ from itertools import combinations
 from pathlib import Path
 
 import shadowmatch
+from shadowmatch.baseline import run_baseline
 from shadowmatch.graph import (DuplicateEdgeError, Edge, StreamFormatError,
                                edge, parse_edge_line)
+from shadowmatch.shadow import run_stream
+from shadowmatch.verify import check_locally_k_exceeding
 
 
 def naive_max_matching_weight(edges: list[Edge]) -> float:
@@ -160,6 +163,42 @@ def check_matcher_invariants(matcher, n: int) -> None:
         "edge is in the matching and in a slot at once"
     # memory bound
     assert matcher.stored_edge_count() <= 3 * (n // 2)
+
+
+class InsertionAudit:
+    """An `on_insert` hook that checks every insertion it is handed.
+
+    Each insertion's exact weight change, w(chosen) - w(removed), must
+    be positive; `fsum` is correctly rounded, so its sign is the exact
+    sign even where the float total would not move.  With `k` set, each
+    insertion must also pass the exact allocation check at `k`.
+    `checked` counts the insertions seen, so an unattached hook reads 0.
+    """
+
+    def __init__(self, k: float | None = None):
+        self.k = k
+        self.checked = 0
+        self.not_increasing = 0
+        self.not_certified = 0
+
+    def __call__(self, decision) -> None:
+        self.checked += 1
+        if not math.fsum([e.w for e in decision.chosen]
+                         + [-d.w for d in decision.removed]) > 0:
+            self.not_increasing += 1
+        if (self.k is not None
+                and not check_locally_k_exceeding(decision, self.k).feasible):
+            self.not_certified += 1
+
+
+def audited_run(order, algo):
+    """Run `algo` (a harness AlgorithmSpec) over `order` through the
+    public run_stream or run_baseline with an InsertionAudit attached;
+    a shadow run's audit also certifies.  Returns (result, audit)."""
+    shadow = algo.name == "shadow"
+    audit = InsertionAudit(algo.param if shadow else None)
+    run = run_stream if shadow else run_baseline
+    return run(order, algo.param, on_insert=audit), audit
 
 
 def package_env() -> dict[str, str]:

@@ -155,6 +155,22 @@ def test_write_stream_round_trip(tmp_path):
     assert list(stream) == edges
 
 
+@pytest.mark.parametrize("edges, vertex_count, header", [
+    ([edge(3, 97, 1.0), edge(5, 40, 2.5)], None, "p 98 2"),
+    ([], None, "p 0 0"),
+    ([edge(3, 97, 1.0), edge(5, 40, 2.5)], 500, "p 500 2"),
+])
+def test_write_stream_header_bounds_every_id(tmp_path, edges, vertex_count,
+                                             header):
+    path = tmp_path / "out.txt"
+    with open(path, "w", encoding="utf-8") as fh:
+        write_stream(edges, fh, vertex_count=vertex_count)
+    assert path.read_text(encoding="utf-8").splitlines()[0] == header
+    stream = open_stream(path)
+    assert list(stream) == edges
+    assert stream.vertex_count == int(header.split()[1])
+
+
 @given(st.integers(0, 10 ** 6), st.integers(0, 10 ** 6),
        st.floats(min_value=1e-9, max_value=1e12, allow_nan=False))
 def test_format_parse_round_trip(u, v, w):

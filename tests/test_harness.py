@@ -6,13 +6,15 @@ import csv
 import io
 import math
 from itertools import islice
+from pathlib import Path
 
 import pytest
 
-from shadowmatch import harness
+from helpers import audited_run
+from shadowmatch import harness, shadow
 from shadowmatch.bound import optimal_k
 from shadowmatch.generators import GeneratorSpec, generate
-from shadowmatch.graph import DenseGraph, edge
+from shadowmatch.graph import DenseGraph, edge, open_stream
 from shadowmatch.harness import (CSV_COLUMNS, AlgorithmSpec, aggregate,
                                  check_run_validity, default_algorithms,
                                  default_corpus, emit_report, execute,
@@ -21,7 +23,9 @@ from shadowmatch.harness import (CSV_COLUMNS, AlgorithmSpec, aggregate,
                                  small_graph_instances)
 from shadowmatch.oracle import max_weight_matching
 from shadowmatch.shadow import run_stream
+from shadowmatch.verify import check_locally_k_exceeding
 
+ASCENDING = Path(__file__).parent / "golden" / "ascending.txt"
 DISJOINT = [edge(0, 1, 3.0), edge(2, 3, 4.0), edge(4, 5, 5.0)]
 
 
@@ -59,18 +63,22 @@ def test_lineup_labels_the_bench_keys_on():
 
 
 def test_execute_matches_direct_run():
-    out = execute(DISJOINT, AlgorithmSpec("shadow", 2.0), verify=True)
-    direct = run_stream(DISJOINT, 2.0)
+    algo = AlgorithmSpec("shadow", 2.0)
+    out = execute(DISJOINT, algo, verify=True)
+    direct, audit = audited_run(DISJOINT, algo)
     assert out.weight == direct.weight == 12.0
     assert out.insertions == 3
     assert out.verifier_failures == 0
-    assert out.monotone
+    assert audit.checked == 3 and audit.not_increasing == 0
 
 
 def test_execute_baseline():
-    out = execute(DISJOINT, AlgorithmSpec("baseline", 1.0))
-    assert out.weight == 12.0
-    assert out.monotone
+    algo = AlgorithmSpec("baseline", 1.0)
+    out = execute(DISJOINT, algo)
+    direct, audit = audited_run(DISJOINT, algo)
+    assert out.weight == direct.weight == 12.0
+    assert audit.checked == out.insertions == 3
+    assert audit.not_increasing == 0
 
 
 @pytest.mark.parametrize("algo", [AlgorithmSpec("shadow", 1.75),
@@ -81,7 +89,54 @@ def test_monotone_reads_the_exact_change_not_the_float_total(algo):
     out = execute(order, algo)
     assert out.insertions == 2
     assert out.weight == 1e16
-    assert out.monotone
+    _, audit = audited_run(order, algo)
+    assert audit.checked == 2 and audit.not_increasing == 0
+
+
+@pytest.fixture
+def decisions_built(monkeypatch):
+    """Every InsertionDecision the step builds, in order."""
+    built = []
+
+    class Counted(shadow.InsertionDecision):
+        __slots__ = ()
+
+        def __init__(self, *args):
+            super().__init__(*args)
+            built.append(self)
+
+    monkeypatch.setattr(shadow, "InsertionDecision", Counted)
+    return built
+
+
+def test_only_certified_runs_build_decisions(decisions_built, monkeypatch):
+    """An unverified run, shadow or baseline, hands no hook a decision;
+    a verified one builds one per insertion, and certifies each."""
+    edges = tuple(open_stream(ASCENDING))
+    k = optimal_k()[0]
+    baseline = execute(edges, AlgorithmSpec("baseline", 1.0))
+    plain = execute(edges, AlgorithmSpec("shadow", k))
+    assert baseline.insertions > 0 and plain.insertions > 0
+    graph = DenseGraph.from_edges(edges)
+    run_experiment(graph, default_algorithms(k), file_order=edges,
+                   oracle=False)
+    assert decisions_built == []
+
+    certified = []
+
+    def certify(decision, param):
+        certified.append(decision)
+        return check_locally_k_exceeding(decision, param)
+
+    monkeypatch.setattr(harness, "check_locally_k_exceeding", certify)
+    out = execute(edges, AlgorithmSpec("shadow", k), verify=True)
+    assert out.insertions == plain.insertions
+    assert len(decisions_built) == out.insertions
+    reports = run_experiment(graph, default_algorithms(k), file_order=edges,
+                             oracle=False, verify=True)
+    shadow_report, = [r for r in reports if r.algorithm == "shadow"]
+    assert len(decisions_built) == out.insertions + shadow_report.insertions
+    assert list(map(id, certified)) == list(map(id, decisions_built))
 
 
 def test_ratio_of():
