@@ -153,8 +153,10 @@ def cmd_run(args) -> int:
         return ok
 
     def sink(event):
-        d = event.decision
-        feasible = certify(d) if args.verify and d.inserted else None
+        # Only an insertion's decision is read, so a settled rejection
+        # is never scored.
+        feasible = (certify(event.decision) if args.verify and event.inserted
+                    else None)
         trace_fh.write(trace_line(event, feasible) + "\n")
 
     # One drive call, traced or not: with a trace file --verify

@@ -21,17 +21,17 @@ once, as the body of the loop `drive` runs, traced or not
 (`process_edge` and `process_edge_traced` run it over one edge).  It
 reads the view straight from the matching and slot dicts into locals;
 when the input edge is the only candidate it scores it inline.  With a
-shadow in view it scores every candidate set from the conflicts the
-view already read (`_decide`), with no further read of the matching:
+shadow in view it ranks every candidate set from the conflicts the
+view already read (`_rank`), with no further read of the matching:
 the input edge removes the matching edges at its ends, each shadow the
 one it is parked behind and the one at its far end.  Only a
 traced step packs those locals into a Neighborhood, the flat record of
-the seven roles, lists every scored set and builds an
-InsertionDecision for each step; an untraced step builds one only for
-an insertion hook, and only when it inserts.  Tracing changes what a
-step reports, never what it decides.
+the seven roles, and hands over a TraceEvent for each step; an
+untraced step builds an InsertionDecision only for an insertion hook,
+and only when it inserts.  Tracing changes what a step reports, never
+what it decides.
 
-An untraced step is not scored when three comparisons settle it
+A step is not scored when three comparisons settle it
 (`_no_set_wins`).  Every candidate removes a matching edge at an end
 of the input edge: the input edge removes both, each shadow the one it
 is parked behind.  So a lone shadow scores at most its weight minus t
@@ -39,21 +39,22 @@ times that edge, and any other set at most the candidates' total
 weight minus t times both.  When each bound lies below zero by more
 than its rounding bound, no set can score above zero and the step is
 an exact rejection: it leaves the state alone, as a scored rejection
-does, and only counts its sets and touched edges.  It stops counting
-once a step has touched seven edges.  Seven distinct edges in view make
-the three candidates pairwise disjoint, since a shadow that meets the
-input edge or the other shadow has a far cover equal to a matching
-edge at the input edge or to the other far cover.  So that step also
+does, and only counts its sets and touched edges.  Untraced, it stops
+counting once a step has touched seven edges.  Seven distinct edges in
+view make the three candidates pairwise disjoint, since a shadow that
+meets the input edge or the other shadow has a far cover equal to a
+matching edge at the input edge or to the other far cover.  So that step also
 counted seven sets, and no later count can raise either maximum.  A
-traced step reads the best set and its score, so it is always scored.
+traced step keeps counting, as it still writes its line, and its
+TraceEvent scores the view only if its candidates or decision are read.
 
 A trace is a header line (`trace_header`) and then one line per step
 (`trace_line`), written from the step's TraceEvent with no state kept
-between lines.  A line holds only what cannot be derived from it and
-the lines before it: the input edge whole, the other roles by their
-endpoint pair, the scores, the chosen set's position and the outcome.
-`read_trace` derives the rest and gives back each step's full record,
-the dict `trace_to_dict` builds from the event.
+between lines.  A line holds only what cannot be derived from it, the
+header and the lines before it: the input edge whole, the other roles
+by their endpoint pair and the inserted set's position.  `read_trace`
+ranks each view again with the step's own `_rank` and gives back each
+step's full record, the dict `trace_to_dict` builds from the event.
 
 An insertion candidate A (a set of one to three pairwise disjoint
 non-matching edges from the neighborhood) is scored by
@@ -135,14 +136,63 @@ class InsertionDecision:
     inserted: bool
 
 
-@dataclass(slots=True)
 class TraceEvent:
-    """One step of a traced run: the view, all scored sets, the decision."""
+    """One step of a traced run: the view, all scored sets, the decision.
 
-    index: int
-    neighborhood: Neighborhood
-    candidates: tuple[tuple[tuple[Edge, ...], float], ...]
-    decision: InsertionDecision
+    `inserted` says whether the step changed the state.  A step the
+    reject bound settles is handed over unscored, as `TraceEvent(index,
+    neighborhood, threshold=t)`: it inserted nothing, and `candidates`
+    and `decision` are scored from the view at t by `_rank`, the step's
+    own ranking, the first time either is read, then kept.  The view is
+    immutable and the ranking reads no matcher state, so they are what
+    the step would have scored.
+    """
+
+    __slots__ = ("index", "neighborhood", "inserted", "_candidates",
+                 "_decision", "_threshold")
+
+    def __init__(self, index: int, neighborhood: Neighborhood,
+                 candidates: tuple[tuple[tuple[Edge, ...], float], ...] | None = None,
+                 decision: InsertionDecision | None = None,
+                 threshold: float | None = None):
+        self.index = index
+        self.neighborhood = neighborhood
+        self.inserted = decision is not None and decision.inserted
+        self._candidates = candidates
+        self._decision = decision
+        self._threshold = threshold
+
+    @property
+    def candidates(self) -> tuple[tuple[tuple[Edge, ...], float], ...]:
+        """Every candidate set in enumeration order, with its score r."""
+        if self._candidates is None:
+            self._score()
+        return self._candidates
+
+    @property
+    def decision(self) -> InsertionDecision:
+        if self._decision is None:
+            self._score()
+        return self._decision
+
+    def _score(self) -> None:
+        e, a, s1, c1, b, s2, c2 = self.neighborhood
+        sets, scores, chosen, removed, r, _ = _rank(self._threshold, e, a, b,
+                                                    s1, c1, s2, c2)
+        self._candidates = tuple(zip(sets, [score[0] for score in scores]))
+        self._decision = InsertionDecision(chosen, removed, r, False)
+
+    def __eq__(self, other):
+        if not isinstance(other, TraceEvent):
+            return NotImplemented
+        return ((self.index, self.neighborhood, self.candidates, self.decision)
+                == (other.index, other.neighborhood, other.candidates,
+                    other.decision))
+
+    def __repr__(self):
+        return (f"TraceEvent(index={self.index!r}, neighborhood="
+                f"{self.neighborhood!r}, candidates={self.candidates!r}, "
+                f"decision={self.decision!r})")
 
 
 def real_parameter(name: str, x, floor: float, strict: bool) -> float:
@@ -196,7 +246,7 @@ def _score(chosen: tuple[Edge, ...], w_chosen: float,
     sorted `removed`: (r, removed,
     key) as conflict_score returns them, then `bound`, how far the
     float r can lie from the exact score short of the underflow term.
-    conflict_score and `_decide` score through it; a step whose input
+    conflict_score and `_rank` score through it; a step whose input
     edge is the only candidate scores inline as it does."""
     w_removed = 0.0
     for d in removed:
@@ -440,10 +490,10 @@ class ShadowMatcher:
         and `process_edge_traced`.
 
         Returns (edges processed, most candidate sets, most touched edges,
-        most stored edges) over the steps.  A traced step builds its
-        InsertionDecision and hands its TraceEvent to `trace`, then, if it
-        inserted, the decision to `on_insert`; an untraced step builds one
-        only for `on_insert`, and only when it inserts.
+        most stored edges) over the steps.  A traced step hands its
+        TraceEvent to `trace`, then, if it inserted, the event's
+        InsertionDecision to `on_insert`; an untraced step builds one only
+        for `on_insert`, and only when it inserts.
 
         The view is read straight from the dicts into locals before the
         step changes the state; a traced step builds its Neighborhood
@@ -455,17 +505,17 @@ class ShadowMatcher:
         every step of a policy that never parks.  It is scored here as
         `_score` scores it: the same float, as 0.0 + x is x and x + y is
         y + x, the same exact fallback near zero and the same `removed`
-        order.  With a shadow in view and no `trace`, a step that
-        `_no_set_wins` settles is rejected without scoring: no set could
-        score above zero, and nothing reads which set came closest, so
-        only its counts of sets and touched edges are kept.  Once a step
-        has touched seven edges, a settled step keeps neither and reads
-        no far cover: the step that touched seven also counted seven
-        sets (see the module docstring), so no count can raise either
-        maximum.  Before that, the check costs one comparison.  Any
-        other step with a shadow in view hands `_decide` the view it
-        read, e, a, b, s1, c1, s2 and c2, and `_decide` scores every set
-        from the conflicts in it.
+        order.  With a shadow in view, a step that `_no_set_wins`
+        settles is rejected without scoring: no set could score above
+        zero, so only its counts of sets and touched edges are kept, and
+        a traced one hands over a TraceEvent that scores its view when
+        read.  Once a step has touched seven edges, an untraced settled
+        step keeps neither count and reads no far cover: the step that
+        touched seven also counted seven sets (see the module
+        docstring), so no count can raise either maximum.  Before that,
+        the check costs one comparison.  Any other step with a shadow in
+        view hands `_rank` the view it read, e, a, b, s1, c1, s2 and c2,
+        and applies the set it picks if that set scores above zero.
         """
         matching = self.matching
         get = matching.get
@@ -474,7 +524,6 @@ class ShadowMatcher:
         inf = math.inf
         rounding = _ROUNDING
         underflow = _UNDERFLOW
-        scored = None
         max_sets = max_touched = max_stored = 0
         i = -1
         for i, e in enumerate(edges):
@@ -519,8 +568,8 @@ class ShadowMatcher:
                     self._apply(chosen, removed)
                 touched = 1 + len(removed)
             else:
-                settled = trace is None and _no_set_wins(t, w, a, b, s1, s2)
-                if settled and max_touched == 7:
+                settled = _no_set_wins(t, w, a, b, s1, s2)
+                if settled and max_touched == 7 and trace is None:
                     # Nothing reads a rejection but its counts, and they
                     # cannot raise either maximum any more.
                     continue
@@ -535,20 +584,28 @@ class ShadowMatcher:
                     inserted = False
                     sets = _disjoint_subset_count(_candidates(e, s1, s2))
                 else:
-                    if trace is not None:
-                        scored = []
-                    chosen, removed, r, inserted, sets = self._decide(
-                        e, a, b, s1, c1, s2, c2, scored)
+                    ranked, scores, chosen, removed, r, inserted = _rank(
+                        t, e, a, b, s1, c1, s2, c2)
+                    if inserted:
+                        self._apply(chosen, removed)
+                    sets = len(ranked)
                 if sets > max_sets:
                     max_sets = sets
             if touched > max_touched:
                 max_touched = touched
             if trace is not None:
+                nb = Neighborhood(e, a, s1, c1, b, s2, c2)
+                if s1 is None and s2 is None:
+                    scored = ((chosen, r),)
+                elif settled:
+                    # Scored when read; it inserted nothing, so the
+                    # rest of the step has nothing to do.
+                    trace(TraceEvent(i, nb, threshold=t))
+                    continue
+                else:
+                    scored = tuple(zip(ranked, [x[0] for x in scores]))
                 decision = InsertionDecision(chosen, removed, r, inserted)
-                trace(TraceEvent(
-                    i, Neighborhood(e, a, s1, c1, b, s2, c2),
-                    ((chosen, r),) if s1 is None and s2 is None
-                    else tuple(scored), decision))
+                trace(TraceEvent(i, nb, scored, decision))
             # Only an insertion can grow the stored-edge count.
             if inserted:
                 stored = self.matched_edge_count + self.parked_edge_count
@@ -571,103 +628,6 @@ class ShadowMatcher:
         event = events[0]
         event.index = index
         return event
-
-    def _decide(self, e: Edge, a: Edge | None, b: Edge | None,
-                s1: Edge | None, c1: Edge | None, s2: Edge | None,
-                c2: Edge | None, scored: list | None):
-        """Score every disjoint subset of the view's candidate edges,
-        insert the best one if its score is positive, and append each
-        (subset, r) to `scored` when it is a list.
-
-        The view is the step's: input edge `e`, the matching edges `a`
-        and `b` at its ends, the shadows `s1` behind `a` and `s2` behind
-        `b`, and the matching edges `c1` and `c2` at the shadows' far
-        ends.  Their conflicts are known from it: `e` removes a and b,
-        `s1` a and c1, `s2` b and c2.  So each set's conflicts are read
-        off the view, as a bitmask over the distinct matching edges in
-        it, with no read of the matching.
-
-        Returns (chosen, removed, r, inserted, number of sets scored).
-        """
-        t = self.threshold
-        # The distinct matching edges in view, sorted.  a and b differ,
-        # as e is not in the matching, and one is present, as a shadow
-        # is; c1 may be b, and c2 may be a or c1.
-        held = ([a, b] if a is not None and b is not None
-                else [a if b is None else b])
-        if c1 is not None and c1 != b:
-            held.append(c1)
-        if c2 is not None and c2 != a and c2 != c1:
-            held.append(c2)
-        held.sort()
-        held = tuple(held)
-        ma = 0 if a is None else 1 << held.index(a)
-        mb = 0 if b is None else 1 << held.index(b)
-        me = ma | mb
-        m1 = ma if c1 is None else ma | 1 << held.index(c1)
-        m2 = mb if c2 is None else mb | 1 << held.index(c2)
-        cands = _candidates(e, s1, s2)
-        cands.sort()
-        sets = _disjoint_subsets(cands)
-        scores = []
-        chosen = None
-        for subset in sets:
-            w_chosen = 0.0
-            m = 0
-            for f in subset:
-                w_chosen += f.w
-                m |= me if f is e else m1 if f is s1 else m2
-            score = _score(subset, w_chosen, _PICK[m](held), t)
-            scores.append(score)
-            key = score[2]
-            if scored is not None:
-                scored.append((subset, score[0]))
-            if (chosen is None or key > best_key or key == best_key
-                    and _better(key, subset, best_key, chosen)):
-                chosen, best_key, best = subset, key, score
-
-        r, removed, _, _ = best
-        inserted = best_key > 0
-        if inserted and len(chosen) > 1:
-            r, chosen, removed = self._settle_near_ties(chosen, best, sets,
-                                                        scores)
-        if inserted:
-            self._apply(chosen, removed)
-        return chosen, removed, r, inserted, len(sets)
-
-    def _settle_near_ties(self, chosen: tuple[Edge, ...], score: tuple,
-                          sets: list, scores: list):
-        """Rank the winning multi-edge set `chosen`, scored `score`,
-        exactly against its own subsets.
-
-        When a proper subset scores within both sets' rounding bounds of
-        the winner, floats cannot tell them apart, and the superset may
-        win on an extra edge whose exact marginal is negative: that edge
-        then cannot pay for what it removes, and the insertion fails the
-        exact certificate.  Such subsets are compared in Fraction, and
-        the best of those that is exactly higher replaces the winner.
-        `sets` and `scores` are every scored set and its `_score`
-        record, the proper subsets of `chosen` among them, so each
-        set's rounding bound is read, not summed again.  Returns (r,
-        chosen, removed) of the set to insert.
-        """
-        t = self.threshold
-        r, removed, _, bound = score
-        bound += _UNDERFLOW
-        exact = best = None
-        for sub, (r_sub, removed_sub, _, bound_sub) in zip(sets, scores):
-            if abs(r_sub - r) > bound + bound_sub:
-                continue
-            if len(sub) >= len(chosen) or not all(f in chosen for f in sub):
-                continue
-            if exact is None:
-                exact = _exact_score(chosen, removed, t)
-            q = _exact_score(sub, removed_sub, t)
-            if q > exact and (best is None or _better(q, sub, best[0], best[2])):
-                best = (q, r_sub, sub, removed_sub)
-        if best is None:
-            return r, chosen, removed
-        return best[1:]
 
     def _apply(self, chosen: tuple[Edge, ...], removed: tuple[Edge, ...]) -> None:
         matching = self.matching
@@ -701,6 +661,104 @@ class ShadowMatcher:
             self.parked_edge_count = parked + len(removed)
         self.matched_edge_count += len(chosen) - len(removed)
         self.insertions += 1
+
+
+def _rank(t: float, e: Edge, a: Edge | None, b: Edge | None,
+          s1: Edge | None, c1: Edge | None, s2: Edge | None,
+          c2: Edge | None):
+    """Score every disjoint subset of a view's candidate edges at
+    threshold t and pick the one a step inserts if its score is above
+    zero: the one ranking behind the step, a lazily scored TraceEvent
+    and `read_trace`.
+
+    The view is a step's: input edge `e`, the matching edges `a` and
+    `b` at its ends, the shadows `s1` behind `a` and `s2` behind `b`,
+    and the matching edges `c1` and `c2` at the shadows' far ends, None
+    where a role is empty.  Their conflicts are known from it: `e`
+    removes a and b, `s1` a and c1, `s2` b and c2.  So each set's
+    conflicts are read off the view, as a bitmask over the distinct
+    matching edges in it, with no read of the matching.  The best set
+    under `_better` is settled against its own subsets when it would be
+    inserted (`_settle_near_ties`).  Reads nothing but its arguments.
+
+    Returns (sets, their `_score` records, chosen, removed, r,
+    inserted), where `inserted` says whether the chosen set's ranking
+    key is above zero.
+    """
+    # The distinct matching edges in view, sorted.  a and b differ, as
+    # e is not in the matching; c1 may be b, and c2 may be a or c1.
+    if a is None or b is None:
+        held = [] if a is b else [a if b is None else b]
+    else:
+        held = [a, b]
+    if c1 is not None and c1 != b:
+        held.append(c1)
+    if c2 is not None and c2 != a and c2 != c1:
+        held.append(c2)
+    held.sort()
+    held = tuple(held)
+    ma = 0 if a is None else 1 << held.index(a)
+    mb = 0 if b is None else 1 << held.index(b)
+    me = ma | mb
+    m1 = ma if c1 is None else ma | 1 << held.index(c1)
+    m2 = mb if c2 is None else mb | 1 << held.index(c2)
+    cands = _candidates(e, s1, s2)
+    cands.sort()
+    sets = _disjoint_subsets(cands)
+    scores = []
+    chosen = None
+    for subset in sets:
+        w_chosen = 0.0
+        m = 0
+        for f in subset:
+            w_chosen += f.w
+            m |= me if f is e else m1 if f is s1 else m2
+        score = _score(subset, w_chosen, _PICK[m](held), t)
+        scores.append(score)
+        key = score[2]
+        if (chosen is None or key > best_key or key == best_key
+                and _better(key, subset, best_key, chosen)):
+            chosen, best_key, best = subset, key, score
+
+    r, removed, _, _ = best
+    inserted = best_key > 0
+    if inserted and len(chosen) > 1:
+        r, chosen, removed = _settle_near_ties(t, chosen, best, sets, scores)
+    return sets, scores, chosen, removed, r, inserted
+
+
+def _settle_near_ties(t: float, chosen: tuple[Edge, ...], score: tuple,
+                      sets: list, scores: list):
+    """Rank the winning multi-edge set `chosen`, scored `score` at
+    threshold t, exactly against its own subsets.
+
+    When a proper subset scores within both sets' rounding bounds of
+    the winner, floats cannot tell them apart, and the superset may
+    win on an extra edge whose exact marginal is negative: that edge
+    then cannot pay for what it removes, and the insertion fails the
+    exact certificate.  Such subsets are compared in Fraction, and
+    the best of those that is exactly higher replaces the winner.
+    `sets` and `scores` are every scored set and its `_score`
+    record, the proper subsets of `chosen` among them, so each
+    set's rounding bound is read, not summed again.  Returns (r,
+    chosen, removed) of the set to insert.
+    """
+    r, removed, _, bound = score
+    bound += _UNDERFLOW
+    exact = best = None
+    for sub, (r_sub, removed_sub, _, bound_sub) in zip(sets, scores):
+        if abs(r_sub - r) > bound + bound_sub:
+            continue
+        if len(sub) >= len(chosen) or not all(f in chosen for f in sub):
+            continue
+        if exact is None:
+            exact = _exact_score(chosen, removed, t)
+        q = _exact_score(sub, removed_sub, t)
+        if q > exact and (best is None or _better(q, sub, best[0], best[2])):
+            best = (q, r_sub, sub, removed_sub)
+    if best is None:
+        return r, chosen, removed
+    return best[1:]
 
 
 def _better(key: float | Fraction, subset: tuple[Edge, ...],
@@ -749,14 +807,16 @@ def drive(matcher, stream: EdgeStream | Iterable[Edge], *,
     loop, behind run_stream, run_baseline, the harness and the CLI.
 
     The loop is the matcher's own step loop, traced or not: it keeps
-    the run's maxima in locals, builds the Neighborhood only for `trace`
-    and a decision only for `trace` or an insertion `on_insert` reads;
+    the run's maxima in locals, builds the Neighborhood and TraceEvent
+    only for `trace` and a decision only for a scored traced step or an
+    insertion `on_insert` reads;
     `process_edge_traced` is that loop over one edge, and one step's
     work counts are the metrics of `drive(matcher, [e])`.  The counters
     `matched_edge_count` and `parked_edge_count` keep the stored-edge
-    count O(1).  `trace` and `on_insert` are as in run_stream; untraced,
-    a step that provably inserts nothing is rejected unscored, with the
-    same result.
+    count O(1).  `trace` and `on_insert` are as in run_stream; a step
+    that provably inserts nothing is rejected unscored, with the same
+    result, and a traced one is scored only if its event is read for
+    it.
     """
     steps, max_sets, max_touched, max_stored = matcher._steps(
         stream, on_insert, trace)
@@ -790,17 +850,7 @@ def run_stream(stream: EdgeStream | Iterable[Edge], k: float, *,
     return drive(ShadowMatcher(k), stream, trace=trace, on_insert=on_insert)
 
 
-# json.dumps spells the non-finite floats so; repr(x) is its spelling
-# of every finite one.
-_JSON_NON_FINITE = {"inf": "Infinity", "-inf": "-Infinity", "nan": "NaN"}
-
-
-def _json_float(x: float) -> str:
-    s = repr(x)
-    return _JSON_NON_FINITE.get(s, s)
-
-
-_TRACE_VERSION = 2
+_TRACE_VERSION = 3
 
 
 def trace_header(matcher: ShadowMatcher) -> str:
@@ -815,29 +865,27 @@ def trace_line(event: TraceEvent, feasible: bool | None = None) -> str:
     """Render one TraceEvent as its trace line, without the newline.
 
     The line is a JSON array of what a reader cannot derive from the
-    same line and the lines before it:
+    same line, the header and the lines before it:
 
-        [index, [u, v, w], g1y1, a1g1, a1c1, g2y2, a2g2, a2c2,
-         [r, ...], chosen, inserted]
+        [index, [u, v, w], g1y1, a1g1, a1c1, g2y2, a2g2, a2c2, chosen]
 
     The input edge is spelled whole, the six other roles by their
     endpoint pair [u, v] (null where empty), since every stored edge
-    was inserted as an input edge earlier in the trace.  The scores
-    follow the candidate sets in enumeration order, spelled as
-    json.dumps spells them, and `chosen` is the position of the
-    decision's set among them.  `feasible`, when not None, is the
-    verifier's verdict on an insertion and is appended as a twelfth
-    item.  :func:`read_trace` gives back each line's full record.
+    was inserted as an input edge earlier in the trace.  `chosen` is
+    the position of the inserted set among the candidate sets, or null
+    on a rejection.  No score is spelled: :func:`read_trace` scores the
+    view again at the header's threshold.  `feasible`, when not None,
+    is the verifier's verdict on an insertion and is appended as a
+    tenth item.
     """
     e, g1y1, a1g1, a1c1, g2y2, a2g2, a2c2 = event.neighborhood
-    d = event.decision
-    cands = event.candidates
-    if len(cands) == 1:
+    if not event.inserted:
+        pos = "null"
+    elif a1g1 is None and a2g2 is None:
         pos = 0
-        scores = _json_float(cands[0][1])
     else:
-        pos = [subset for subset, _ in cands].index(d.chosen)
-        scores = ",".join([_json_float(r) for _, r in cands])
+        pos = [subset for subset, _ in event.candidates].index(
+            event.decision.chosen)
     return (
         f"[{event.index},[{e.u},{e.v},{e.w!r}],"
         f"{'null' if g1y1 is None else f'[{g1y1.u},{g1y1.v}]'},"
@@ -845,8 +893,7 @@ def trace_line(event: TraceEvent, feasible: bool | None = None) -> str:
         f"{'null' if a1c1 is None else f'[{a1c1.u},{a1c1.v}]'},"
         f"{'null' if g2y2 is None else f'[{g2y2.u},{g2y2.v}]'},"
         f"{'null' if a2g2 is None else f'[{a2g2.u},{a2g2.v}]'},"
-        f"{'null' if a2c2 is None else f'[{a2c2.u},{a2c2.v}]'},"
-        f"[{scores}],{pos},{'true' if d.inserted else 'false'}"
+        f"{'null' if a2c2 is None else f'[{a2c2.u},{a2c2.v}]'},{pos}"
         f"{'' if feasible is None else ',true' if feasible else ',false'}]")
 
 
@@ -883,26 +930,28 @@ def read_trace(lines: Iterable[str]) -> Iterator[dict]:
     :func:`trace_to_dict` builds it from the step's TraceEvent.
 
     Each line is decoded from itself, the header and the sets inserted
-    on earlier lines; no step is replayed.  A role's endpoint pair
-    names the edge last inserted on that pair: a stored edge leaves
-    every slot when an edge on its pair is inserted, as the insertion
-    removes the matching edges at both its ends.  The candidate sets
-    are the disjoint subsets of the input edge and the shadows, in the
-    order a step enumerates them; the decision's `removed` is its set's
-    conflicts in view (the input edge's are g1y1 and g2y2, a1g1's are
-    g1y1 and a1c1, a2g2's g2y2 and a2c2), sorted, and its `r` is its
-    set's score.  The reader keeps one edge per inserted pair.
+    on earlier lines.  A role's endpoint pair names the edge last
+    inserted on that pair: a stored edge leaves every slot when an edge
+    on its pair is inserted, as the insertion removes the matching
+    edges at both its ends.  The view is then ranked at the header's
+    threshold by `_rank`, the step's own ranking, which gives every
+    candidate set's score, the set a step picks, its `removed` and its
+    `r`.  ValueError names a line whose `chosen` is not what that
+    ranking does: an inserted set other than the one it picks, an
+    insertion where no set scores above zero, or a rejection where one
+    does.  The reader keeps one edge per inserted pair.
     """
     lines = iter(lines)
     header = json.loads(next(lines, "null"))
     if not isinstance(header, dict) or header.get("trace") != _TRACE_VERSION:
         raise ValueError(f"not a version {_TRACE_VERSION} trace header: "
                          f"{header!r}")
+    t = real_parameter("threshold", header.get("threshold"), 1.0, strict=False)
     stored: dict[tuple[int, int], Edge] = {}
     for line_no, line in enumerate(lines, 2):
         items = json.loads(line)
-        index, (u, v, w), *roles, scores, pos, inserted = items[:11]
-        feasible = items[11] if len(items) > 11 else None
+        index, (u, v, w), *roles, pos = items[:9]
+        feasible = items[9] if len(items) > 9 else None
         try:
             g1y1, a1g1, a1c1, g2y2, a2g2, a2c2 = [
                 None if p is None else stored[p[0], p[1]] for p in roles]
@@ -910,25 +959,24 @@ def read_trace(lines: Iterable[str]) -> Iterator[dict]:
             raise ValueError(f"trace line {line_no}: no earlier line "
                              f"inserted the edge {list(exc.args[0])}") from None
         e = Edge(u, v, w)
-        cands = _candidates(e, a1g1, a2g2)
-        cands.sort()
-        sets = _disjoint_subsets(cands)
-        if len(scores) != len(sets) or not 0 <= pos < len(sets):
-            raise ValueError(f"trace line {line_no}: {len(scores)} scores and "
-                             f"set {pos} of {len(sets)} candidate sets")
-        chosen = sets[pos]
-        conflicts = set()
-        if e in chosen:
-            conflicts.update((g1y1, g2y2))
-        if a1g1 in chosen:
-            conflicts.update((g1y1, a1c1))
-        if a2g2 in chosen:
-            conflicts.update((g2y2, a2c2))
-        conflicts.discard(None)
+        sets, scores, chosen, removed, r, inserted = _rank(
+            t, e, g1y1, g2y2, a1g1, a1c1, a2g2, a2c2)
+        if pos is None:
+            if inserted:
+                raise ValueError(f"trace line {line_no}: no set is chosen, but "
+                                 f"set {sets.index(chosen)} scores above 0")
+        elif not inserted:
+            raise ValueError(f"trace line {line_no}: set {pos} is chosen, but "
+                             f"no set scores above 0")
+        elif (type(pos) is not int or not 0 <= pos < len(sets)
+              or sets[pos] != chosen):
+            raise ValueError(f"trace line {line_no}: set {pos} is chosen, but "
+                             f"the ranking picks set {sets.index(chosen)} of "
+                             f"{len(sets)}")
         if inserted:
             for f in chosen:
                 stored[f.u, f.v] = f
         yield _record(index, Neighborhood(e, g1y1, a1g1, a1c1, g2y2, a2g2,
                                           a2c2),
-                      zip(sets, scores), chosen, sorted(conflicts),
-                      scores[pos], inserted, feasible)
+                      zip(sets, [score[0] for score in scores]), chosen,
+                      removed, r, inserted, feasible)

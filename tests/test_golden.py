@@ -7,10 +7,11 @@ compares its output byte for byte.  Commands run with the fixture
 directory as the working directory and relative input paths, because
 `compare` prints the path it was given as the instance id.
 
-Traces are pinned twice.  `*.trace-v2.jsonl.gz` holds the trace bytes
+Traces are pinned twice.  `*.trace-v3.jsonl.gz` holds the trace bytes
 the CLI writes; `*.trace.jsonl.gz` holds the same runs in the first
 trace format, one full record per line, and is never rewritten: every
-version 2 trace must read back, through `read_trace`, as those lines.
+version 3 trace must read back, through `read_trace`, as those lines,
+scores and all, though its lines spell no score.
 
 After a deliberate output change, recapture with
 
@@ -70,10 +71,10 @@ RUNS = [
 ]
 
 
-def _v2(trace_golden: str) -> str:
+def _v3(trace_golden: str) -> str:
     """The file pinning the trace bytes of the run whose records
     `trace_golden` holds."""
-    return trace_golden.replace(".trace.", ".trace-v2.")
+    return trace_golden.replace(".trace.", ".trace-v3.")
 
 
 def _run(argv: list[str], trace: Path | None = None
@@ -114,7 +115,7 @@ def test_cli_bytes(golden, argv, trace_golden, tmp_path):
     assert code == 0
     assert out == (GOLDEN / golden).read_bytes()
     if trace_golden is not None:
-        assert trace == gzip.decompress((GOLDEN / _v2(trace_golden)).read_bytes())
+        assert trace == gzip.decompress((GOLDEN / _v3(trace_golden)).read_bytes())
 
 
 @pytest.mark.parametrize("trace_golden", sorted(
@@ -122,11 +123,36 @@ def test_cli_bytes(golden, argv, trace_golden, tmp_path):
 def test_traces_read_back_as_their_records(trace_golden):
     """Each pinned trace, read back and dumped with sorted keys, is the
     record golden of the same run, line for line."""
-    lines = gzip.decompress((GOLDEN / _v2(trace_golden)).read_bytes())
+    lines = gzip.decompress((GOLDEN / _v3(trace_golden)).read_bytes())
     records = gzip.decompress((GOLDEN / trace_golden).read_bytes())
     got = [json.dumps(record, sort_keys=True)
            for record in read_trace(lines.decode("utf-8").splitlines())]
     assert got == records.decode("utf-8").splitlines()
+
+
+@pytest.mark.parametrize("change", ["rejection", "insertion", "moved"])
+def test_read_trace_names_a_line_the_ranking_disowns(change):
+    """read_trace ranks each view again and raises ValueError naming the
+    first line whose `chosen` the ranking does not give: a rejection
+    that claims set 0, an insertion that claims none, and an insertion
+    of several candidate sets whose position is moved."""
+    lines = gzip.decompress((GOLDEN / "ascending.trace-v3.jsonl.gz")
+                            .read_bytes()).decode("utf-8").splitlines()
+    records = list(read_trace(lines))
+    i = next(i for i, rec in enumerate(records)
+             if rec["decision"]["inserted"] == (change != "rejection")
+             and (change != "moved" or len(rec["candidates"]) > 1))
+    items = json.loads(lines[i + 1])
+    if change == "rejection":
+        assert items[8] is None
+        items[8] = 0
+    elif change == "insertion":
+        items[8] = None
+    else:
+        items[8] = (items[8] + 1) % len(records[i]["candidates"])
+    lines[i + 1] = json.dumps(items, separators=(",", ":"))
+    with pytest.raises(ValueError, match=rf"^trace line {i + 2}: "):
+        list(read_trace(lines))
 
 
 def test_traces_repeat_in_one_process(tmp_path):
@@ -160,7 +186,7 @@ def capture() -> None:
         assert code == 0, (argv, code)
         (GOLDEN / golden).write_bytes(out)
         if trace_golden is not None:
-            (GOLDEN / _v2(trace_golden)).write_bytes(
+            (GOLDEN / _v3(trace_golden)).write_bytes(
                 gzip.compress(trace, mtime=0))
     scratch.unlink(missing_ok=True)
 

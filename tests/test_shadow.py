@@ -715,32 +715,47 @@ def test_hooked_run_matches_unhooked_run_and_traced_steps(data):
         assert got == want
 
 
-def test_unhooked_run_rejects_without_scoring(monkeypatch):
-    """An untraced run scores fewer steps than a traced one, which
-    scores every step with a shadow in view, and ends the same; an
-    insertion hook leaves it untraced, so a hooked run scores exactly
-    the steps an unhooked one does (4 on gnp.txt, where a hook that
-    read every step scored 343)."""
+def test_unhooked_run_rejects_without_scoring(monkeypatch, tmp_path):
+    """A step the reject bound settles is not scored unless its event is
+    read for it.  On gnp.txt an unhooked run, a hooked one, a traced one
+    whose sink reads each event's index, neighborhood and inserted, one
+    that writes each event's trace line, and `run --verify --trace` all
+    rank the views of the same 4 steps.  A sink that reads every
+    event's decision ranks all 343 views with a shadow in view, the
+    settled ones as it reads them.  The spy is on `_rank`, the one
+    ranking behind the step and a lazily scored event, so lazy scoring
+    is counted too.  Every run ends the same."""
     golden = Path(__file__).parent / "golden" / "gnp.txt"
     steps = []
-    decide = ShadowMatcher._decide
+    rank = shadow_module._rank
 
-    def counted(self, e, a, b, s1, c1, s2, c2, scored):
+    def counted(t, e, *view):
         steps.append(e)
-        return decide(self, e, a, b, s1, c1, s2, c2, scored)
+        return rank(t, e, *view)
 
-    monkeypatch.setattr(ShadowMatcher, "_decide", counted)
+    monkeypatch.setattr(shadow_module, "_rank", counted)
     k = optimal_k()[0]
 
     def scored_steps(**hooks):
         del steps[:]
         return run_stream(open_stream(golden), k, **hooks), len(steps)
 
+    def light(event):
+        event.index, event.neighborhood, event.inserted
+
     bare, unhooked = scored_steps()
     hooked, hooked_steps = scored_steps(on_insert=lambda decision: None)
-    traced, traced_steps = scored_steps(trace=lambda event: None)
-    assert hooked == bare == traced
-    assert 0 < unhooked == hooked_steps < traced_steps
+    lean, lean_steps = scored_steps(trace=light)
+    written, written_steps = scored_steps(trace=trace_line)
+    read, read_steps = scored_steps(trace=lambda event: event.decision)
+    assert hooked == bare == lean == written == read
+    assert unhooked == hooked_steps == lean_steps == written_steps == 4
+    assert read_steps == 343
+    del steps[:]
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["run", str(golden), "--verify", "--trace",
+                     str(tmp_path / "trace.jsonl")]) == 0
+    assert len(steps) == 4
 
 
 def _settled(k: float, event: TraceEvent) -> bool:
@@ -964,8 +979,9 @@ def _assert_step_scores_match_reference(m: ShadowMatcher, e: Edge) -> None:
     """Run `e` through a traced step of `m` and check every scored set
     against reference_conflict_score on the matching as it was before
     the step: the sets of the view in bitmask order, each with its `r`
-    to the bit and its sorted `removed`, which a step reads off its
-    view and a spy on `shadow._score` sees."""
+    to the bit and its sorted `removed`, which a step, or the event of
+    a step the reject bound settles when it is read, reads off its view
+    and a spy on `shadow._score` sees."""
     before = dict(m.matching)
     nb = m.neighborhood(e)
     seen = []
@@ -977,6 +993,7 @@ def _assert_step_scores_match_reference(m: ShadowMatcher, e: Edge) -> None:
 
     with patch.object(shadow_module, "_score", spy):
         event = m.process_edge_traced(e, 0)
+        event.candidates
     if len(event.candidates) == 1:
         # the lone input edge, scored inline: its removed is the decision's
         seen = [(event.decision.chosen, event.decision.removed)]
@@ -1174,6 +1191,27 @@ def _assert_trace_reads_back(matcher, events, verdicts) -> list[str]:
     return lines
 
 
+def _assert_scored_eagerly(before: dict[int, Edge], t: float,
+                           event: TraceEvent) -> None:
+    """The lazily read candidates and decision of a settled step's
+    event are those of an eager scoring: conflict_score of every
+    enumerated set against `before`, the matching before the step, r
+    compared by repr, and the best set under `_better`, rejected."""
+    want = []
+    best = None
+    for subset in enumerate_augmenting_sets(event.neighborhood):
+        r, removed, key = conflict_score(before, subset, t)
+        want.append((subset, repr(r)))
+        if best is None or shadow_module._better(key, subset, best[0],
+                                                 best[1]):
+            best = (key, subset, removed, repr(r))
+    assert [(subset, repr(r)) for subset, r in event.candidates] == want
+    d = event.decision
+    assert (d.chosen, d.removed, repr(d.gain), d.inserted) == (*best[1:],
+                                                               False)
+    assert not event.inserted
+
+
 @given(st.data())
 @settings(max_examples=150, deadline=None)
 def test_trace_line_matches_sorted_json_dumps(data):
@@ -1181,7 +1219,10 @@ def test_trace_line_matches_sorted_json_dumps(data):
     before it, dumps with sorted keys to the bytes of its reference
     record: for the shadow matcher and the baseline, with and without
     a verifier verdict, at float ties and with scores past the float
-    range."""
+    range.  A step the reject bound settles is scored only when its
+    event is read; what it reads then is each set of the view scored
+    eagerly by conflict_score against the matching before the step,
+    and the best of those sets under `_better`."""
     rng = random.Random(data.draw(st.integers(0, 10 ** 9)))
     weights = data.draw(st.sampled_from(
         ["uniform", "integer", "nextafter", "huge"]))
@@ -1206,25 +1247,36 @@ def test_trace_line_matches_sorted_json_dumps(data):
             steps = rng.randint(-3, 3)
             for _ in range(abs(steps)):
                 w = math.nextafter(w, math.inf if steps > 0 else 0.0)
+        before = dict(matcher.matching)
         events.append(matcher.process_edge_traced(edge(u, v, w), i))
+        if _settled(matcher.threshold, events[-1]):
+            _assert_scored_eagerly(before, matcher.threshold, events[-1])
     verdicts = [rng.choice([None, True, False]) for _ in events]
     _assert_trace_reads_back(matcher, events, verdicts)
 
 
-def test_trace_line_spells_non_finite_scores_as_json_does():
+def test_trace_line_spells_no_scores():
+    """A line spells no score, and the reader scores the view again: a
+    step whose score leaves the float range, as k times a matching
+    weight near 1.7e308 does, reads back with r == -inf in its
+    candidates and its decision, and its line is byte-identical
+    whatever the event's candidates hold."""
     m = ShadowMatcher(1.717191779457857)
     events = [m.process_edge_traced(edge(1, 2, 1.7e308), 0),
               m.process_edge_traced(edge(2, 3, 1e308), 1)]
     ev = events[1]
     assert ev.decision.gain == -math.inf
-    assert trace_line(ev).endswith(",[-Infinity],0,false]")
-    _assert_trace_reads_back(m, events, [None, None])
-    # No step scores above the float range (a shadow weighs under 1/k
-    # of the edge that evicted it), so +Infinity is set by hand.
-    ev.candidates = tuple((subset, math.inf) for subset, _ in ev.candidates)
-    ev.decision.gain = math.inf
-    assert trace_line(ev).endswith(",[Infinity],0,false]")
-    _assert_trace_reads_back(m, events, [None, None])
+    lines = _assert_trace_reads_back(m, events, [None, None])
+    record = list(read_trace(lines))[1]
+    assert [c["r"] for c in record["candidates"]] == [-math.inf]
+    assert record["decision"]["r"] == -math.inf
+    line = trace_line(ev)
+    assert line == "[1,[2,3,1e+308],[1,2],null,null,null,null,null,null]"
+    for r in (math.inf, math.nan, 0.0, None):
+        held = () if r is None else tuple(
+            (subset, r) for subset, _ in ev.candidates)
+        assert trace_line(TraceEvent(ev.index, ev.neighborhood, held,
+                                     ev.decision)) == line
 
 
 def test_trace_encoder_never_shares_text_between_equal_edges():
