@@ -6,9 +6,14 @@ is the ratio
 
     R(k) = k + k / (k - 1) + (k**3 - k + 1) / k**2          for k > 1.
 
-R is strictly convex on (1, oo), so a ternary search pins its minimum.
-The arithmetic below is generic: pass a float and get a float, pass a
-fractions.Fraction and the result stays exact.
+R is strictly convex on (1, oo), since R''(k) = 2/(k-1)**3 - 2/k**3 +
+6/k**4 and (k-1)**3 < k**3, so it has one minimiser: the root of R'(k)
+times k**3 (k-1)**2, the polynomial
+
+    P(k) = 2k**3 (k-1)**2 - k**3 + k (k-1)**2 - 2 (k-1)**2,
+
+at about 1.717191765.  The arithmetic below is generic: pass a float
+and get a float, pass a fractions.Fraction and the result stays exact.
 """
 
 from __future__ import annotations
@@ -36,24 +41,14 @@ def approx_bound(k):
     return k + k / (k - 1) + (k ** 3 - k + 1) / k ** 2
 
 
-def optimal_k() -> tuple[float, float]:
-    """Minimize approx_bound over (1, 10] by ternary search.
+# The default threshold: 1.41e-8 above the minimiser of R, where R is
+# within 1e-15 of its minimum (tests/test_bound.py checks both exactly).
+K_STAR = 1.717191779457857
 
-    Returns (k_star, approx_bound(k_star)).  The search starts on
-    [1 + 1e-9, 10] and stops once the window is 1e-9 wide; convexity of
-    the bound makes ternary search exact up to that tolerance.
-    """
-    lo, hi = 1.0 + 1e-9, 10.0
-    while hi - lo > 1e-9:
-        third = (hi - lo) / 3.0
-        m1 = lo + third
-        m2 = hi - third
-        if approx_bound(m1) < approx_bound(m2):
-            hi = m2
-        else:
-            lo = m1
-    k = (lo + hi) / 2.0
-    return k, approx_bound(k)
+
+def optimal_k() -> tuple[float, float]:
+    """The default threshold K_STAR and its ratio bound R(K_STAR)."""
+    return K_STAR, approx_bound(K_STAR)
 
 
 def ratio_table(ks) -> list[tuple[float, float]]:

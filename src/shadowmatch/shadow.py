@@ -53,8 +53,10 @@ A trace is a header line (`trace_header`) and then one line per step
 between lines.  A line holds only what cannot be derived from it, the
 header and the lines before it: the input edge whole, the other roles
 by their endpoint pair and the inserted set's position.  `read_trace`
-ranks each view again with the step's own `_rank` and gives back each
-step's full record, the dict `trace_to_dict` builds from the event.
+replays the run: it feeds each line's input edge to one matcher built
+from the header, checks that the step writes that very line, and gives
+back the step's TraceEvent, so it holds what the run holds.
+`trace_to_dict` renders an event as its full version 1 record.
 
 An insertion candidate A (a set of one to three pairwise disjoint
 non-matching edges from the neighborhood) is scored by
@@ -89,7 +91,7 @@ from fractions import Fraction
 from operator import itemgetter
 from typing import Callable, Iterable, Iterator, NamedTuple
 
-from .graph import Edge, EdgeStream
+from .graph import Edge, EdgeStream, edge
 
 # A float score w(A) - t*w(M(A)) sums up to three and up to four weights,
 # then takes one product and one difference: its rounding error is under
@@ -622,7 +624,8 @@ class ShadowMatcher:
     def process_edge_traced(self, e: Edge, index: int) -> TraceEvent:
         """Process one input edge as process_edge does, but return the
         step's TraceEvent, numbered `index`: the loop `drive` runs, over
-        the one edge with a trace sink."""
+        the one edge with a trace sink.  `read_trace` replays a trace
+        through it."""
         events = []
         self._steps((e,), None, events.append)
         event = events[0]
@@ -668,8 +671,8 @@ def _rank(t: float, e: Edge, a: Edge | None, b: Edge | None,
           c2: Edge | None):
     """Score every disjoint subset of a view's candidate edges at
     threshold t and pick the one a step inserts if its score is above
-    zero: the one ranking behind the step, a lazily scored TraceEvent
-    and `read_trace`.
+    zero: the one ranking behind the step and a lazily scored
+    TraceEvent.
 
     The view is a step's: input edge `e`, the matching edges `a` and
     `b` at its ends, the shadows `s1` behind `a` and `s2` behind `b`,
@@ -873,8 +876,8 @@ def trace_line(event: TraceEvent, feasible: bool | None = None) -> str:
     endpoint pair [u, v] (null where empty), since every stored edge
     was inserted as an input edge earlier in the trace.  `chosen` is
     the position of the inserted set among the candidate sets, or null
-    on a rejection.  No score is spelled: :func:`read_trace` scores the
-    view again at the header's threshold.  `feasible`, when not None,
+    on a rejection.  No score is spelled: :func:`read_trace` replays
+    the step at the header's threshold.  `feasible`, when not None,
     is the verifier's verdict on an insertion and is appended as a
     tenth item.
     """
@@ -897,86 +900,75 @@ def trace_line(event: TraceEvent, feasible: bool | None = None) -> str:
         f"{'' if feasible is None else ',true' if feasible else ',false'}]")
 
 
-def _record(index: int, nb: Neighborhood,
-            candidates: Iterable[tuple[tuple[Edge, ...], float]],
-            chosen: tuple[Edge, ...], removed: Iterable[Edge], r: float,
-            inserted: bool, feasible: bool | None) -> dict:
-    """The JSON-ready record of one step: edges as [u, v, w] lists,
-    roles keyed by name, and `allocation_feasible` only with a
-    verdict."""
+def trace_to_dict(event: TraceEvent, feasible: bool | None = None) -> dict:
+    """Render one TraceEvent as its JSON-ready record, the version 1
+    trace line: edges as [u, v, w] lists, roles keyed by name, and
+    `allocation_feasible` only with a verdict."""
     def enc(e):
         return None if e is None else [e.u, e.v, e.w]
 
-    decision = {"A": [enc(f) for f in chosen], "inserted": inserted,
-                "r": r, "removed": [enc(f) for f in removed]}
+    nb = event.neighborhood
+    d = event.decision
+    decision = {"A": [enc(f) for f in d.chosen], "inserted": d.inserted,
+                "r": d.gain, "removed": [enc(f) for f in d.removed]}
     if feasible is not None:
         decision["allocation_feasible"] = feasible
     return {"S": {role: enc(f) for role, f in zip(nb._fields, nb)},
             "candidates": [{"edges": [enc(f) for f in subset], "r": score}
-                           for subset, score in candidates],
-            "decision": decision, "index": index, "input": enc(nb.y1y2)}
+                           for subset, score in event.candidates],
+            "decision": decision, "index": event.index, "input": enc(nb.y1y2)}
 
 
-def trace_to_dict(event: TraceEvent, feasible: bool | None = None) -> dict:
-    """Render one TraceEvent as its JSON-ready record, the dict
-    :func:`read_trace` gives back for the event's trace line."""
-    d = event.decision
-    return _record(event.index, event.neighborhood, event.candidates,
-                   d.chosen, d.removed, d.gain, d.inserted, feasible)
+def read_trace(lines: Iterable[str]
+               ) -> Iterator[tuple[TraceEvent, bool | None]]:
+    """Read a trace, header first, by replaying the run: yield each
+    step's TraceEvent and the line's verdict, or None without one.
 
-
-def read_trace(lines: Iterable[str]) -> Iterator[dict]:
-    """Read a trace, header first, and yield each step's record as
-    :func:`trace_to_dict` builds it from the step's TraceEvent.
-
-    Each line is decoded from itself, the header and the sets inserted
-    on earlier lines.  A role's endpoint pair names the edge last
-    inserted on that pair: a stored edge leaves every slot when an edge
-    on its pair is inserted, as the insertion removes the matching
-    edges at both its ends.  The view is then ranked at the header's
-    threshold by `_rank`, the step's own ranking, which gives every
-    candidate set's score, the set a step picks, its `removed` and its
-    `r`.  ValueError names a line whose `chosen` is not what that
-    ranking does: an inserted set other than the one it picks, an
-    insertion where no set scores above zero, or a rejection where one
-    does.  The reader keeps one edge per inserted pair.
+    The header gives the threshold and whether removed edges are parked,
+    and the reader builds one matcher that scores at exactly that
+    threshold and parks as it says.  Each line's input edge is then fed
+    to that matcher's step (`process_edge_traced`), numbered by the
+    line's position after the header, and the line must be the one
+    `trace_line` writes for the step's event and the line's verdict:
+    its index, its input edge, its six roles and its `chosen`.  So the
+    reader holds what the run holds, at most 3 * floor(n/2) edges, and
+    its events are scored lazily as the step's own are.  ValueError
+    names a line that is malformed or that the step does not write: an
+    edited or reordered trace, a line cut short, or a trace another
+    build wrote.
     """
     lines = iter(lines)
-    header = json.loads(next(lines, "null"))
-    if not isinstance(header, dict) or header.get("trace") != _TRACE_VERSION:
-        raise ValueError(f"not a version {_TRACE_VERSION} trace header: "
-                         f"{header!r}")
-    t = real_parameter("threshold", header.get("threshold"), 1.0, strict=False)
-    stored: dict[tuple[int, int], Edge] = {}
-    for line_no, line in enumerate(lines, 2):
-        items = json.loads(line)
-        index, (u, v, w), *roles, pos = items[:9]
-        feasible = items[9] if len(items) > 9 else None
+    try:
+        header = json.loads(next(lines, "null"))
+        if (not isinstance(header, dict)
+                or header.get("trace") != _TRACE_VERSION
+                or type(header.get("parks")) is not bool):
+            raise ValueError(f"not a version {_TRACE_VERSION} trace header: "
+                             f"{header!r}")
+        t = real_parameter("threshold", header.get("threshold"), 1.0,
+                           strict=False)
+    except (RecursionError, ValueError) as exc:
+        raise ValueError(f"trace line 1: {exc}") from None
+    matcher = ShadowMatcher.__new__(ShadowMatcher)
+    matcher._start(t)
+    matcher.parks = header["parks"]
+    for i, line in enumerate(lines):
+        line = line.rstrip("\r\n")
         try:
-            g1y1, a1g1, a1c1, g2y2, a2g2, a2c2 = [
-                None if p is None else stored[p[0], p[1]] for p in roles]
-        except KeyError as exc:
-            raise ValueError(f"trace line {line_no}: no earlier line "
-                             f"inserted the edge {list(exc.args[0])}") from None
-        e = Edge(u, v, w)
-        sets, scores, chosen, removed, r, inserted = _rank(
-            t, e, g1y1, g2y2, a1g1, a1c1, a2g2, a2c2)
-        if pos is None:
-            if inserted:
-                raise ValueError(f"trace line {line_no}: no set is chosen, but "
-                                 f"set {sets.index(chosen)} scores above 0")
-        elif not inserted:
-            raise ValueError(f"trace line {line_no}: set {pos} is chosen, but "
-                             f"no set scores above 0")
-        elif (type(pos) is not int or not 0 <= pos < len(sets)
-              or sets[pos] != chosen):
-            raise ValueError(f"trace line {line_no}: set {pos} is chosen, but "
-                             f"the ranking picks set {sets.index(chosen)} of "
-                             f"{len(sets)}")
-        if inserted:
-            for f in chosen:
-                stored[f.u, f.v] = f
-        yield _record(index, Neighborhood(e, g1y1, a1g1, a1c1, g2y2, a2g2,
-                                          a2c2),
-                      zip(sets, [score[0] for score in scores]), chosen,
-                      removed, r, inserted, feasible)
+            items = json.loads(line)
+            u, v, w = items[1]
+            # `edge` only checks: it would make an int weight a float,
+            # which the line spells otherwise.
+            e = Edge(u, v, w)
+            if edge(u, v, w) != e:
+                raise ValueError(f"input edge {items[1]} is not canonical")
+            feasible = items[9] if len(items) > 9 else None
+            event = matcher.process_edge_traced(e, i)
+        except (LookupError, OverflowError, RecursionError, TypeError,
+                ValueError) as exc:
+            raise ValueError(f"trace line {i + 2}: {exc}") from None
+        written = trace_line(event, feasible)
+        if written != line:
+            raise ValueError(f"trace line {i + 2}: the step on its input edge "
+                             f"writes {written}")
+        yield event, feasible

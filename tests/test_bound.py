@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from shadowmatch.bound import approx_bound, optimal_k, ratio_table
+from shadowmatch.bound import K_STAR, approx_bound, optimal_k, ratio_table
 
 
 def test_value_at_two_is_exact():
@@ -52,6 +52,40 @@ def test_minimizer_is_locally_minimal():
 
 def test_minimizer_is_deterministic():
     assert optimal_k() == optimal_k()
+
+
+def _p(k: Fraction) -> Fraction:
+    """R'(k) times k**3 (k-1)**2, a factor positive on k > 1, so P has
+    the sign of R' there and its root is the minimiser of R."""
+    return 2 * k ** 3 * (k - 1) ** 2 - k ** 3 + k * (k - 1) ** 2 - 2 * (k - 1) ** 2
+
+
+def test_k_star_lies_within_1_5e_8_above_the_minimiser():
+    k = Fraction(K_STAR)
+    assert _p(k) > 0
+    assert _p(k - Fraction(15, 10 ** 9)) < 0
+
+
+def test_k_star_ratio_lies_within_1e_15_of_the_minimum():
+    """Bisect the root of P to a bracket [lo, hi]; R is convex, so its
+    tangent at hi lies below it there, and R(root) >= R(hi) - R'(hi) *
+    (hi - lo)."""
+    lo, hi = Fraction(3, 2), Fraction(2)
+    assert _p(lo) < 0 < _p(hi)
+    for _ in range(64):
+        mid = (lo + hi) / 2
+        if _p(mid) < 0:
+            lo = mid
+        else:
+            hi = mid
+    slope = _p(hi) / (hi ** 3 * (hi - 1) ** 2)
+    floor = approx_bound(hi) - slope * (hi - lo)
+    assert approx_bound(Fraction(K_STAR)) - floor < Fraction(1, 10 ** 15)
+
+
+def test_k_star_beats_three_plus_two_root_two():
+    """R(K_STAR) < 3 + 2*sqrt(2), the best earlier one-pass ratio."""
+    assert (approx_bound(Fraction(K_STAR)) - 3) ** 2 < 8
 
 
 def test_slope_changes_sign_once():

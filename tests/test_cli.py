@@ -13,9 +13,10 @@ import sys
 
 import pytest
 
-from helpers import package_env
+from helpers import package_env, reference_trace_record
 from shadowmatch import cli
 from shadowmatch.baseline import BaselineMatcher, run_baseline
+from shadowmatch.bound import K_STAR
 from shadowmatch.cli import main
 from shadowmatch.generators import GeneratorSpec, generate
 from shadowmatch.graph import open_stream
@@ -64,7 +65,7 @@ def test_run_trace_writes_json_lines(stream_file, tmp_path, capsys):
     lines = trace.read_text(encoding="utf-8").splitlines()
     assert json.loads(lines[0]) == {"trace": 3, "threshold": 2.0,
                                     "parks": True}
-    records = list(read_trace(lines))
+    records = [reference_trace_record(ev, f) for ev, f in read_trace(lines)]
     assert len(records) == 3
     for i, rec in enumerate(records):
         assert rec["index"] == i
@@ -83,10 +84,10 @@ def test_run_trace_keeps_the_steps_before_an_input_error(tmp_path, capsys):
     assert main(["run", str(path), "--verify", "--trace", str(trace)]) == 2
     assert "line 4" in capsys.readouterr().err
     lines = trace.read_text(encoding="utf-8").splitlines()
-    assert lines[0] == trace_header(ShadowMatcher(cli._K_STAR))
-    records = list(read_trace(lines))
-    assert [rec["index"] for rec in records] == [0, 1, 2]
-    assert records[2]["decision"]["removed"] == [[0, 1, 3.0], [2, 3, 4.0]]
+    assert lines[0] == trace_header(ShadowMatcher(K_STAR))
+    events = [ev for ev, _ in read_trace(lines)]
+    assert [ev.index for ev in events] == [0, 1, 2]
+    assert events[2].decision.removed == ((0, 1, 3.0), (2, 3, 4.0))
 
 
 def test_run_trace_of_an_empty_stream_is_its_header(tmp_path, capsys):
@@ -95,7 +96,7 @@ def test_run_trace_of_an_empty_stream_is_its_header(tmp_path, capsys):
     trace = tmp_path / "trace.jsonl"
     assert main(["run", str(path), "--trace", str(trace)]) == 0
     assert capsys.readouterr().out == "weight 0.0\n"
-    header = trace_header(ShadowMatcher(cli._K_STAR))
+    header = trace_header(ShadowMatcher(K_STAR))
     assert trace.read_text(encoding="utf-8") == header + "\n"
     assert list(read_trace([header])) == []
 
@@ -420,7 +421,7 @@ def test_run_baseline_trace_has_one_candidate_per_edge(tmp_path, capsys, gamma):
     lines = trace.read_text(encoding="utf-8").splitlines()
     assert json.loads(lines[0]) == {"trace": 3, "threshold": 1.0 + float(gamma),
                                     "parks": False}
-    records = list(read_trace(lines))
+    records = [reference_trace_record(ev, f) for ev, f in read_trace(lines)]
     edges = list(open_stream(str(path)))
     events = []
     traced = drive(BaselineMatcher(float(gamma)), edges, trace=events.append)

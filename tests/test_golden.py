@@ -10,8 +10,9 @@ directory as the working directory and relative input paths, because
 Traces are pinned twice.  `*.trace-v3.jsonl.gz` holds the trace bytes
 the CLI writes; `*.trace.jsonl.gz` holds the same runs in the first
 trace format, one full record per line, and is never rewritten: every
-version 3 trace must read back, through `read_trace`, as those lines,
-scores and all, though its lines spell no score.
+version 3 trace must read back, through `read_trace` and the test-side
+renderer `reference_trace_record`, as those lines, scores and all,
+though its lines spell no score.
 
 After a deliberate output change, recapture with
 
@@ -32,6 +33,7 @@ from pathlib import Path
 
 import pytest
 
+from helpers import reference_trace_record
 from shadowmatch.cli import main
 from shadowmatch.shadow import read_trace
 
@@ -121,35 +123,56 @@ def test_cli_bytes(golden, argv, trace_golden, tmp_path):
 @pytest.mark.parametrize("trace_golden", sorted(
     {trace for _, _, trace in RUNS if trace is not None}))
 def test_traces_read_back_as_their_records(trace_golden):
-    """Each pinned trace, read back and dumped with sorted keys, is the
-    record golden of the same run, line for line."""
+    """Each pinned trace, read back and rendered by the test-side
+    renderer with sorted keys, is the record golden of the same run,
+    line for line."""
     lines = gzip.decompress((GOLDEN / _v3(trace_golden)).read_bytes())
     records = gzip.decompress((GOLDEN / trace_golden).read_bytes())
-    got = [json.dumps(record, sort_keys=True)
-           for record in read_trace(lines.decode("utf-8").splitlines())]
+    got = [json.dumps(reference_trace_record(event, verdict), sort_keys=True)
+           for event, verdict in read_trace(lines.decode("utf-8").splitlines())]
     assert got == records.decode("utf-8").splitlines()
 
 
-@pytest.mark.parametrize("change", ["rejection", "insertion", "moved"])
+def _trace_lines(name: str) -> list[str]:
+    return gzip.decompress((GOLDEN / f"{name}.trace-v3.jsonl.gz")
+                           .read_bytes()).decode("utf-8").splitlines()
+
+
+@pytest.mark.parametrize("change", ["rejection", "insertion", "moved",
+                                    "role", "swapped"])
 def test_read_trace_names_a_line_the_ranking_disowns(change):
-    """read_trace ranks each view again and raises ValueError naming the
-    first line whose `chosen` the ranking does not give: a rejection
-    that claims set 0, an insertion that claims none, and an insertion
-    of several candidate sets whose position is moved."""
-    lines = gzip.decompress((GOLDEN / "ascending.trace-v3.jsonl.gz")
-                            .read_bytes()).decode("utf-8").splitlines()
-    records = list(read_trace(lines))
-    i = next(i for i, rec in enumerate(records)
-             if rec["decision"]["inserted"] == (change != "rejection")
-             and (change != "moved" or len(rec["candidates"]) > 1))
-    items = json.loads(lines[i + 1])
-    if change == "rejection":
-        assert items[8] is None
-        items[8] = 0
-    elif change == "insertion":
-        items[8] = None
+    """read_trace replays each line's step and raises ValueError naming
+    the first line the step does not write: a rejection that claims set
+    0, an insertion that claims none, an insertion of several candidate
+    sets whose position is moved, a role renamed to another stored pair
+    (line 31 of the ascending trace) and two swapped rejections (lines
+    23 and 24 of the gnp trace)."""
+    if change == "swapped":
+        lines = _trace_lines("gnp")
+        lines[22], lines[23] = lines[23], lines[22]
+        assert json.loads(lines[22])[8] is json.loads(lines[23])[8] is None
+        with pytest.raises(ValueError, match=r"^trace line 23: "):
+            list(read_trace(lines))
+        return
+    lines = _trace_lines("ascending")
+    if change == "role":
+        items = json.loads(lines[30])
+        assert items[2] == [3, 38]
+        items[2] = [25, 34]
+        i = 29
     else:
-        items[8] = (items[8] + 1) % len(records[i]["candidates"])
+        events = [event for event, _ in read_trace(lines)]
+        i = next(i for i, event in enumerate(events)
+                 if event.inserted == (change != "rejection")
+                 and (change != "moved" or len(event.candidates) > 1))
+        items = json.loads(lines[i + 1])
+        if change == "rejection":
+            assert items[8] is None
+            items[8] = 0
+        elif change == "insertion":
+            items[8] = None
+        else:
+            items[8] = (items[8] + 1) % len(events[i].candidates)
     lines[i + 1] = json.dumps(items, separators=(",", ":"))
     with pytest.raises(ValueError, match=rf"^trace line {i + 2}: "):
         list(read_trace(lines))

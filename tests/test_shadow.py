@@ -1178,14 +1178,15 @@ def _record_text(record: dict) -> str:
 
 def _assert_trace_reads_back(matcher, events, verdicts) -> list[str]:
     """Write `events` of a run of `matcher` as a trace, with the verdict
-    of each, and assert that `read_trace` gives back every event's
-    reference record and that `trace_to_dict` builds the same one.
-    Returns the trace lines."""
+    of each, and assert that `read_trace` gives back every event, whose
+    reference record and verdict are the written one's, and that
+    `trace_to_dict` builds the same record.  Returns the trace lines."""
     lines = [trace_header(matcher)]
     lines += [trace_line(ev, f) for ev, f in zip(events, verdicts)]
     want = [_record_text(reference_trace_record(ev, f))
             for ev, f in zip(events, verdicts)]
-    assert [_record_text(rec) for rec in read_trace(lines)] == want
+    assert [_record_text(reference_trace_record(ev, f))
+            for ev, f in read_trace(lines)] == want
     assert [_record_text(trace_to_dict(ev, f))
             for ev, f in zip(events, verdicts)] == want
     return lines
@@ -1267,9 +1268,9 @@ def test_trace_line_spells_no_scores():
     ev = events[1]
     assert ev.decision.gain == -math.inf
     lines = _assert_trace_reads_back(m, events, [None, None])
-    record = list(read_trace(lines))[1]
-    assert [c["r"] for c in record["candidates"]] == [-math.inf]
-    assert record["decision"]["r"] == -math.inf
+    read, _ = list(read_trace(lines))[1]
+    assert [r for _, r in read.candidates] == [-math.inf]
+    assert read.decision.gain == -math.inf
     line = trace_line(ev)
     assert line == "[1,[2,3,1e+308],[1,2],null,null,null,null,null,null]"
     for r in (math.inf, math.nan, 0.0, None):
@@ -1293,16 +1294,17 @@ def test_trace_encoder_never_shares_text_between_equal_edges():
               trace=events.append)
         lines = _assert_trace_reads_back(matcher, events, [None] * 3)
         assert lines[1].startswith(f"[0,{spelled},")
-        records = list(read_trace(lines))
+        read = [reference_trace_record(ev) for ev, _ in read_trace(lines)]
         # (2, 3) evicts (1, 2) and parks it; (3, 4) sees it as a shadow.
-        assert records[2]["S"]["a1g1"] == json.loads(spelled)
+        assert read[2]["S"]["a1g1"] == json.loads(spelled)
 
 
 def test_read_trace_names_a_pair_by_its_last_insertion():
     """A parallel edge fed straight to drive while its twin is parked:
     the one way a pair can name two edges.  Before the new edge inserts
     a role on the pair is the twin; after it, the new edge, since the
-    insertion removed the twin from every slot."""
+    insertion removed the twin from every slot.  The reader replays the
+    run, so its matcher holds the same edge as the run's."""
     twin, parallel = edge(0, 1, 1.0), edge(0, 1, 50.0)
     stream = [twin, edge(1, 2, 10.0), edge(2, 3, 1.0), parallel,
               edge(0, 5, 1.0)]
@@ -1314,10 +1316,66 @@ def test_read_trace_names_a_pair_by_its_last_insertion():
     assert events[2].neighborhood.a1g1 is twin
     assert events[4].neighborhood.g1y1 is parallel
     assert twin not in matcher.shadow_slots.values()
-    records = list(read_trace(_assert_trace_reads_back(
-        matcher, events, [True, True, None, True, None])))
-    assert records[2]["S"]["a1g1"] == [0, 1, 1.0]
-    assert records[4]["S"]["g1y1"] == [0, 1, 50.0]
+    read = [ev for ev, _ in read_trace(_assert_trace_reads_back(
+        matcher, events, [True, True, None, True, None]))]
+    assert read[2].neighborhood.a1g1 == (0, 1, 1.0)
+    assert read[4].neighborhood.g1y1 == (0, 1, 50.0)
+
+
+_VALID_HEADER = '{"trace": 3, "threshold": 1.5, "parks": true}'
+_ROLES = "null,null,null,null,null,null"
+
+
+@pytest.mark.parametrize("header,line", [
+    (_VALID_HEADER, "5"),
+    (_VALID_HEADER, f'[0,[1,2,"1.0"],{_ROLES},0]'),
+    (_VALID_HEADER, "not json"),
+    (_VALID_HEADER, "[" * 100_000),
+    (_VALID_HEADER, f"[0,[2,1,1.0],{_ROLES},0]"),
+    (_VALID_HEADER, f"[0,[1,1,1.0],{_ROLES},0]"),
+    (_VALID_HEADER, f"[0,[1,2,-1.0],{_ROLES},null]"),
+    (_VALID_HEADER, f"[7,[1,2,1.0],{_ROLES},0]"),
+    (_VALID_HEADER, f'[0,[1,2,1.0],{_ROLES},0,"yes"]'),
+    ('{"trace": 3, "threshold": 1.5}', f"[0,[1,2,1.0],{_ROLES},0]"),
+    ('{"trace": 3, "threshold": 1.5, "parks": "maybe"}',
+     f"[0,[1,2,1.0],{_ROLES},0]"),
+    ("[" * 100_000, f"[0,[1,2,1.0],{_ROLES},0]"),
+], ids=["int", "string-weight", "not-json", "nested", "not-canonical",
+        "loop", "negative-weight", "index", "verdict", "no-parks",
+        "parks-not-bool", "nested-header"])
+def test_read_trace_names_a_malformed_line(header, line):
+    """A malformed header or step line raises ValueError naming its
+    line, never another exception, where the well-formed line `good`
+    under the valid header reads back."""
+    good = f"[0,[1,2,1.0],{_ROLES},0]"
+    assert len(list(read_trace([_VALID_HEADER, good]))) == 1
+    where = 1 if header != _VALID_HEADER else 2
+    with pytest.raises(ValueError, match=rf"^trace line {where}: "):
+        list(read_trace([header, line]))
+
+
+def test_read_trace_holds_what_the_run_holds():
+    """Reading the trace of a 20k-edge ascending stream on 300 vertices,
+    where about half the steps insert, holds one matcher's state and no
+    record of every pair inserted: its peak traced heap stays under 512
+    KiB (about 80 KiB here, where a reader that keeps one entry per
+    inserted pair peaks near 1.7 MiB)."""
+    rng = random.Random(0)
+    pairs = rng.sample(list(itertools.combinations(range(300), 2)), 20_000)
+    weights = sorted(math.exp(rng.uniform(0.0, 150.0)) for _ in pairs)
+    stream = [edge(u, v, w) for (u, v), w in zip(pairs, weights)]
+    matcher = ShadowMatcher(optimal_k()[0])
+    lines = [trace_header(matcher)]
+    drive(matcher, stream, trace=lambda ev: lines.append(trace_line(ev)))
+    assert matcher.insertions > len(stream) // 3
+    tracemalloc.start()
+    try:
+        steps = sum(1 for _ in read_trace(lines))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert steps == len(stream)
+    assert peak < 512 * 1024
 
 
 def test_trace_encoder_memo_stays_within_its_bound(tmp_path):
