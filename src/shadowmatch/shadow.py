@@ -19,14 +19,15 @@ That is at most seven edges, so each step costs constant time and the
 whole pass stores at most 3 * floor(n/2) edges.  The step is written
 once, as the body of the loop `drive` runs, traced or not
 (`process_edge` and `process_edge_traced` run it over one edge).  It
-reads the view straight from the matching and slot dicts into locals;
-when the input edge is the only candidate it scores it inline.  With a
-shadow in view it ranks every candidate set from the conflicts the
-view already read (`_rank`), with no further read of the matching:
-the input edge removes the matching edges at its ends, each shadow the
-one it is parked behind and the one at its far end.  Only a
-traced step packs those locals into a Neighborhood, the flat record of
-the seven roles, and hands over a TraceEvent for each step; an
+reads the view straight from the matching and slot dicts into locals,
+and knows each candidate's conflicts from it with no further read of
+the matching: the input edge removes the matching edges at its ends,
+each shadow the one it is parked behind and the one at its far end.
+When the input edge is the only candidate, or an untraced step sees
+one shadow disjoint from it, the step scores its sets inline; any
+other view is ranked by `_rank`.  Only a traced step packs those
+locals into a Neighborhood, the flat record of the seven roles, and
+hands over a TraceEvent for each step; an
 untraced step builds an InsertionDecision only for an insertion hook,
 and only when it inserts.  Tracing changes what a step reports, never
 what it decides.
@@ -39,11 +40,12 @@ times that edge, and any other set at most the candidates' total
 weight minus t times both.  When each bound lies below zero by more
 than its rounding bound, no set can score above zero and the step is
 an exact rejection: it leaves the state alone, as a scored rejection
-does, and only counts its sets and touched edges.  Untraced, it stops
-counting once a step has touched seven edges.  Seven distinct edges in
-view make the three candidates pairwise disjoint, since a shadow that
-meets the input edge or the other shadow has a far cover equal to a
-matching edge at the input edge or to the other far cover.  So that step also
+does, and only counts its sets and touched edges.  Untraced, no step
+with a shadow in view counts once a step has touched seven edges, and
+a settled one then returns at once.  Seven distinct edges in view make
+the three candidates pairwise disjoint, since a shadow that meets the
+input edge or the other shadow has a far cover equal to a matching
+edge at the input edge or to the other far cover.  So that step also
 counted seven sets, and no later count can raise either maximum.  A
 traced step keeps counting, as it still writes its line, and its
 TraceEvent scores the view only if its candidates or decision are read.
@@ -70,10 +72,12 @@ iff r(A) > 0; M(A) is removed and parked in shadow slots.
 Scores are floats; one within its rounding bound of zero is recomputed
 in exact rationals, so r(A) > 0 agrees with the exact certificate in
 verify.py, and such scores are also ranked exactly.  A winning set of
-two or three edges is also compared exactly against its own subsets
-whose float scores lie within rounding of its own, so an edge whose
-exact marginal is negative is never inserted; that settle step reuses
-the rounding bound each set's score record keeps.  Ties on r(A) are broken
+two or three edges is also compared exactly against those of its own
+subsets whose float scores lie within both rounding bounds of its own,
+in the same pass, so an edge whose exact marginal is negative is never
+inserted.  Past those bounds floats rank sets as exact scores do, so
+an untraced step ranks in floats with no score record per set.  Ties
+on r(A) are broken
 deterministically: larger w(A) first, then fewer edges, then the
 lexicographically smallest sorted edge list.
 
@@ -180,7 +184,7 @@ class TraceEvent:
     def _score(self) -> None:
         e, a, s1, c1, b, s2, c2 = self.neighborhood
         sets, scores, chosen, removed, r, _ = _rank(self._threshold, e, a, b,
-                                                    s1, c1, s2, c2)
+                                                    s1, c1, s2, c2, True)
         self._candidates = tuple(zip(sets, [score[0] for score in scores]))
         self._decision = InsertionDecision(chosen, removed, r, False)
 
@@ -248,8 +252,8 @@ def _score(chosen: tuple[Edge, ...], w_chosen: float,
     sorted `removed`: (r, removed,
     key) as conflict_score returns them, then `bound`, how far the
     float r can lie from the exact score short of the underflow term.
-    conflict_score and `_rank` score through it; a step whose input
-    edge is the only candidate scores inline as it does."""
+    conflict_score and `_rank` score through it; a step that scores
+    its view inline, and `_rank` in floats, do as it does."""
     w_removed = 0.0
     for d in removed:
         w_removed += d.w
@@ -511,13 +515,15 @@ class ShadowMatcher:
         settles is rejected without scoring: no set could score above
         zero, so only its counts of sets and touched edges are kept, and
         a traced one hands over a TraceEvent that scores its view when
-        read.  Once a step has touched seven edges, an untraced settled
-        step keeps neither count and reads no far cover: the step that
-        touched seven also counted seven sets (see the module
-        docstring), so no count can raise either maximum.  Before that,
-        the check costs one comparison.  Any other step with a shadow in
-        view hands `_rank` the view it read, e, a, b, s1, c1, s2 and c2,
-        and applies the set it picks if that set scores above zero.
+        read.  Once a step has touched seven edges, an untraced step
+        keeps neither count, and a settled one reads no far cover: the
+        step that touched seven also counted seven sets (see the module
+        docstring), so no count can raise either maximum.  An untraced
+        step whose one shadow is disjoint from the input edge scores its
+        three sets here as `_score` would and, when all are clear of
+        zero, ranks them as `_rank` does.  Otherwise the step hands
+        `_rank` the view it read, e, a, b, s1, c1, s2 and c2.  Either
+        way it applies the set picked if it scores above zero.
         """
         matching = self.matching
         get = matching.get
@@ -571,26 +577,76 @@ class ShadowMatcher:
                 touched = 1 + len(removed)
             else:
                 settled = _no_set_wins(t, w, a, b, s1, s2)
-                if settled and max_touched == 7 and trace is None:
-                    # Nothing reads a rejection but its counts, and they
-                    # cannot raise either maximum any more.
+                # Nothing reads an untraced step's counts once they
+                # cannot raise either maximum any more.
+                counted = max_touched < 7 or trace is not None
+                if settled and not counted:
                     continue
                 if s1 is not None:
                     c1 = get(s1.v if s1.u == p1 else s1.u)
                 if s2 is not None:
                     c2 = get(s2.v if s2.u == p2 else s2.u)
-                view = {e, a, b, s1, c1, s2, c2}
-                view.discard(None)
-                touched = len(view)
+                if counted:
+                    view = {e, a, b, s1, c1, s2, c2}
+                    view.discard(None)
+                    touched = len(view)
+                else:
+                    touched = 7  # what max_touched is already
                 if settled:
                     inserted = False
                     sets = _disjoint_subset_count(_candidates(e, s1, s2))
                 else:
-                    ranked, scores, chosen, removed, r, inserted = _rank(
-                        t, e, a, b, s1, c1, s2, c2)
+                    chosen = None
+                    if trace is None and (
+                            s2 is None and v != s1.u and v != s1.v
+                            or s1 is None and u != s2.u and u != s2.v):
+                        # One shadow s, disjoint from e and parked behind
+                        # g: e removes g and o, s removes g and its far
+                        # cover c, the pair their union, each sorted and
+                        # summed in that order as `_score` sums it.
+                        s, g, c, o = ((s1, a, c1, b) if s2 is None
+                                      else (s2, b, c2, a))
+                        rem_e = (g,) if o is None else (g, o) if g < o else (o, g)
+                        rem_s = (g,) if c is None else (g, c) if g < c else (c, g)
+                        rem_p = (rem_e if c is None or c is o else rem_s
+                                 if o is None else tuple(sorted((g, o, c))))
+                        t_e = t * (g.w if o is None else g.w + o.w)
+                        t_s = t * (g.w if c is None else g.w + c.w)
+                        t_p = (t_e if rem_p is rem_e else t_s if rem_p is rem_s
+                               else t * (rem_p[0].w + rem_p[1].w + rem_p[2].w))
+                        w_p = w + s.w
+                        r_e, b_e = w - t_e, rounding * (w + t_e)
+                        r_s, b_s = s.w - t_s, rounding * (s.w + t_s)
+                        r_p, b_p = w_p - t_p, rounding * (w_p + t_p) + underflow
+                        sets = 3
+                        # Clear of their rounding bounds, the floats are
+                        # the ranking keys, as in `_rank`.
+                        if (abs(r_e) > b_e + underflow and abs(r_p) > b_p
+                                and abs(r_s) > b_s + underflow):
+                            chosen, r, removed = (e,), r_e, rem_e
+                            if r_s > r or r_s == r and _better(r_s, (s,), r,
+                                                               chosen):
+                                chosen, r, removed = (s,), r_s, rem_s
+                            pair = (e, s) if e < s else (s, e)
+                            if r_p > r or r_p == r and _better(r_p, pair, r,
+                                                               chosen):
+                                chosen, r, removed = pair, r_p, rem_p
+                    if chosen is None:
+                        ranked, scores, chosen, removed, r, inserted = _rank(
+                            t, e, a, b, s1, c1, s2, c2, trace is not None)
+                        sets = len(ranked)
+                    else:
+                        inserted = r > 0
+                        if inserted and len(chosen) == 2:
+                            near = [(sub, r_sub, rem) for sub, r_sub, b_sub, rem
+                                    in (((e,), r_e, b_e, rem_e),
+                                        ((s,), r_s, b_s, rem_s))
+                                    if abs(r_sub - r) <= b_p + b_sub]
+                            if near:
+                                r, chosen, removed = _settle_near_ties(
+                                    t, chosen, r, removed, near)
                     if inserted:
                         self._apply(chosen, removed)
-                    sets = len(ranked)
                 if sets > max_sets:
                     max_sets = sets
             if touched > max_touched:
@@ -641,38 +697,40 @@ class ShadowMatcher:
             matching[f.u] = f
             matching[f.v] = f
         if self.parks:
-            # First forget everything parked at the removed edges' ends,
-            # then park each removed edge next to its replacements.
+            # At each end x of a removed edge, forget what is parked
+            # there, then park the edge there if an inserted edge covers
+            # x: matching[x] exists here iff one does, as every old edge
+            # at x was removed.  A parked edge sits in at most two slots,
+            # one per end, and stops counting when its last one is
+            # cleared; the end of (u, v) that is not x is u + v - x.
             slots = self.shadow_slots
-            parked = self.parked_edge_count
-            for d in removed:
-                for x in (d.u, d.v):
-                    shadow = slots.pop(x, None)
-                    # A parked edge sits in at most two slots and stops
-                    # counting when its last one is cleared.
-                    if shadow is not None and slots.get(shadow.other(x)) != shadow:
-                        parked -= 1
-            for d in removed:
-                # matching[v] exists here iff an inserted edge covers v,
-                # because every old edge at v would have been removed.
-                if d.u in matching:
-                    slots[d.u] = d
-                if d.v in matching:
-                    slots[d.v] = d
             # Each removed edge shares a vertex with an inserted one, so
             # it is parked in one slot or two.
-            self.parked_edge_count = parked + len(removed)
+            parked = self.parked_edge_count + len(removed)
+            for d in removed:
+                x, y, _ = d
+                shadow = slots.pop(x, None)
+                if shadow and slots.get(shadow.u + shadow.v - x) is not shadow:
+                    parked -= 1
+                shadow = slots.pop(y, None)
+                if shadow and slots.get(shadow.u + shadow.v - y) is not shadow:
+                    parked -= 1
+                if x in matching:
+                    slots[x] = d
+                if y in matching:
+                    slots[y] = d
+            self.parked_edge_count = parked
         self.matched_edge_count += len(chosen) - len(removed)
         self.insertions += 1
 
 
 def _rank(t: float, e: Edge, a: Edge | None, b: Edge | None,
           s1: Edge | None, c1: Edge | None, s2: Edge | None,
-          c2: Edge | None):
+          c2: Edge | None, records: bool = False):
     """Score every disjoint subset of a view's candidate edges at
     threshold t and pick the one a step inserts if its score is above
-    zero: the one ranking behind the step and a lazily scored
-    TraceEvent.
+    zero: the ranking behind a step, traced or not, that does not score
+    its view inline, and behind a lazily scored TraceEvent.
 
     The view is a step's: input edge `e`, the matching edges `a` and
     `b` at its ends, the shadows `s1` behind `a` and `s2` behind `b`,
@@ -680,13 +738,16 @@ def _rank(t: float, e: Edge, a: Edge | None, b: Edge | None,
     where a role is empty.  Their conflicts are known from it: `e`
     removes a and b, `s1` a and c1, `s2` b and c2.  So each set's
     conflicts are read off the view, as a bitmask over the distinct
-    matching edges in it, with no read of the matching.  The best set
-    under `_better` is settled against its own subsets when it would be
-    inserted (`_settle_near_ties`).  Reads nothing but its arguments.
+    matching edges in it, with no read of the matching.  With
+    `records`, as a traced step ranks, each set is scored by `_score`;
+    without, in floats in `_score`'s order, and by `_score` only within
+    its rounding bound of zero.  The best set under `_better` is
+    settled against its subsets when it would be inserted
+    (`_settle_near_ties`).  Reads nothing but its arguments.
 
-    Returns (sets, their `_score` records, chosen, removed, r,
-    inserted), where `inserted` says whether the chosen set's ranking
-    key is above zero.
+    Returns (sets, their scores as (r, rounding bound, conflict mask),
+    chosen, removed, r, inserted), where `inserted` says whether the
+    chosen set's ranking key is above zero.
     """
     # The distinct matching edges in view, sorted.  a and b differ, as
     # e is not in the matching; c1 may be b, and c2 may be a or c1.
@@ -700,6 +761,13 @@ def _rank(t: float, e: Edge, a: Edge | None, b: Edge | None,
         held.append(c2)
     held.sort()
     held = tuple(held)
+    if not records:
+        # sums[m]: the weights of the held edges at the set bits of m,
+        # summed from 0.0 in held order, as `_score` sums conflicts.
+        sums = [0.0]
+        for d in held:
+            x = d.w
+            sums += [y + x for y in sums]
     ma = 0 if a is None else 1 << held.index(a)
     mb = 0 if b is None else 1 << held.index(b)
     me = ma | mb
@@ -716,42 +784,49 @@ def _rank(t: float, e: Edge, a: Edge | None, b: Edge | None,
         for f in subset:
             w_chosen += f.w
             m |= me if f is e else m1 if f is s1 else m2
-        score = _score(subset, w_chosen, _PICK[m](held), t)
-        scores.append(score)
-        key = score[2]
+        if records:
+            r, _, key, bound = _score(subset, w_chosen, _PICK[m](held), t)
+        else:
+            w_removed = sums[m] * t
+            key = r = w_chosen - w_removed
+            bound = _ROUNDING * (w_chosen + w_removed)
+            if not abs(r) > bound + _UNDERFLOW:
+                r, _, key, _ = _score(subset, w_chosen, _PICK[m](held), t)
+        scores.append((r, bound, m))
         if (chosen is None or key > best_key or key == best_key
                 and _better(key, subset, best_key, chosen)):
-            chosen, best_key, best = subset, key, score
+            chosen, best_key, best = subset, key, scores[-1]
 
-    r, removed, _, _ = best
+    r, bound, m = best
+    removed = _PICK[m](held)
     inserted = best_key > 0
     if inserted and len(chosen) > 1:
-        r, chosen, removed = _settle_near_ties(t, chosen, best, sets, scores)
+        bound += _UNDERFLOW
+        near = [(sub, r_sub, _PICK[m_sub](held))
+                for sub, (r_sub, b_sub, m_sub) in zip(sets, scores)
+                if len(sub) < len(chosen) and abs(r_sub - r) <= bound + b_sub]
+        if near:
+            r, chosen, removed = _settle_near_ties(t, chosen, r, removed,
+                                                   near)
     return sets, scores, chosen, removed, r, inserted
 
 
-def _settle_near_ties(t: float, chosen: tuple[Edge, ...], score: tuple,
-                      sets: list, scores: list):
-    """Rank the winning multi-edge set `chosen`, scored `score` at
-    threshold t, exactly against its own subsets.
+def _settle_near_ties(t: float, chosen: tuple[Edge, ...], r: float,
+                      removed: tuple[Edge, ...], near: list):
+    """Rank the winning multi-edge set `chosen`, scored r at threshold t
+    against its conflicts `removed`, exactly against its own proper
+    subsets among `near`: the scored sets, as (subset, r, removed),
+    whose float scores lie within both sets' rounding bounds of r.
 
-    When a proper subset scores within both sets' rounding bounds of
-    the winner, floats cannot tell them apart, and the superset may
-    win on an extra edge whose exact marginal is negative: that edge
-    then cannot pay for what it removes, and the insertion fails the
-    exact certificate.  Such subsets are compared in Fraction, and
-    the best of those that is exactly higher replaces the winner.
-    `sets` and `scores` are every scored set and its `_score`
-    record, the proper subsets of `chosen` among them, so each
-    set's rounding bound is read, not summed again.  Returns (r,
-    chosen, removed) of the set to insert.
+    Floats cannot tell such a subset from the winner, and the superset
+    may win on an extra edge whose exact marginal is negative: that
+    edge then cannot pay for what it removes, and the insertion fails
+    the exact certificate.  So they are compared in Fraction, and the
+    best of those that is exactly higher replaces the winner.  Returns
+    (r, chosen, removed) of the set to insert.
     """
-    r, removed, _, bound = score
-    bound += _UNDERFLOW
     exact = best = None
-    for sub, (r_sub, removed_sub, _, bound_sub) in zip(sets, scores):
-        if abs(r_sub - r) > bound + bound_sub:
-            continue
+    for sub, r_sub, removed_sub in near:
         if len(sub) >= len(chosen) or not all(f in chosen for f in sub):
             continue
         if exact is None:
@@ -935,7 +1010,7 @@ def read_trace(lines: Iterable[str]
     its events are scored lazily as the step's own are.  ValueError
     names a line that is malformed or that the step does not write: an
     edited or reordered trace, a line cut short, or a trace another
-    build wrote.
+    build wrote, or a verdict on a step that inserted nothing.
     """
     lines = iter(lines)
     try:
@@ -964,6 +1039,8 @@ def read_trace(lines: Iterable[str]
                 raise ValueError(f"input edge {items[1]} is not canonical")
             feasible = items[9] if len(items) > 9 else None
             event = matcher.process_edge_traced(e, i)
+            if feasible is not None and not event.inserted:
+                raise ValueError("a step that inserts nothing has no verdict")
         except (LookupError, OverflowError, RecursionError, TypeError,
                 ValueError) as exc:
             raise ValueError(f"trace line {i + 2}: {exc}") from None

@@ -140,6 +140,56 @@ def reference_conflict_score(matching: dict[int, Edge], chosen: tuple[Edge, ...]
     return (-r if exact < 0 else r), removed, exact
 
 
+def reference_rank(matching: dict[int, Edge], candidates, t: float):
+    """A step's ranking, record by record: every pairwise disjoint
+    subset of the distinct `candidates` (the input edge and the
+    shadows), in bitmask order over the sorted candidates, scored by
+    reference_conflict_score against `matching`.  The best set has the
+    highest ranking key, then the larger weight, then fewer edges, then
+    the smaller sorted tuple.  A best set of two or three edges that
+    would insert gives way to the exactly best of its proper subsets
+    whose float score lies within both sets' rounding bounds of its own
+    and whose exact score is higher.
+
+    Returns (sets, chosen, removed, r, inserted)."""
+    cands = sorted(set(candidates))
+    subsets = (tuple(c for i, c in enumerate(cands) if mask >> i & 1)
+               for mask in range(1, 1 << len(cands)))
+    sets = [subset for subset in subsets if brute_force_disjoint(subset)]
+    records = []
+    for subset in sets:
+        r, removed, key = reference_conflict_score(matching, subset, t)
+        w_chosen = w_removed = 0.0
+        for f in subset:
+            w_chosen += f.w
+        for d in removed:
+            w_removed += d.w
+        bound = 4 * math.ulp(1.0) * (w_chosen + t * w_removed)
+        records.append((subset, r, removed, key, bound))
+
+    def order(subset, key):
+        return (-key, -sum(f.w for f in subset), len(subset), subset)
+
+    def exact(subset, removed):
+        return (sum(Fraction(f.w) for f in subset)
+                - Fraction(t) * sum(Fraction(d.w) for d in removed))
+
+    chosen, r, removed, key, bound = min(records,
+                                         key=lambda x: order(x[0], x[3]))
+    inserted = key > 0
+    if inserted and len(chosen) > 1:
+        q_chosen = exact(chosen, removed)
+        better = [(exact(sub, rem), sub, r_sub, rem)
+                  for sub, r_sub, rem, _, bound_sub in records
+                  if len(sub) < len(chosen) and set(sub) <= set(chosen)
+                  and abs(r_sub - r) <= bound + 8 * math.ulp(0.0) + bound_sub
+                  and exact(sub, rem) > q_chosen]
+        if better:
+            _, chosen, r, removed = min(better, key=lambda x: order(x[1],
+                                                                    x[0]))
+    return sets, chosen, removed, r, inserted
+
+
 def check_matcher_invariants(matcher, n: int) -> None:
     """Assert the structural invariants of a ShadowMatcher state."""
     matching = matcher.matching

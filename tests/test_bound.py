@@ -88,6 +88,15 @@ def test_k_star_beats_three_plus_two_root_two():
     assert (approx_bound(Fraction(K_STAR)) - 3) ** 2 < 8
 
 
+def test_abstract_figures_are_the_exact_values_rounded():
+    """The abstract's 5.585 and 5.828 are R(K_STAR) and 3 + 2*sqrt(2)
+    to three places, shown in Fraction: R(K_STAR) lies in [5.5845,
+    5.5855), and 3 + 2*sqrt(2), where (x - 3)**2, rising on x > 3,
+    crosses 8, lies in [5.8275, 5.8285)."""
+    assert Fraction("5.5845") <= approx_bound(Fraction(K_STAR)) < Fraction("5.5855")
+    assert (Fraction("5.8275") - 3) ** 2 < 8 < (Fraction("5.8285") - 3) ** 2
+
+
 def test_slope_changes_sign_once():
     # convexity: the forward differences go negative then positive
     ks = [1.2 + i * 0.01 for i in range(200)]

@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 
 from helpers import (brute_force_disjoint, check_matcher_invariants,
                      random_edge_list, reference_conflict_score,
-                     reference_trace_record)
+                     reference_rank, reference_trace_record)
 from shadowmatch.baseline import (GAMMA_RATIO_5_828, BaselineMatcher,
                                   run_baseline)
 from shadowmatch import shadow as shadow_module
@@ -722,22 +722,33 @@ def test_unhooked_run_rejects_without_scoring(monkeypatch, tmp_path):
     that writes each event's trace line, and `run --verify --trace` all
     rank the views of the same 4 steps.  A sink that reads every
     event's decision ranks all 343 views with a shadow in view, the
-    settled ones as it reads them.  The spy is on `_rank`, the one
-    ranking behind the step and a lazily scored event, so lazy scoring
-    is counted too.  Every run ends the same."""
+    settled ones as it reads them.  One spy is on `_rank`, the ranking
+    behind a traced step and a lazily scored event, so lazy scoring is
+    counted too.  The other is on `_no_set_wins`, whose False sends an
+    untraced step to be ranked, inline when its one shadow is disjoint
+    from the input edge.  A view counts once, however many of them see
+    it.  Every run ends the same."""
     golden = Path(__file__).parent / "golden" / "gnp.txt"
-    steps = []
+    steps = set()
     rank = shadow_module._rank
+    no_set_wins = shadow_module._no_set_wins
 
-    def counted(t, e, *view):
-        steps.append(e)
-        return rank(t, e, *view)
+    def counted(t, e, a, b, s1, c1, s2, c2, *records):
+        steps.add((e.w, a, b, s1, s2))
+        return rank(t, e, a, b, s1, c1, s2, c2, *records)
+
+    def bound(t, w, a, b, s1, s2):
+        settled = no_set_wins(t, w, a, b, s1, s2)
+        if not settled:
+            steps.add((w, a, b, s1, s2))
+        return settled
 
     monkeypatch.setattr(shadow_module, "_rank", counted)
+    monkeypatch.setattr(shadow_module, "_no_set_wins", bound)
     k = optimal_k()[0]
 
     def scored_steps(**hooks):
-        del steps[:]
+        steps.clear()
         return run_stream(open_stream(golden), k, **hooks), len(steps)
 
     def light(event):
@@ -751,7 +762,7 @@ def test_unhooked_run_rejects_without_scoring(monkeypatch, tmp_path):
     assert hooked == bare == lean == written == read
     assert unhooked == hooked_steps == lean_steps == written_steps == 4
     assert read_steps == 343
-    del steps[:]
+    steps.clear()
     with contextlib.redirect_stdout(io.StringIO()):
         assert main(["run", str(golden), "--verify", "--trace",
                      str(tmp_path / "trace.jsonl")]) == 0
@@ -1101,6 +1112,123 @@ def test_coinciding_roles_score_as_the_reference(view, data):
     _assert_step_scores_match_reference(m, edge(0, 1, w))
 
 
+# Views of an input edge (0, 1) that a step ranks, as in _COINCIDENCES:
+# those, plus one shadow on either side, disjoint from the input edge
+# or meeting it, and three pairwise disjoint candidates.
+_RANKED_VIEWS = dict(_COINCIDENCES, **{
+    "one shadow, far end free": ([(0, 2), (1, 3)], {2: (2, 4)}),
+    "one shadow, far cover at y2": ([(0, 2), (1, 3)], {2: (2, 3)}),
+    "one shadow meeting e": ([(0, 2), (1, 3)], {2: (1, 2)}),
+    "side 2 shadow": ([(0, 2), (1, 3), (5, 7)], {3: (3, 5)}),
+    "side 2 shadow, far cover at y1": ([(0, 2), (1, 3)], {3: (2, 3)}),
+    "free y1": ([(1, 3), (5, 7)], {3: (3, 5)}),
+    "three disjoint": ([(0, 2), (1, 3), (4, 6), (5, 7)],
+                       {2: (2, 4), 3: (3, 5)}),
+})
+
+
+@pytest.mark.parametrize("view", sorted(_RANKED_VIEWS))
+@given(data=st.data())
+@settings(max_examples=40, deadline=None)
+def test_untraced_ranked_step_matches_the_reference_ranking(view, data):
+    """An untraced step with a shadow in view, whether it scores a lone
+    disjoint shadow inline or ranks its sets in floats, does what the
+    record-based reference_rank chooses: it inserts the same set with
+    the same removed and r (by repr) and counts as many sets, or
+    inserts nothing when that set would not insert.  The traced step's
+    decision is the reference's too.  Weights are uniform, small
+    integers (exact float ties), near 1e308, a few ulps from a zero
+    score or from a tie between two sets, or as on the sweep's
+    ascending slices, whose weights are exp(U(0, 150)): shadows and far
+    covers near an ulp of a huge input edge, where a set and its subset
+    often score within rounding of each other and the floats may rank
+    them the wrong way round."""
+    matched, parked = _RANKED_VIEWS[view]
+    rng = random.Random(data.draw(st.integers(0, 10 ** 9)))
+    family = data.draw(st.sampled_from(
+        ["uniform", "integer", "huge", "sweep", "zero", "tie"]))
+    k = data.draw(st.sampled_from([1.1, 1.5, 1.717191779457857, 2.0, 3.0]))
+    shadows = set(parked.values())
+    big = math.exp(rng.uniform(100.0, 150.0))
+
+    def weight(pair):
+        if family == "integer":
+            return float(rng.randint(1, 4))
+        if family == "huge":
+            return rng.choice([1e308, 1.7e308, rng.uniform(1e307, 1.7e308)])
+        if family == "sweep":
+            # the input edge and the matching edges at its ends are
+            # heavy; each other edge is near an ulp of the input edge,
+            # a far cover about what the shadow beside it can pay for
+            if pair not in shadows and (0 in pair or 1 in pair):
+                return big / rng.uniform(2.0, 6.0)
+            tiny = math.ulp(big) * rng.uniform(0.5, 1.0)
+            return (tiny if pair in shadows
+                    else tiny / k * rng.uniform(0.99, 1.02))
+        return rng.uniform(0.05, 20.0)
+
+    ws = {pair: weight(pair) for pair in matched + sorted(shadows)}
+
+    def state():
+        return _view_state(k, [edge(*p, ws[p]) for p in matched],
+                           {x: edge(*p, ws[p]) for x, p in parked.items()})
+
+    m = state()
+    nb = m.neighborhood(edge(0, 1, 1.0))
+    if family == "sweep":
+        w = big
+    elif family in ("zero", "tie"):
+        # where a set holding the input edge scores zero, or scores what
+        # a set without it scores, then a few ulps off
+        sets = _reference_sets(nb)
+        subset = rng.choice([x for x in sets if nb.y1y2 in x])
+        _, removed, _ = reference_conflict_score(m.matching, subset, k)
+        w = (k * sum(d.w for d in removed)
+             - sum(f.w for f in subset if f != nb.y1y2))
+        if family == "tie":
+            other = rng.choice([x for x in sets if nb.y1y2 not in x])
+            w += reference_conflict_score(m.matching, other, k)[0]
+        if family == "zero" or rng.random() < 0.5:
+            w = _nudge(w, rng)
+    else:
+        w = weight((0, 1))
+    assume(0.0 < w < math.inf)
+    e = edge(0, 1, w)
+    sets, chosen, removed, r, inserted = reference_rank(
+        m.matching, [f for f in (e, nb.a1g1, nb.a2g2) if f is not None], k)
+    hooked = []
+    # the loop drive runs, without the matching's weight, which may
+    # leave the float range here
+    _, set_count, _, _ = m._steps([e], hooked.append)
+    assert set_count == len(sets)
+    assert ([(d.chosen, d.removed, repr(d.gain)) for d in hooked]
+            == ([(chosen, removed, repr(r))] if inserted else []))
+    d = state().process_edge_traced(e, 0).decision
+    assert ((d.chosen, d.removed, repr(d.gain), d.inserted)
+            == (chosen, removed, repr(r), inserted))
+
+
+@given(st.data())
+@settings(max_examples=60, deadline=None)
+def test_ascending_runs_end_alike_untraced_and_traced(data):
+    """On ascending streams, where most steps rank a view, `drive` ends
+    with the same matching, weight and metrics untraced, hooked and
+    traced, and the hook sees each inserting traced step's decision."""
+    rng = random.Random(data.draw(st.integers(0, 10 ** 9)))
+    k = data.draw(st.sampled_from([1.1, 1.5, 1.717191779457857, 2.0, 3.0]))
+    n = data.draw(st.integers(4, 16))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    rng.shuffle(pairs)
+    weights = sorted(math.exp(rng.uniform(0.0, 150.0)) for _ in pairs)
+    stream = [edge(u, v, w) for (u, v), w in zip(pairs, weights)]
+    events, hooked = [], []
+    traced = drive(ShadowMatcher(k), stream, trace=events.append)
+    assert (drive(ShadowMatcher(k), stream)
+            == drive(ShadowMatcher(k), stream, on_insert=hooked.append)
+            == traced)
+    assert hooked == [ev.decision for ev in events if ev.inserted]
+
+
 @given(st.data())
 @settings(max_examples=40, deadline=None)
 def test_replay_is_bit_identical(data):
@@ -1252,7 +1380,9 @@ def test_trace_line_matches_sorted_json_dumps(data):
         events.append(matcher.process_edge_traced(edge(u, v, w), i))
         if _settled(matcher.threshold, events[-1]):
             _assert_scored_eagerly(before, matcher.threshold, events[-1])
-    verdicts = [rng.choice([None, True, False]) for _ in events]
+    # A verdict judges an insertion, so only an inserting line has one.
+    verdicts = [rng.choice([None, True, False]) if ev.inserted else None
+                for ev in events]
     _assert_trace_reads_back(matcher, events, verdicts)
 
 
@@ -1352,6 +1482,24 @@ def test_read_trace_names_a_malformed_line(header, line):
     where = 1 if header != _VALID_HEADER else 2
     with pytest.raises(ValueError, match=rf"^trace line {where}: "):
         list(read_trace([header, line]))
+
+
+def test_read_trace_refuses_a_verdict_on_a_rejection():
+    """The verifier judges insertions only, so a line whose step
+    inserted nothing carries no verdict: step 1 rejects (2, 3) and its
+    line with a tenth item is refused, naming the line, while the
+    same line without it and an inserting line with one read back."""
+    first = "[0,[1,2,10.0],null,null,null,null,null,null,0]"
+    rejected = "[1,[2,3,1.0],[1,2],null,null,null,null,null,null]"
+    read = list(read_trace([_VALID_HEADER, first, rejected]))
+    assert [(ev.inserted, f) for ev, f in read] == [(True, None),
+                                                    (False, None)]
+    assert [f for _, f in read_trace([_VALID_HEADER, first[:-1] + ",true]",
+                                      rejected])] == [True, None]
+    for verdict in ("true", "false"):
+        with pytest.raises(ValueError, match=r"^trace line 3: "):
+            list(read_trace([_VALID_HEADER, first,
+                             rejected[:-1] + f",{verdict}]"]))
 
 
 def test_read_trace_holds_what_the_run_holds():
