@@ -24,13 +24,12 @@ and knows each candidate's conflicts from it with no further read of
 the matching: the input edge removes the matching edges at its ends,
 each shadow the one it is parked behind and the one at its far end.
 When the input edge is the only candidate, or an untraced step sees
-one shadow disjoint from it, the step scores its sets inline; any
-other view is ranked by `_rank`.  Only a traced step packs those
-locals into a Neighborhood, the flat record of the seven roles, and
-hands over a TraceEvent for each step; an
-untraced step builds an InsertionDecision only for an insertion hook,
-and only when it inserts.  Tracing changes what a step reports, never
-what it decides.
+one shadow disjoint from it, the step scores its sets inline; `_rank`
+ranks any other view.  Only a traced step packs those locals into a
+Neighborhood, the flat record of the seven roles, and hands over a
+TraceEvent for each step; an untraced step builds an InsertionDecision
+only for an insertion hook, and only when it inserts.  Tracing changes
+what a step reports, never what it decides.
 
 A step is not scored when three comparisons settle it
 (`_no_set_wins`).  Every candidate removes a matching edge at an end
@@ -42,7 +41,7 @@ than its rounding bound, no set can score above zero and the step is
 an exact rejection: it leaves the state alone, as a scored rejection
 does, and only counts its sets and touched edges.  Untraced, no step
 with a shadow in view counts once a step has touched seven edges, and
-a settled one then returns at once.  Seven distinct edges in view make
+a settled one then ends at once.  Seven distinct edges in view make
 the three candidates pairwise disjoint, since a shadow that meets the
 input edge or the other shadow has a far cover equal to a matching
 edge at the input edge or to the other far cover.  So that step also
@@ -72,12 +71,10 @@ iff r(A) > 0; M(A) is removed and parked in shadow slots.
 Scores are floats; one within its rounding bound of zero is recomputed
 in exact rationals, so r(A) > 0 agrees with the exact certificate in
 verify.py, and such scores are also ranked exactly.  A winning set of
-two or three edges is also compared exactly against those of its own
-subsets whose float scores lie within both rounding bounds of its own,
-in the same pass, so an edge whose exact marginal is negative is never
-inserted.  Past those bounds floats rank sets as exact scores do, so
-an untraced step ranks in floats with no score record per set.  Ties
-on r(A) are broken
+two or three edges is also compared exactly against its own subsets
+whose float scores lie within rounding of its own, so an edge whose
+exact marginal is negative is never inserted; that settle step reuses
+the rounding bound each set's score record keeps.  Ties on r(A) are broken
 deterministically: larger w(A) first, then fewer edges, then the
 lexicographically smallest sorted edge list.
 
@@ -184,7 +181,7 @@ class TraceEvent:
     def _score(self) -> None:
         e, a, s1, c1, b, s2, c2 = self.neighborhood
         sets, scores, chosen, removed, r, _ = _rank(self._threshold, e, a, b,
-                                                    s1, c1, s2, c2, True)
+                                                    s1, c1, s2, c2)
         self._candidates = tuple(zip(sets, [score[0] for score in scores]))
         self._decision = InsertionDecision(chosen, removed, r, False)
 
@@ -252,8 +249,8 @@ def _score(chosen: tuple[Edge, ...], w_chosen: float,
     sorted `removed`: (r, removed,
     key) as conflict_score returns them, then `bound`, how far the
     float r can lie from the exact score short of the underflow term.
-    conflict_score and `_rank` score through it; a step that scores
-    its view inline, and `_rank` in floats, do as it does."""
+    conflict_score and `_rank` score through it; a step whose input
+    edge is the only candidate scores inline as it does."""
     w_removed = 0.0
     for d in removed:
         w_removed += d.w
@@ -521,7 +518,8 @@ class ShadowMatcher:
         docstring), so no count can raise either maximum.  An untraced
         step whose one shadow is disjoint from the input edge scores its
         three sets here as `_score` would and, when all are clear of
-        zero, ranks them as `_rank` does.  Otherwise the step hands
+        zero, ranks them and settles a winning pair as `_rank` does.
+        Otherwise the step hands
         `_rank` the view it read, e, a, b, s1, c1, s2 and c2.  Either
         way it applies the set picked if it scores above zero.
         """
@@ -608,43 +606,45 @@ class ShadowMatcher:
                                       else (s2, b, c2, a))
                         rem_e = (g,) if o is None else (g, o) if g < o else (o, g)
                         rem_s = (g,) if c is None else (g, c) if g < c else (c, g)
-                        rem_p = (rem_e if c is None or c is o else rem_s
-                                 if o is None else tuple(sorted((g, o, c))))
                         t_e = t * (g.w if o is None else g.w + o.w)
                         t_s = t * (g.w if c is None else g.w + c.w)
-                        t_p = (t_e if rem_p is rem_e else t_s if rem_p is rem_s
-                               else t * (rem_p[0].w + rem_p[1].w + rem_p[2].w))
+                        if c is None or c is o:
+                            rem_p, t_p = rem_e, t_e
+                        elif o is None:
+                            rem_p, t_p = rem_s, t_s
+                        else:
+                            x, y, z = rem_p = tuple(sorted((g, o, c)))
+                            t_p = t * (x.w + y.w + z.w)
                         w_p = w + s.w
                         r_e, b_e = w - t_e, rounding * (w + t_e)
                         r_s, b_s = s.w - t_s, rounding * (s.w + t_s)
-                        r_p, b_p = w_p - t_p, rounding * (w_p + t_p) + underflow
+                        r_p, b_p = w_p - t_p, rounding * (w_p + t_p)
                         sets = 3
                         # Clear of their rounding bounds, the floats are
                         # the ranking keys, as in `_rank`.
-                        if (abs(r_e) > b_e + underflow and abs(r_p) > b_p
-                                and abs(r_s) > b_s + underflow):
+                        if (abs(r_e) > b_e + underflow and abs(r_s) > b_s + underflow
+                                and abs(r_p) > b_p + underflow):
                             chosen, r, removed = (e,), r_e, rem_e
-                            if r_s > r or r_s == r and _better(r_s, (s,), r,
-                                                               chosen):
+                            if r_s > r or r_s == r and _better(r_s, (s,), r, chosen):
                                 chosen, r, removed = (s,), r_s, rem_s
                             pair = (e, s) if e < s else (s, e)
-                            if r_p > r or r_p == r and _better(r_p, pair, r,
-                                                               chosen):
+                            if r_p > r or r_p == r and _better(r_p, pair, r, chosen):
                                 chosen, r, removed = pair, r_p, rem_p
+                                # `_settle_near_ties` would skip a
+                                # subset past both rounding bounds.
+                                bound = b_p + underflow
+                                if r > 0 and (abs(r_e - r) <= bound + b_e
+                                              or abs(r_s - r) <= bound + b_s):
+                                    r, chosen, removed = _settle_near_ties(
+                                        t, pair, (r, rem_p, r, b_p), ((e,), (s,)),
+                                        ((r_e, rem_e, r_e, b_e),
+                                         (r_s, rem_s, r_s, b_s)))
                     if chosen is None:
                         ranked, scores, chosen, removed, r, inserted = _rank(
-                            t, e, a, b, s1, c1, s2, c2, trace is not None)
+                            t, e, a, b, s1, c1, s2, c2)
                         sets = len(ranked)
                     else:
                         inserted = r > 0
-                        if inserted and len(chosen) == 2:
-                            near = [(sub, r_sub, rem) for sub, r_sub, b_sub, rem
-                                    in (((e,), r_e, b_e, rem_e),
-                                        ((s,), r_s, b_s, rem_s))
-                                    if abs(r_sub - r) <= b_p + b_sub]
-                            if near:
-                                r, chosen, removed = _settle_near_ties(
-                                    t, chosen, r, removed, near)
                     if inserted:
                         self._apply(chosen, removed)
                 if sets > max_sets:
@@ -726,11 +726,11 @@ class ShadowMatcher:
 
 def _rank(t: float, e: Edge, a: Edge | None, b: Edge | None,
           s1: Edge | None, c1: Edge | None, s2: Edge | None,
-          c2: Edge | None, records: bool = False):
+          c2: Edge | None):
     """Score every disjoint subset of a view's candidate edges at
     threshold t and pick the one a step inserts if its score is above
-    zero: the ranking behind a step, traced or not, that does not score
-    its view inline, and behind a lazily scored TraceEvent.
+    zero: the ranking behind a step that does not score its view
+    inline, and behind a lazily scored TraceEvent.
 
     The view is a step's: input edge `e`, the matching edges `a` and
     `b` at its ends, the shadows `s1` behind `a` and `s2` behind `b`,
@@ -738,16 +738,13 @@ def _rank(t: float, e: Edge, a: Edge | None, b: Edge | None,
     where a role is empty.  Their conflicts are known from it: `e`
     removes a and b, `s1` a and c1, `s2` b and c2.  So each set's
     conflicts are read off the view, as a bitmask over the distinct
-    matching edges in it, with no read of the matching.  With
-    `records`, as a traced step ranks, each set is scored by `_score`;
-    without, in floats in `_score`'s order, and by `_score` only within
-    its rounding bound of zero.  The best set under `_better` is
-    settled against its subsets when it would be inserted
-    (`_settle_near_ties`).  Reads nothing but its arguments.
+    matching edges in it, with no read of the matching.  The best set
+    under `_better` is settled against its own subsets when it would be
+    inserted (`_settle_near_ties`).  Reads nothing but its arguments.
 
-    Returns (sets, their scores as (r, rounding bound, conflict mask),
-    chosen, removed, r, inserted), where `inserted` says whether the
-    chosen set's ranking key is above zero.
+    Returns (sets, their `_score` records, chosen, removed, r,
+    inserted), where `inserted` says whether the chosen set's ranking
+    key is above zero.
     """
     # The distinct matching edges in view, sorted.  a and b differ, as
     # e is not in the matching; c1 may be b, and c2 may be a or c1.
@@ -761,13 +758,6 @@ def _rank(t: float, e: Edge, a: Edge | None, b: Edge | None,
         held.append(c2)
     held.sort()
     held = tuple(held)
-    if not records:
-        # sums[m]: the weights of the held edges at the set bits of m,
-        # summed from 0.0 in held order, as `_score` sums conflicts.
-        sums = [0.0]
-        for d in held:
-            x = d.w
-            sums += [y + x for y in sums]
     ma = 0 if a is None else 1 << held.index(a)
     mb = 0 if b is None else 1 << held.index(b)
     me = ma | mb
@@ -784,49 +774,43 @@ def _rank(t: float, e: Edge, a: Edge | None, b: Edge | None,
         for f in subset:
             w_chosen += f.w
             m |= me if f is e else m1 if f is s1 else m2
-        if records:
-            r, _, key, bound = _score(subset, w_chosen, _PICK[m](held), t)
-        else:
-            w_removed = sums[m] * t
-            key = r = w_chosen - w_removed
-            bound = _ROUNDING * (w_chosen + w_removed)
-            if not abs(r) > bound + _UNDERFLOW:
-                r, _, key, _ = _score(subset, w_chosen, _PICK[m](held), t)
-        scores.append((r, bound, m))
+        score = _score(subset, w_chosen, _PICK[m](held), t)
+        scores.append(score)
+        key = score[2]
         if (chosen is None or key > best_key or key == best_key
                 and _better(key, subset, best_key, chosen)):
-            chosen, best_key, best = subset, key, scores[-1]
+            chosen, best_key, best = subset, key, score
 
-    r, bound, m = best
-    removed = _PICK[m](held)
+    r, removed, _, _ = best
     inserted = best_key > 0
     if inserted and len(chosen) > 1:
-        bound += _UNDERFLOW
-        near = [(sub, r_sub, _PICK[m_sub](held))
-                for sub, (r_sub, b_sub, m_sub) in zip(sets, scores)
-                if len(sub) < len(chosen) and abs(r_sub - r) <= bound + b_sub]
-        if near:
-            r, chosen, removed = _settle_near_ties(t, chosen, r, removed,
-                                                   near)
+        r, chosen, removed = _settle_near_ties(t, chosen, best, sets, scores)
     return sets, scores, chosen, removed, r, inserted
 
 
-def _settle_near_ties(t: float, chosen: tuple[Edge, ...], r: float,
-                      removed: tuple[Edge, ...], near: list):
-    """Rank the winning multi-edge set `chosen`, scored r at threshold t
-    against its conflicts `removed`, exactly against its own proper
-    subsets among `near`: the scored sets, as (subset, r, removed),
-    whose float scores lie within both sets' rounding bounds of r.
+def _settle_near_ties(t: float, chosen: tuple[Edge, ...], score: tuple,
+                      sets: list, scores: list):
+    """Rank the winning multi-edge set `chosen`, scored `score` at
+    threshold t, exactly against its own subsets.
 
-    Floats cannot tell such a subset from the winner, and the superset
-    may win on an extra edge whose exact marginal is negative: that
-    edge then cannot pay for what it removes, and the insertion fails
-    the exact certificate.  So they are compared in Fraction, and the
-    best of those that is exactly higher replaces the winner.  Returns
-    (r, chosen, removed) of the set to insert.
+    When a proper subset scores within both sets' rounding bounds of
+    the winner, floats cannot tell them apart, and the superset may
+    win on an extra edge whose exact marginal is negative: that edge
+    then cannot pay for what it removes, and the insertion fails the
+    exact certificate.  Such subsets are compared in Fraction, and
+    the best of those that is exactly higher replaces the winner.
+    `sets` and `scores` are every scored set and its `_score`
+    record, or one built the same way by a step that scores its view
+    inline, the proper subsets of `chosen` among them, so each set's
+    rounding bound is read, not summed again.  Returns (r, chosen,
+    removed) of the set to insert.
     """
+    r, removed, _, bound = score
+    bound += _UNDERFLOW
     exact = best = None
-    for sub, r_sub, removed_sub in near:
+    for sub, (r_sub, removed_sub, _, bound_sub) in zip(sets, scores):
+        if abs(r_sub - r) > bound + bound_sub:
+            continue
         if len(sub) >= len(chosen) or not all(f in chosen for f in sub):
             continue
         if exact is None:

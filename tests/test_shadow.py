@@ -723,8 +723,8 @@ def test_unhooked_run_rejects_without_scoring(monkeypatch, tmp_path):
     rank the views of the same 4 steps.  A sink that reads every
     event's decision ranks all 343 views with a shadow in view, the
     settled ones as it reads them.  One spy is on `_rank`, the ranking
-    behind a traced step and a lazily scored event, so lazy scoring is
-    counted too.  The other is on `_no_set_wins`, whose False sends an
+    behind a step that does not score its view inline and behind a
+    lazily scored event, so lazy scoring is counted too.  The other is on `_no_set_wins`, whose False sends an
     untraced step to be ranked, inline when its one shadow is disjoint
     from the input edge.  A view counts once, however many of them see
     it.  Every run ends the same."""
@@ -733,9 +733,9 @@ def test_unhooked_run_rejects_without_scoring(monkeypatch, tmp_path):
     rank = shadow_module._rank
     no_set_wins = shadow_module._no_set_wins
 
-    def counted(t, e, a, b, s1, c1, s2, c2, *records):
+    def counted(t, e, a, b, s1, c1, s2, c2):
         steps.add((e.w, a, b, s1, s2))
-        return rank(t, e, a, b, s1, c1, s2, c2, *records)
+        return rank(t, e, a, b, s1, c1, s2, c2)
 
     def bound(t, w, a, b, s1, s2):
         settled = no_set_wins(t, w, a, b, s1, s2)
@@ -1132,7 +1132,7 @@ _RANKED_VIEWS = dict(_COINCIDENCES, **{
 @settings(max_examples=40, deadline=None)
 def test_untraced_ranked_step_matches_the_reference_ranking(view, data):
     """An untraced step with a shadow in view, whether it scores a lone
-    disjoint shadow inline or ranks its sets in floats, does what the
+    disjoint shadow inline or ranks its sets with `_rank`, does what the
     record-based reference_rank chooses: it inserts the same set with
     the same removed and r (by repr) and counts as many sets, or
     inserts nothing when that set would not insert.  The traced step's
