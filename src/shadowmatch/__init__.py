@@ -22,12 +22,12 @@ from .shadow import (InsertionDecision, Neighborhood, RunMetrics, RunResult,
                      ShadowMatcher, TraceEvent, enumerate_augmenting_sets,
                      read_trace, run_stream, trace_header, trace_line,
                      trace_to_dict)
-from .verify import AllocationCheck, check_locally_k_exceeding
+from .verify import check_locally_k_exceeding
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "AllocationCheck", "AlgorithmSpec", "BaselineMatcher", "DenseGraph",
+    "AlgorithmSpec", "BaselineMatcher", "DenseGraph",
     "DuplicateEdgeError", "Edge", "EdgeStream", "GAMMA_RATIO_5_828",
     "GAMMA_RATIO_SIX", "GeneratorSpec", "InsertionDecision", "Neighborhood",
     "OptimalResult", "OracleCapacityError", "RunMetrics", "RunReport",

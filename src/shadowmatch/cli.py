@@ -148,7 +148,7 @@ def cmd_run(args) -> int:
 
     def certify(decision) -> bool:
         nonlocal failures
-        ok = check_locally_k_exceeding(decision, matcher.threshold).feasible
+        ok = check_locally_k_exceeding(decision, matcher.threshold)
         failures += not ok
         return ok
 

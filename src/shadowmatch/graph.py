@@ -206,6 +206,8 @@ def open_stream(source: Union[str, "os.PathLike[str]", IO[str]], *,
     EdgeStream
         Parsing is lazy, so format errors surface during iteration
         with their line numbers, and a wrong edge count at the end.
+        A file opened from a path is closed at the end, on an error,
+        or when the stream is dropped unread.
 
     Edge lines take one of two paths.  A well-formed line (three
     tokens, integer ids that are distinct and non-negative, a positive
@@ -288,6 +290,9 @@ def open_stream(source: Union[str, "os.PathLike[str]", IO[str]], *,
                     if vertex_count else 0)
         read = 0
         try:
+            # open_stream runs the generator up to here, so that closing
+            # or dropping a stream it never read closes the file too.
+            yield
             for n, raw in itertools.chain(pending, numbered):
                 parts = raw.split()
                 if not parts or parts[0][0] == "#":
@@ -338,7 +343,9 @@ def open_stream(source: Union[str, "os.PathLike[str]", IO[str]], *,
             raise StreamFormatError(
                 f"header declares {edge_count} edges, the stream has {read}")
 
-    return EdgeStream(edges(), vertex_count=vertex_count,
+    parse = edges()
+    next(parse)
+    return EdgeStream(parse, vertex_count=vertex_count,
                       edge_count=edge_count, source=name)
 
 

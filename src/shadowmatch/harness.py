@@ -106,7 +106,7 @@ def execute(order: Iterable[Edge], algo: AlgorithmSpec, *,
 
     def certify(decision):
         nonlocal failures
-        failures += not check_locally_k_exceeding(decision, algo.param).feasible
+        failures += not check_locally_k_exceeding(decision, algo.param)
 
     if algo.name == "shadow":
         result = run_stream(order, algo.param,

@@ -30,7 +30,7 @@ sums, padded with zeros past the last edge.  Suffix sums, not prefix
 sums: a prefix difference carries the rounding error of the heavy
 edges already passed, which can swamp a light tail and stop a prune.
 
-Either path reports the `fsum` of its witness's weights.  That sum is
+Either path reports the `fsum` of its matching's weights.  That sum is
 correctly rounded, so every exact optimum reports the same float, and
 a sum past the float range raises OverflowError.
 """
@@ -52,7 +52,7 @@ class OptimalResult:
     """An optimal matching and its weight.
 
     The weight is the global maximum.  When several matchings attain
-    it, which witness is returned is unspecified (but deterministic
+    it, which one is returned is unspecified (but deterministic
     for a given input).
     """
 
@@ -87,8 +87,8 @@ def max_weight_matching(graph: DenseGraph, *, edge_limit: int = 40) -> OptimalRe
     found = _forest_matching(graph) if m < graph.n else None
     if found is None:
         found = _branch_and_bound(graph)
-    witness = tuple(sorted(found))
-    return OptimalResult(math.fsum(e.w for e in witness), witness)
+    matching = tuple(sorted(found))
+    return OptimalResult(math.fsum(e.w for e in matching), matching)
 
 
 def _forest_matching(graph: DenseGraph) -> list[Edge] | None:
@@ -133,14 +133,14 @@ def _forest_matching(graph: DenseGraph) -> list[Edge] | None:
         if g > gain[x]:
             gain[x] = g
             pick[x] = (y, e)
-    witness: list[Edge] = []
+    taken: list[Edge] = []
     matched = set()    # vertices matched to their parent
     for x in order:
         if x in pick and x not in matched:
             y, e = pick[x]
             matched.add(y)
-            witness.append(e)
-    return witness
+            taken.append(e)
+    return taken
 
 
 def _branch_and_bound(graph: DenseGraph) -> list[Edge]:

@@ -23,8 +23,8 @@ reads the view straight from the matching and slot dicts into locals,
 and knows each candidate's conflicts from it with no further read of
 the matching: the input edge removes the matching edges at its ends,
 each shadow the one it is parked behind and the one at its far end.
-When the input edge is the only candidate, or an untraced step sees
-one shadow disjoint from it, the step scores its sets inline; `_rank`
+When the input edge is the only candidate, or the step sees one
+shadow disjoint from it, the step scores its sets inline; `_rank`
 ranks any other view.  Only a traced step packs those locals into a
 Neighborhood, the flat record of the seven roles, and hands over a
 TraceEvent for each step; an untraced step builds an InsertionDecision
@@ -46,8 +46,10 @@ the three candidates pairwise disjoint, since a shadow that meets the
 input edge or the other shadow has a far cover equal to a matching
 edge at the input edge or to the other far cover.  So that step also
 counted seven sets, and no later count can raise either maximum.  A
-traced step keeps counting, as it still writes its line, and its
-TraceEvent scores the view only if its candidates or decision are read.
+traced step keeps counting, as it still writes its line.  Its
+TraceEvent carries the step's decision, or none when the step was
+settled, and scores the view only when its candidates, or a settled
+step's decision, are read.
 
 A trace is a header line (`trace_header`) and then one line per step
 (`trace_line`), written from the step's TraceEvent with no state kept
@@ -142,11 +144,13 @@ class InsertionDecision:
 class TraceEvent:
     """One step of a traced run: the view, all scored sets, the decision.
 
-    `inserted` says whether the step changed the state.  A step the
-    reject bound settles is handed over unscored, as `TraceEvent(index,
-    neighborhood, threshold=t)`: it inserted nothing, and `candidates`
-    and `decision` are scored from the view at t by `_rank`, the step's
-    own ranking, the first time either is read, then kept.  The view is
+    `inserted` says whether the step changed the state.  A step hands
+    over `TraceEvent(index, neighborhood, decision=decision,
+    threshold=t)`, with decision None when the reject bound settled the
+    step unscored: it inserted nothing.  `candidates`, and a settled
+    step's `decision`, are scored from the view at t by `_rank`, the
+    step's own ranking, the first time either is read, then kept; a
+    decision or candidates given are kept as given.  The view is
     immutable and the ranking reads no matcher state, so they are what
     the step would have scored.
     """
@@ -183,7 +187,8 @@ class TraceEvent:
         sets, scores, chosen, removed, r, _ = _rank(self._threshold, e, a, b,
                                                     s1, c1, s2, c2)
         self._candidates = tuple(zip(sets, [score[0] for score in scores]))
-        self._decision = InsertionDecision(chosen, removed, r, False)
+        if self._decision is None:
+            self._decision = InsertionDecision(chosen, removed, r, False)
 
     def __eq__(self, other):
         if not isinstance(other, TraceEvent):
@@ -515,13 +520,14 @@ class ShadowMatcher:
         read.  Once a step has touched seven edges, an untraced step
         keeps neither count, and a settled one reads no far cover: the
         step that touched seven also counted seven sets (see the module
-        docstring), so no count can raise either maximum.  An untraced
-        step whose one shadow is disjoint from the input edge scores its
-        three sets here as `_score` would and, when all are clear of
-        zero, ranks them and settles a winning pair as `_rank` does.
-        Otherwise the step hands
-        `_rank` the view it read, e, a, b, s1, c1, s2 and c2.  Either
-        way it applies the set picked if it scores above zero.
+        docstring), so no count can raise either maximum.  A step whose
+        one shadow is disjoint from the input edge scores its three sets
+        here as `_score` would and, when all are clear of zero, ranks
+        them and settles a winning pair as `_rank` does.  Otherwise the
+        step hands `_rank` the view it read, e, a, b, s1, c1, s2 and c2.
+        Either way it applies the set picked if it scores above zero,
+        and a traced step hands its event that decision, the view and
+        t, so the event scores its candidates only when they are read.
         """
         matching = self.matching
         get = matching.get
@@ -573,6 +579,7 @@ class ShadowMatcher:
                 if inserted:
                     self._apply(chosen, removed)
                 touched = 1 + len(removed)
+                settled = False
             else:
                 settled = _no_set_wins(t, w, a, b, s1, s2)
                 # Nothing reads an untraced step's counts once they
@@ -595,8 +602,7 @@ class ShadowMatcher:
                     sets = _disjoint_subset_count(_candidates(e, s1, s2))
                 else:
                     chosen = None
-                    if trace is None and (
-                            s2 is None and v != s1.u and v != s1.v
+                    if (s2 is None and v != s1.u and v != s1.v
                             or s1 is None and u != s2.u and u != s2.v):
                         # One shadow s, disjoint from e and parked behind
                         # g: e removes g and o, s removes g and its far
@@ -640,7 +646,7 @@ class ShadowMatcher:
                                         ((r_e, rem_e, r_e, b_e),
                                          (r_s, rem_s, r_s, b_s)))
                     if chosen is None:
-                        ranked, scores, chosen, removed, r, inserted = _rank(
+                        ranked, _, chosen, removed, r, inserted = _rank(
                             t, e, a, b, s1, c1, s2, c2)
                         sets = len(ranked)
                     else:
@@ -652,18 +658,11 @@ class ShadowMatcher:
             if touched > max_touched:
                 max_touched = touched
             if trace is not None:
-                nb = Neighborhood(e, a, s1, c1, b, s2, c2)
-                if s1 is None and s2 is None:
-                    scored = ((chosen, r),)
-                elif settled:
-                    # Scored when read; it inserted nothing, so the
-                    # rest of the step has nothing to do.
-                    trace(TraceEvent(i, nb, threshold=t))
-                    continue
-                else:
-                    scored = tuple(zip(ranked, [x[0] for x in scores]))
-                decision = InsertionDecision(chosen, removed, r, inserted)
-                trace(TraceEvent(i, nb, scored, decision))
+                # A settled step's decision is scored when read.
+                decision = (None if settled else
+                            InsertionDecision(chosen, removed, r, inserted))
+                trace(TraceEvent(i, Neighborhood(e, a, s1, c1, b, s2, c2),
+                                 decision=decision, threshold=t))
             # Only an insertion can grow the stored-edge count.
             if inserted:
                 stored = self.matched_edge_count + self.parked_edge_count
@@ -879,6 +878,11 @@ def drive(matcher, stream: EdgeStream | Iterable[Edge], *,
     that provably inserts nothing is rejected unscored, with the same
     result, and a traced one is scored only if its event is read for
     it.
+
+    The result's weight is the `fsum` of the final matching, so a
+    matching whose weight leaves the float range raises OverflowError
+    after the whole pass, and the run's metrics are not returned.  The
+    CLI maps that error to its input-error exit code, 2.
     """
     steps, max_sets, max_touched, max_stored = matcher._steps(
         stream, on_insert, trace)
@@ -908,6 +912,9 @@ def run_stream(stream: EdgeStream | Iterable[Edge], k: float, *,
         that inserted, after the state changed and after `trace` got
         the step's event.  Used to certify insertions without paying
         for a trace; rejected steps are read from `trace`.
+
+    Raises OverflowError, as `drive` does, when the final matching's
+    weight leaves the float range.
     """
     return drive(ShadowMatcher(k), stream, trace=trace, on_insert=on_insert)
 
@@ -934,8 +941,9 @@ def trace_line(event: TraceEvent, feasible: bool | None = None) -> str:
     The input edge is spelled whole, the six other roles by their
     endpoint pair [u, v] (null where empty), since every stored edge
     was inserted as an input edge earlier in the trace.  `chosen` is
-    the position of the inserted set among the candidate sets, or null
-    on a rejection.  No score is spelled: :func:`read_trace` replays
+    the position of the inserted set among the candidate sets, in
+    `enumerate_augmenting_sets` order, or null on a rejection; finding
+    it scores nothing.  No score is spelled: :func:`read_trace` replays
     the step at the header's threshold.  `feasible`, when not None,
     is the verifier's verdict on an insertion and is appended as a
     tenth item.
@@ -946,7 +954,7 @@ def trace_line(event: TraceEvent, feasible: bool | None = None) -> str:
     elif a1g1 is None and a2g2 is None:
         pos = 0
     else:
-        pos = [subset for subset, _ in event.candidates].index(
+        pos = enumerate_augmenting_sets(event.neighborhood).index(
             event.decision.chosen)
     return (
         f"[{event.index},[{e.u},{e.v},{e.w!r}],"

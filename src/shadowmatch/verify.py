@@ -42,78 +42,40 @@ form, in one pass over the removed edges: feasible iff every removed
 edge touches e at exactly one end and p * w(removed edges) <= q * w(e).
 The exact k = p/q is converted once per k value, not once per check.
 
-The callers read only the verdict, so a check builds no witness.  A
-feasible check's `witness` is built on its first read and kept on the
-record: `_slack` is run again, and the shared removed edges (a single
-edge has none) are fixed one at a time, each at the midpoint of the
-shares its first end c can take while every subset condition stays
-true, with f(c) = share / w(cd), f(d) = 1 - f(c), and f = 1
-elsewhere.  The midpoint leaves room for the edges fixed after it, so
-a cycle of shared edges splits each one strictly when it can.  An
-infeasible system (witness None) means the insertion violated its own
-admission rule and something is broken.
+A check returns that verdict and computes nothing else; it builds no
+allocation f.  An infeasible system (False) means the insertion
+violated its own admission rule and something is broken.
 
-Measured in process (2-core x86-64, CPython 3.11.7, best of nine
-passes) on the 4,585 insertions of the ascending-n300 seed-0 benchmark
-stream at k*, against the earlier check that built the witness every
-time: 2.99 -> 1.68 us per single-edge check, and 17.6 -> 6.05 us per
-two- or three-edge check (all 1,689 evict a shared edge).
+Measured in process (2-core x86-64, CPython 3.11.7) on the 4,585
+insertions of the ascending-n300 seed-0 benchmark stream at k*: 1.28
+us per single-edge check and 4.63 us per two- or three-edge check (all
+1,689 evict a shared edge), medians of 7 rounds, each the best of 5
+passes.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from fractions import Fraction
 from functools import lru_cache
 
 from .graph import Edge
 from .shadow import InsertionDecision
 
-_ONE = Fraction(1)
-
 # `_slack` marks a covered vertex's bit once a removed edge touches it.
 _TOUCHED = 8
 
 
-@dataclass(slots=True)
-class AllocationCheck:
-    """Result of checking one insertion.
-
-    `covered` lists the vertices of the inserted edges (the only ones
-    allowed a nonzero allocation); `witness` maps them to an exact
-    feasible allocation when one exists, else None.  The witness is
-    built on its first read, by `_witness`, and then kept.
-    """
-
-    feasible: bool
-    covered: tuple[int, ...]
-    witness: dict[int, Fraction] | None = field(init=False)
-    chosen: tuple[Edge, ...]
-    removed: tuple[Edge, ...]
-    k: Fraction
-
-    def __getattr__(self, name: str):
-        # Only an attribute that is not set reaches here, and the one
-        # slot left unset on purpose is `witness`, until its first read.
-        if name != "witness":
-            raise AttributeError(
-                f"{type(self).__name__!r} object has no attribute {name!r}")
-        self.witness = witness = _witness(self)
-        return witness
-
-
 @lru_cache(maxsize=16)
-def _exact_k(k: float) -> tuple[Fraction, int, int]:
-    """k as the exact fraction p/q of its float value, checked > 1."""
-    kq = Fraction(float(k))
-    p, q = kq.numerator, kq.denominator
+def _exact_k(k: float) -> tuple[int, int]:
+    """k as the exact fraction p/q of its float value, in lowest terms,
+    checked > 1."""
+    p, q = float(k).as_integer_ratio()
     if p <= q:
         raise ValueError(f"k must be > 1, got {k!r}")
-    return kq, p, q
+    return p, q
 
 
 def _check_one_edge(chosen: tuple[Edge], removed: tuple[Edge, ...],
-                    kq: Fraction, p: int, q: int) -> AllocationCheck:
+                    p: int, q: int) -> bool:
     """The subset conditions for S = {} and S = {e}, for one inserted
     edge e = uv, with the general check's errors in its order."""
     (e,) = chosen
@@ -151,11 +113,10 @@ def _check_one_edge(chosen: tuple[Edge], removed: tuple[Edge, ...],
         load += x * (den // r)
     if also is not None:
         raise ValueError(f"removed edge {also} is also inserted")
-    return AllocationCheck(not misses and p * load <= q * num,
-                           (u, v) if u < v else (v, u), chosen, removed, kq)
+    return not misses and p * load <= q * num
 
 
-def check_locally_k_exceeding(decision: InsertionDecision, k: float) -> AllocationCheck:
+def check_locally_k_exceeding(decision: InsertionDecision, k: float) -> bool:
     """Decide feasibility of the allocation system for one insertion.
 
     Parameters
@@ -172,19 +133,16 @@ def check_locally_k_exceeding(decision: InsertionDecision, k: float) -> Allocati
 
     Returns
     -------
-    AllocationCheck; its exact witness, when feasible, is built on the
-    first read of `witness`.
+    True iff the system is feasible, decided exactly.
     """
     if not decision.inserted:
         raise ValueError("only inserted decisions carry an allocation certificate")
-    kq, p, q = _exact_k(k)
+    p, q = _exact_k(k)
     chosen = decision.chosen
     removed = decision.removed
     if len(chosen) == 1:
-        return _check_one_edge(chosen, removed, kq, p, q)
-    slack, _, bit = _slack(chosen, removed, p, q)
-    return AllocationCheck(min(slack) >= 0, tuple(sorted(bit)),
-                           chosen, removed, kq)
+        return _check_one_edge(chosen, removed, p, q)
+    return min(_slack(chosen, removed, p, q)[0]) >= 0
 
 
 def _slack(chosen: tuple[Edge, ...], removed: tuple[Edge, ...], p: int, q: int
@@ -243,38 +201,3 @@ def _slack(chosen: tuple[Edge, ...], removed: tuple[Edge, ...], p: int, q: int
         raise ValueError(f"removed edge {also} is also inserted")
     return slack, den, bit
 
-
-def _witness(check: AllocationCheck) -> dict[int, Fraction] | None:
-    """The exact allocation of a feasible check (None if infeasible):
-    f = 1, but for the shared removed edges, each fixed at the midpoint
-    of the shares its first end can take with every subset condition
-    kept true."""
-    if not check.feasible:
-        return None
-    witness = dict.fromkeys(check.covered, _ONE)
-    p, q = check.k.numerator, check.k.denominator
-    slack, den, bit = _slack(check.chosen, check.removed, p, q)
-    shared = [d for d in check.removed if d.u in bit and d.v in bit]
-    # Scaled by 2**len(shared), so that the halvings below stay integral.
-    slack = [s << len(shared) for s in slack]
-    p <<= len(shared)
-    size = len(slack)
-    for c, d, w in shared:
-        num, r = w.as_integer_ratio()
-        w = p * num * (den // r)
-        bc = bit[c] & ~_TOUCHED
-        bd = bit[d] & ~_TOUCHED
-        # The sets holding c's inserted edge and not d's are {c} and,
-        # with a third inserted edge, {c, third}; likewise for d.
-        third = size - 1 - bc - bd
-        hi = min(w, slack[bc], slack[bc | third])
-        lo = w - min(w, slack[bd], slack[bd | third])
-        share = (lo + hi) // 2
-        slack[bc] -= share
-        slack[bd] -= w - share
-        if third:
-            slack[bc | third] -= share
-            slack[bd | third] -= w - share
-        witness[c] = Fraction(share, w)
-        witness[d] = _ONE - witness[c]
-    return witness

@@ -19,7 +19,7 @@ from shadowmatch.baseline import run_baseline
 from shadowmatch.graph import (DuplicateEdgeError, Edge, StreamFormatError,
                                edge, parse_edge_line)
 from shadowmatch.shadow import run_stream
-from shadowmatch.verify import check_locally_k_exceeding
+from shadowmatch.verify import _TOUCHED, _slack, check_locally_k_exceeding
 
 
 def naive_max_matching_weight(edges: list[Edge]) -> float:
@@ -237,7 +237,7 @@ class InsertionAudit:
                          + [-d.w for d in decision.removed]) > 0:
             self.not_increasing += 1
         if (self.k is not None
-                and not check_locally_k_exceeding(decision, self.k).feasible):
+                and not check_locally_k_exceeding(decision, self.k)):
             self.not_certified += 1
 
 
@@ -319,6 +319,49 @@ def reference_baseline(edges: list[Edge], gamma: float) -> dict:
     return {"steps": steps, "matching": final,
             "weight": math.fsum(e.w for e in final),
             "insertions": insertions, "max_stored_edges": peak}
+
+
+def reference_witness(decision, k: float) -> dict[int, Fraction] | None:
+    """An exact allocation f for the insertion `decision` at threshold
+    k, on the vertices its inserted edges cover, or None when Gale's
+    subset slacks (`verify._slack`) show there is none.
+
+    f = 1, but for the shared removed edges (both ends covered), which
+    are fixed one at a time, each at the midpoint of the shares its
+    first end c can take while every subset condition stays true, with
+    f(c) = share / w(cd) and f(d) = 1 - f(c).  The midpoint leaves room
+    for the edges fixed after it, so a cycle of shared edges splits
+    each one strictly when it can.
+    """
+    p, q = float(k).as_integer_ratio()
+    slack, den, bit = _slack(decision.chosen, decision.removed, p, q)
+    if min(slack) < 0:
+        return None
+    witness = dict.fromkeys(sorted(bit), Fraction(1))
+    shared = [d for d in decision.removed if d.u in bit and d.v in bit]
+    # Scaled by 2**len(shared), so that the halvings below stay integral.
+    slack = [s << len(shared) for s in slack]
+    p <<= len(shared)
+    size = len(slack)
+    for c, d, w in shared:
+        num, r = w.as_integer_ratio()
+        w = p * num * (den // r)
+        bc = bit[c] & ~_TOUCHED
+        bd = bit[d] & ~_TOUCHED
+        # The sets holding c's inserted edge and not d's are {c} and,
+        # with a third inserted edge, {c, third}; likewise for d.
+        third = size - 1 - bc - bd
+        hi = min(w, slack[bc], slack[bc | third])
+        lo = w - min(w, slack[bd], slack[bd | third])
+        share = (lo + hi) // 2
+        slack[bc] -= share
+        slack[bd] -= w - share
+        if third:
+            slack[bc | third] -= share
+            slack[bd | third] -= w - share
+        witness[c] = Fraction(share, w)
+        witness[d] = 1 - witness[c]
+    return witness
 
 
 # One linear constraint: sum(coeffs[i] * x[i]) <= rhs.

@@ -4,12 +4,13 @@ from __future__ import annotations
 
 import contextlib
 import csv
-import dataclasses
+import gc
 import io
 import json
 import logging
 import subprocess
 import sys
+import warnings
 
 import pytest
 
@@ -122,6 +123,30 @@ def test_run_gamma_is_a_usage_error_for_the_shadow_matcher(
     assert not trace.exists()
     err = capsys.readouterr().err.splitlines()
     assert err == ["error: --gamma applies to the baseline matcher only"] * 2
+
+
+def test_run_closes_file_when_the_trace_file_cannot_be_opened(
+        stream_file, tmp_path, capsys):
+    """FILE is opened before the trace file, so that a bad FILE neither
+    creates nor truncates the trace; when the trace file then cannot be
+    opened, the run exits 2 and FILE is closed, not left to leak."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", ResourceWarning)
+        assert main(["run", stream_file, "--trace",
+                     str(tmp_path / "missing" / "t.jsonl")]) == 2
+        gc.collect()
+    assert [w for w in caught if issubclass(w.category, ResourceWarning)] == []
+    trace = tmp_path / "trace.jsonl"
+    assert main(["run", str(tmp_path / "absent.txt"),
+                 "--trace", str(trace)]) == 2
+    assert not trace.exists()
+    bad = tmp_path / "bad.txt"
+    bad.write_text("p 3\n1 2 1.0\n", encoding="utf-8")
+    trace.write_text("kept\n", encoding="utf-8")
+    assert main(["run", str(bad), "--trace", str(trace)]) == 2
+    assert trace.read_text(encoding="utf-8") == "kept\n"
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 3 and all(line.startswith("error: ") for line in err)
 
 
 @pytest.mark.parametrize("first,second", [
@@ -389,9 +414,7 @@ def test_run_verify_output_is_the_same_with_and_without_trace(
         real = cli.check_locally_k_exceeding
 
         def check(decision, k):
-            result = real(decision, k)
-            return dataclasses.replace(
-                result, feasible=result.feasible and not decision.removed)
+            return real(decision, k) and not decision.removed
         monkeypatch.setattr(cli, "check_locally_k_exceeding", check)
     capsys.readouterr()
     code = main(["run", str(path), "--verify"])

@@ -22,7 +22,7 @@ from helpers import (brute_force_disjoint, check_matcher_invariants,
 from shadowmatch.baseline import (GAMMA_RATIO_5_828, BaselineMatcher,
                                   run_baseline)
 from shadowmatch import shadow as shadow_module
-from shadowmatch.bound import optimal_k
+from shadowmatch.bound import K_STAR, optimal_k
 from shadowmatch.graph import Edge, edge, open_stream
 from shadowmatch.cli import main
 from shadowmatch.shadow import (InsertionDecision, ShadowMatcher, TraceEvent,
@@ -490,6 +490,22 @@ def test_invariants_hold_after_every_step(data):
         assert brute_force_disjoint(d.chosen)
         for removed in d.removed:
             assert any(removed.shares_vertex(c) for c in d.chosen)
+
+
+def test_run_stream_raises_when_the_matching_weight_leaves_the_float_range():
+    """Two finite weights near 1.7e308 both insert, and the pass runs
+    to its end; the final weight, an `fsum` of the matching, overflows,
+    so `drive` and `run_stream` raise OverflowError and return no
+    metrics.  The CLI's exit 2 on such a stream rests on this."""
+    edges = [edge(1, 2, 1.7e308), edge(3, 4, 1.7e308)]
+    inserted = []
+    with pytest.raises(OverflowError):
+        run_stream(edges, K_STAR, on_insert=inserted.append)
+    assert [d.chosen for d in inserted] == [(e,) for e in edges]
+    matcher = ShadowMatcher(K_STAR)
+    with pytest.raises(OverflowError):
+        drive(matcher, iter(edges))
+    assert matcher.matching_edges() == tuple(edges)
 
 
 @given(st.data())
@@ -987,12 +1003,13 @@ def _reference_sets(nb) -> list[tuple[Edge, ...]]:
 
 
 def _assert_step_scores_match_reference(m: ShadowMatcher, e: Edge) -> None:
-    """Run `e` through a traced step of `m` and check every scored set
-    against reference_conflict_score on the matching as it was before
-    the step: the sets of the view in bitmask order, each with its `r`
-    to the bit and its sorted `removed`, which a step, or the event of
-    a step the reject bound settles when it is read, reads off its view
-    and a spy on `shadow._score` sees."""
+    """Run `e` through a traced step of `m`, then read the event's
+    candidates, which it scores off its view, and check every scored
+    set against reference_conflict_score on the matching as it was
+    before the step: the sets of the view in bitmask order, each with
+    its `r` to the bit and its sorted `removed`, as a spy on
+    `shadow._score` sees them.  The step's decision, scored inline or
+    ranked, carries its set's candidate score to the bit."""
     before = dict(m.matching)
     nb = m.neighborhood(e)
     seen = []
@@ -1002,20 +1019,18 @@ def _assert_step_scores_match_reference(m: ShadowMatcher, e: Edge) -> None:
         seen.append((chosen, removed))
         return score(chosen, w_chosen, removed, t)
 
+    event = m.process_edge_traced(e, 0)
     with patch.object(shadow_module, "_score", spy):
-        event = m.process_edge_traced(e, 0)
-        event.candidates
-    if len(event.candidates) == 1:
-        # the lone input edge, scored inline: its removed is the decision's
-        seen = [(event.decision.chosen, event.decision.removed)]
+        candidates = event.candidates
     sets = _reference_sets(nb)
-    assert [subset for subset, _ in event.candidates] == sets
+    assert [subset for subset, _ in candidates] == sets
     assert [subset for subset, _ in seen] == sets
-    for (subset, r), (_, removed) in zip(event.candidates, seen):
+    for (subset, r), (_, removed) in zip(candidates, seen):
         r_ref, removed_ref, _ = reference_conflict_score(before, subset,
                                                          m.threshold)
         assert repr(r) == repr(r_ref)
         assert removed == removed_ref
+    assert repr(event.decision.gain) == repr(dict(candidates)[event.decision.chosen])
 
 
 @given(st.data())

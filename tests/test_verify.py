@@ -12,14 +12,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import _fourier_motzkin, random_edge_list, reference_feasible
+from helpers import (_fourier_motzkin, random_edge_list, reference_feasible,
+                     reference_witness)
 from shadowmatch import cli, harness, verify
 from shadowmatch.bound import optimal_k
 from shadowmatch.cli import main
 from shadowmatch.graph import edge, open_stream
 from shadowmatch.harness import AlgorithmSpec
 from shadowmatch.shadow import InsertionDecision, ShadowMatcher, run_stream
-from shadowmatch.verify import AllocationCheck, check_locally_k_exceeding
+from shadowmatch.verify import check_locally_k_exceeding
 
 ASCENDING = Path(__file__).parent / "golden" / "ascending.txt"
 K_STAR = optimal_k()[0]
@@ -33,34 +34,38 @@ A2C2 = edge(5, 7, 1.0)
 Y1Y2 = edge(0, 1, 6.0)
 
 
-def _assert_witness_ok(check: AllocationCheck) -> None:
-    """Replay the allocation constraints against the returned witness."""
-    assert check.feasible and check.witness is not None
-    f = {x: Fraction(v) for x, v in check.witness.items()}
-    covered = set(check.covered)
+def _assert_witness_ok(decision: InsertionDecision, k: float) -> dict:
+    """Check that the insertion certifies, then replay the allocation
+    constraints against its reference witness, which is returned."""
+    assert check_locally_k_exceeding(decision, k) is True
+    witness = reference_witness(decision, k)
+    assert witness is not None
+    f = {x: Fraction(v) for x, v in witness.items()}
+    covered = {x for e in decision.chosen for x in (e.u, e.v)}
     for x, v in f.items():
         assert 0 <= v <= 1
     removed_at = {}
-    for d in check.removed:
+    for d in decision.removed:
         for x in (d.u, d.v):
             if x in covered:
                 removed_at[x] = Fraction(d.w)
-    for e in check.chosen:
+    for e in decision.chosen:
         lhs = sum(f[x] * removed_at.get(x, Fraction(0)) for x in (e.u, e.v))
-        assert lhs <= Fraction(e.w) / check.k
-    for d in check.removed:
+        assert lhs <= Fraction(e.w) / Fraction(k)
+    for d in decision.removed:
         lhs = sum(f.get(x, Fraction(0)) for x in (d.u, d.v))
         assert lhs >= 1
+    return witness
 
 
-def _run_and_check(edges, k):
+def _insertions(edges, k):
     matcher = ShadowMatcher(k)
-    checks = []
+    decisions = []
     for e in edges:
         decision = matcher.process_edge(e)
         if decision.inserted:
-            checks.append(check_locally_k_exceeding(decision, k))
-    return checks
+            decisions.append(decision)
+    return decisions
 
 
 def test_rejected_decision_raises():
@@ -103,10 +108,8 @@ def test_malformed_decision_raises(chosen, removed, message):
 def test_single_edge_no_removal():
     decision = InsertionDecision(chosen=(edge(1, 2, 10.0),), removed=(),
                                  gain=10.0, inserted=True)
-    check = check_locally_k_exceeding(decision, 2.0)
-    assert check.feasible
-    assert check.covered == (1, 2)
-    assert check.witness == {1: Fraction(1), 2: Fraction(1)}
+    assert check_locally_k_exceeding(decision, 2.0) is True
+    assert reference_witness(decision, 2.0) == {1: Fraction(1), 2: Fraction(1)}
 
 
 def test_single_edge_two_removals():
@@ -116,9 +119,7 @@ def test_single_edge_two_removals():
         chosen=(edge(1, 2, 10.0),),
         removed=(edge(1, 3, 3.0), edge(2, 4, 1.0)),
         gain=2.0, inserted=True)
-    check = check_locally_k_exceeding(decision, 2.0)
-    _assert_witness_ok(check)
-    assert check.witness == {1: Fraction(1), 2: Fraction(1)}
+    assert _assert_witness_ok(decision, 2.0) == {1: Fraction(1), 2: Fraction(1)}
 
 
 def test_single_edge_infeasible_when_constructed_by_hand():
@@ -128,9 +129,8 @@ def test_single_edge_infeasible_when_constructed_by_hand():
         chosen=(edge(1, 2, 4.0),),
         removed=(edge(1, 3, 3.0),),
         gain=1.0, inserted=True)
-    check = check_locally_k_exceeding(decision, 2.0)
-    assert not check.feasible
-    assert check.witness is None
+    assert check_locally_k_exceeding(decision, 2.0) is False
+    assert reference_witness(decision, 2.0) is None
 
 
 def test_pair_infeasible_when_constructed_by_hand():
@@ -139,8 +139,7 @@ def test_pair_infeasible_when_constructed_by_hand():
         chosen=(edge(1, 2, 2.0), edge(3, 4, 2.0)),
         removed=(edge(1, 5, 3.0),),
         gain=1.0, inserted=True)
-    check = check_locally_k_exceeding(decision, 2.0)
-    assert not check.feasible
+    assert check_locally_k_exceeding(decision, 2.0) is False
 
 
 def test_gadget_pair_insertion():
@@ -155,11 +154,9 @@ def test_gadget_pair_insertion():
     decision = matcher.process_edge(Y1Y2)
     assert decision.inserted
     assert decision.chosen == (Y1Y2, A1G1)
-    check = check_locally_k_exceeding(decision, 1.5)
-    _assert_witness_ok(check)
+    f = _assert_witness_ok(decision, 1.5)
     # constraints, written out: 2*f0 + f1 <= 4, 2*f2 + f4 <= 4,
     # f0 + f2 >= 1, f1 >= 1, f4 >= 1
-    f = check.witness
     assert f[1] == 1 and f[4] == 1
     assert f[0] + f[2] >= 1
     assert 2 * f[0] + f[1] <= 4
@@ -171,8 +168,8 @@ def test_every_real_insertion_is_feasible():
         edges = random_edge_list(rng, max_n=10,
                                  integer_weights=trial % 4 == 0)
         for k in (1.3, 1.717191779457857, 2.0, 3.0):
-            for check in _run_and_check(edges, k):
-                _assert_witness_ok(check)
+            for decision in _insertions(edges, k):
+                _assert_witness_ok(decision, k)
 
 
 def test_scaling_weights_preserves_feasibility():
@@ -182,10 +179,10 @@ def test_scaling_weights_preserves_feasibility():
     edges = random_edge_list(rng, max_n=8)
     for scale in (0.25, 1.0, 4.0, 1024.0):
         scaled = [edge(e.u, e.v, e.w * scale) for e in edges]
-        checks = _run_and_check(scaled, 2.0)
-        assert checks, "expected at least one insertion"
-        for check in checks:
-            _assert_witness_ok(check)
+        decisions = _insertions(scaled, 2.0)
+        assert decisions, "expected at least one insertion"
+        for decision in decisions:
+            _assert_witness_ok(decision, 2.0)
 
 
 def test_fast_path_matches_general_path_semantics():
@@ -212,14 +209,13 @@ def test_fast_path_matches_general_path_semantics():
         single, padded = pose(w_in, removed)
         fast = check_locally_k_exceeding(single, 2.0)
         general = check_locally_k_exceeding(padded, 2.0)
-        assert fast.feasible == general.feasible
-        assert fast.feasible == (not misses and 2 * sum(d.w for d in removed) <= w_in)
-        if fast.feasible:
-            assert fast.witness == {1: 1, 2: 1}
-            _assert_witness_ok(fast)
-            _assert_witness_ok(general)
+        assert fast == general
+        assert fast == (not misses and 2 * sum(d.w for d in removed) <= w_in)
+        if fast:
+            assert _assert_witness_ok(single, 2.0) == {1: 1, 2: 1}
+            _assert_witness_ok(padded, 2.0)
         else:
-            assert fast.witness is None
+            assert reference_witness(single, 2.0) is None
 
     # malformed decisions raise the same error on both paths; two
     # removed edges at one end is reported first, in either order
@@ -242,8 +238,8 @@ def test_k_conversion_is_per_value():
     decision = InsertionDecision((edge(1, 2, 3.0),), (edge(1, 3, 1.5),),
                                  0.0, True)
     for k, feasible in [(1.5, True), (3.0, False), (1.5, True)]:
-        check = check_locally_k_exceeding(decision, k)
-        assert (check.feasible, check.k) == (feasible, Fraction(k))
+        assert check_locally_k_exceeding(decision, k) is feasible
+        assert verify._exact_k(k) == Fraction(k).as_integer_ratio()
     with pytest.raises(ValueError, match="k must be > 1"):
         check_locally_k_exceeding(decision, 1.0)
     with pytest.raises(ValueError, match="k must be > 1"):
@@ -258,8 +254,8 @@ def test_single_edge_with_removed_edge_off_the_cover_is_infeasible():
                                1.0, True)
     padded = InsertionDecision((edge(1, 2, 10.0), edge(8, 9, 5.0)),
                                (edge(5, 6, 1.0),), 1.0, True)
-    assert not check_locally_k_exceeding(single, 2.0).feasible
-    assert not check_locally_k_exceeding(padded, 2.0).feasible
+    assert not check_locally_k_exceeding(single, 2.0)
+    assert not check_locally_k_exceeding(padded, 2.0)
 
 
 def test_six_cycle_splits_every_shared_edge():
@@ -267,14 +263,12 @@ def test_six_cycle_splits_every_shared_edge():
     # load 3 exactly fills the total capacity 6 / 2
     chosen = (edge(0, 1, 2.0), edge(2, 3, 2.0), edge(4, 5, 2.0))
     removed = (edge(1, 2, 1.0), edge(3, 4, 1.0), edge(0, 5, 1.0))
-    check = check_locally_k_exceeding(
-        InsertionDecision(chosen, removed, 0.0, True), 2.0)
-    _assert_witness_ok(check)
-    assert all(0 < check.witness[x] < 1 for d in removed for x in (d.u, d.v))
+    f = _assert_witness_ok(InsertionDecision(chosen, removed, 0.0, True), 2.0)
+    assert all(0 < f[x] < 1 for d in removed for x in (d.u, d.v))
     # one ulp less capacity, and the cycle no longer fits
     short = (edge(0, 1, math.nextafter(2.0, 0.0)),) + chosen[1:]
     decision = InsertionDecision(short, removed, 0.0, True)
-    assert not check_locally_k_exceeding(decision, 2.0).feasible
+    assert not check_locally_k_exceeding(decision, 2.0)
     assert not reference_feasible(decision, 2.0)
 
 
@@ -287,11 +281,10 @@ def test_infeasible_only_for_all_three_inserted_edges():
     decision = InsertionDecision(
         chosen, pinned[0] + (edge(1, 2, 2.5), edge(3, 4, 2.5)) + pinned[2],
         0.0, True)
-    assert not check_locally_k_exceeding(decision, 2.0).feasible
+    assert not check_locally_k_exceeding(decision, 2.0)
     assert not reference_feasible(decision, 2.0)
     for e, load in zip(chosen, pinned):
-        alone = InsertionDecision((e,), load, 0.0, True)
-        _assert_witness_ok(check_locally_k_exceeding(alone, 2.0))
+        _assert_witness_ok(InsertionDecision((e,), load, 0.0, True), 2.0)
 
 
 @pytest.mark.parametrize("pinned, feasible", [(None, True), (5e-324, False)])
@@ -305,10 +298,9 @@ def test_subnormal_and_huge_weights_are_exact(pinned, feasible):
     decision = InsertionDecision((edge(0, 1, 1e308), edge(2, 3, 5e-324)),
                                  removed, 0.0, True)
     check = check_locally_k_exceeding(decision, 2.0)
-    assert check.feasible == feasible == reference_feasible(decision, 2.0)
+    assert check == feasible == reference_feasible(decision, 2.0)
     if feasible:
-        _assert_witness_ok(check)
-        assert 0 < check.witness[1] < 1
+        assert 0 < _assert_witness_ok(decision, 2.0)[1] < 1
 
 
 def test_fourier_motzkin_feasible_interval():
@@ -396,9 +388,9 @@ def hand_built_decisions(draw):
 @settings(max_examples=300, deadline=None)
 def test_verdict_matches_fourier_motzkin(decision, k):
     check = check_locally_k_exceeding(decision, k)
-    assert check.feasible == reference_feasible(decision, k)
-    if check.feasible:
-        _assert_witness_ok(check)
+    assert check == reference_feasible(decision, k)
+    if check:
+        _assert_witness_ok(decision, k)
 
 
 @given(st.data())
@@ -425,7 +417,7 @@ def test_insertions_certify_at_float_ties(data):
             w = math.nextafter(w, math.inf if steps > 0 else 0.0)
         d = m.process_edge(edge(u, v, w))
         if d.inserted:
-            assert check_locally_k_exceeding(d, k).feasible
+            assert check_locally_k_exceeding(d, k)
 
 
 # Streams whose last step scores a three-edge set and one of its pairs
@@ -461,7 +453,7 @@ def test_near_tie_subset_is_inserted_and_certifies(k):
     for e in edges:
         decision = matcher.process_edge(e)
         if decision.inserted:
-            _assert_witness_ok(check_locally_k_exceeding(decision, k))
+            _assert_witness_ok(decision, k)
     # the last step inserts the exactly better pair, not the triple
     assert decision.inserted and len(decision.chosen) == 2
 
@@ -470,7 +462,7 @@ def test_golden_multi_edge_insertions_certify():
     """Real multi-edge traffic: every one of the 105 multi-edge
     insertions of the ascending golden stream evicts an edge shared by
     two inserted edges.  Each verdict matches Fourier-Motzkin, and the
-    witness, read after the verdict, satisfies the system."""
+    reference witness satisfies the system."""
     decisions = []
     run_stream(open_stream(ASCENDING), K_STAR, on_insert=decisions.append)
     multi = [d for d in decisions if len(d.chosen) > 1]
@@ -479,28 +471,21 @@ def test_golden_multi_edge_insertions_certify():
         covered = {x for e in d.chosen for x in (e.u, e.v)}
         assert any(r.u in covered and r.v in covered for r in d.removed)
     for d in decisions:
-        check = check_locally_k_exceeding(d, K_STAR)
-        assert check.feasible == reference_feasible(d, K_STAR)
-        _assert_witness_ok(check)
+        assert check_locally_k_exceeding(d, K_STAR) == reference_feasible(d, K_STAR)
+        _assert_witness_ok(d, K_STAR)
 
 
-def test_product_paths_build_no_witness(tmp_path, monkeypatch):
+def test_product_paths_certify_each_insertion_once(tmp_path, monkeypatch):
     """`run --verify` (traced or not), `compare --verify` and the
-    harness read only the verdict, so no witness is built; a witness
-    read twice is built once."""
-    builds = []
+    harness check each insertion once, and each check is a bool."""
     checks = []
-    real_witness = verify._witness
-
-    def witness(check):
-        builds.append(check)
-        return real_witness(check)
 
     def counted(decision, k):
         checks.append(decision)
-        return check_locally_k_exceeding(decision, k)
+        verdict = check_locally_k_exceeding(decision, k)
+        assert type(verdict) is bool
+        return verdict
 
-    monkeypatch.setattr(verify, "_witness", witness)
     monkeypatch.setattr(cli, "check_locally_k_exceeding", counted)
     monkeypatch.setattr(harness, "check_locally_k_exceeding", counted)
     path = str(ASCENDING)
@@ -512,15 +497,6 @@ def test_product_paths_build_no_witness(tmp_path, monkeypatch):
                           AlgorithmSpec("shadow", K_STAR), verify=True)
     assert out.verifier_failures == 0
     assert len(checks) == 4 * 270
-    assert builds == []
-
-    decision = next(d for d in checks if len(d.chosen) > 1)
-    check = check_locally_k_exceeding(decision, K_STAR)
-    first = dict(check.witness)
-    assert check.witness == first
-    assert len(builds) == 1
-    _assert_witness_ok(check)
-    assert len(builds) == 1
 
 
 def _first_error(chosen, removed):
