@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from itertools import permutations
 
 from .graph import DenseGraph, Edge, EdgeStream, edge

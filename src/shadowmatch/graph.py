@@ -15,7 +15,8 @@ line oriented:
     2 3 10.0
     3 4 1.0
 
-Blank lines are ignored.  Files are UTF-8 with LF or CRLF endings.
+Blank lines are ignored.  Files are UTF-8, and a line ends at LF, CRLF
+or a lone CR.  A byte that is not UTF-8 is named by line and offset.
 
 A repeated endpoint pair is found exactly, at the cost of one int per
 distinct pair read, and at most n*n bytes for the pairs with both ids
@@ -27,10 +28,10 @@ from __future__ import annotations
 import itertools
 import logging
 import math
-import os
 from array import array
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
+from os import PathLike
 from typing import IO, Iterable, Iterator, NamedTuple, Union
 
 log = logging.getLogger(__name__)
@@ -183,7 +184,7 @@ class EdgeStream:
         return f"EdgeStream(source={self.source!r}, n={self.vertex_count})"
 
 
-def open_stream(source: Union[str, "os.PathLike[str]", IO[str]], *,
+def open_stream(source: Union[str, "PathLike[str]", IO[str]], *,
                 on_duplicate: str = "error") -> EdgeStream:
     """Open a stream file (or readable text object) for one pass.
 
@@ -208,6 +209,14 @@ def open_stream(source: Union[str, "os.PathLike[str]", IO[str]], *,
         with their line numbers, and a wrong edge count at the end.
         A file opened from a path is closed at the end, on an error,
         or when the stream is dropped unread.
+
+    A path is read once, as UTF-8 with errors="surrogateescape": a byte
+    that is not UTF-8 arrives as a lone surrogate, from a pipe as from a
+    file.  No token holding one converts, so only the lines off the fast
+    path below are checked for one: those before the first edge,
+    comments and those for :func:`parse_edge_line`.  The first in line
+    order raises StreamFormatError naming the line and the byte's
+    0-based offset within it.
 
     Edge lines take one of two paths.  A well-formed line (three
     tokens, integer ids that are distinct and non-negative, a positive
@@ -236,66 +245,58 @@ def open_stream(source: Union[str, "os.PathLike[str]", IO[str]], *,
         name = getattr(source, "name", "<buffer>")
         owns = False
     else:
-        fh = open(source, "r", encoding="utf-8")
+        fh = open(source, "r", encoding="utf-8", errors="surrogateescape")
         name = str(source)
         owns = True
 
-    # Read up to and including the first meaningful line so a header,
-    # if present, is known before anyone iterates.
-    numbered = enumerate(fh, 1)
-    vertex_count = edge_count = None
-    pending: tuple[tuple[int, str], ...] = ()
-    try:
-        for line_no, raw in numbered:
-            stripped = raw.strip()
-            if not stripped or stripped.startswith("#"):
-                continue
-            if not stripped.startswith("p"):
-                pending = ((line_no, raw),)
-                break
-            parts = stripped.split()
-            if len(parts) != 3 or parts[0] != "p":
-                raise StreamFormatError(
-                    f"bad header, expected 'p <n> <m>': {stripped!r}", line_no)
-            try:
-                vertex_count = int(parts[1])
-                edge_count = int(parts[2])
-            except ValueError:
-                raise StreamFormatError(
-                    f"header counts must be integers: {stripped!r}",
-                    line_no) from None
-            if vertex_count < 0 or edge_count < 0:
-                raise StreamFormatError(
-                    f"header counts must be non-negative: {stripped!r}", line_no)
-            break
-    except Exception as exc:
-        if owns:
-            fh.close()
-            if isinstance(exc, UnicodeDecodeError):
-                raise _not_utf8(source, exc) from None
-        raise
-
-    def edges() -> Iterator[Edge]:
-        # Each pair u < v is held as the int v*v + u, distinct for every
-        # pair since v*v + u < (v+1)**2.  The keys below area = n*n are
-        # the pairs with v < n.  After n*n/64 edge lines, and again
-        # each time that count doubles, _dense_table is asked to move
-        # them to a byte table.  Not before 64 lines: the set is a few
-        # KiB until then, and the move costs as much as reading a few
-        # edges.
-        seen: set[int] = set()
-        table = bytearray()
-        area = 0
-        dense_at = (max(vertex_count * vertex_count >> 6, 64)
-                    if vertex_count else 0)
-        read = 0
+    def edges() -> Iterator:
+        numbered = enumerate(fh, 1)
+        vertex_count = edge_count = None
+        pending = ()
         try:
+            # Read up to and including the first meaningful line, so a
+            # header, if present, is known before anyone iterates.
+            for line_no, raw in numbered:
+                _utf8(raw, line_no)
+                stripped = raw.strip()
+                if not stripped or stripped.startswith("#"):
+                    continue
+                if not stripped.startswith("p"):
+                    pending = ((line_no, raw),)
+                    break
+                parts = stripped.split()
+                if len(parts) != 3 or parts[0] != "p":
+                    raise StreamFormatError(
+                        f"bad header, expected 'p <n> <m>': {stripped!r}", line_no)
+                try:
+                    vertex_count = int(parts[1])
+                    edge_count = int(parts[2])
+                except ValueError:
+                    raise StreamFormatError(
+                        f"header counts must be integers: {stripped!r}",
+                        line_no) from None
+                if vertex_count < 0 or edge_count < 0:
+                    raise StreamFormatError(
+                        f"header counts must be non-negative: {stripped!r}", line_no)
+                break
+            # The key v*v + u is distinct for every pair u < v, since
+            # v*v + u < (v+1)**2; those below area = n*n have v < n.
+            # _dense_table is first asked to move them at 64 lines or
+            # more: the set is a few KiB until then, and the move costs
+            # as much as reading a few edges.
+            seen: set[int] = set()
+            table = bytearray()
+            area = 0
+            dense_at = (max(vertex_count * vertex_count >> 6, 64)
+                        if vertex_count else 0)
+            read = 0
             # open_stream runs the generator up to here, so that closing
             # or dropping a stream it never read closes the file too.
-            yield
+            yield vertex_count, edge_count
             for n, raw in itertools.chain(pending, numbered):
                 parts = raw.split()
                 if not parts or parts[0][0] == "#":
+                    _utf8(raw, n)
                     continue
                 # The fast path takes a well-formed `u v w` line whole;
                 # parse_edge_line parses any other, and raises its error.
@@ -306,6 +307,7 @@ def open_stream(source: Union[str, "os.PathLike[str]", IO[str]], *,
                 except ValueError:
                     ok = False
                 if not ok:
+                    _utf8(raw, n)
                     u, v, w = parse_edge_line(raw, n)
                 elif u > v:
                     u, v = v, u
@@ -334,8 +336,6 @@ def open_stream(source: Union[str, "os.PathLike[str]", IO[str]], *,
                 # Edge(u, v, w) runs the NamedTuple's generated __new__,
                 # a Python frame that costs about twice the tuple build.
                 yield tuple.__new__(Edge, (u, v, w))
-        except UnicodeDecodeError as exc:
-            raise (_not_utf8(source, exc) if owns else exc) from None
         finally:
             if owns:
                 fh.close()
@@ -344,7 +344,7 @@ def open_stream(source: Union[str, "os.PathLike[str]", IO[str]], *,
                 f"header declares {edge_count} edges, the stream has {read}")
 
     parse = edges()
-    next(parse)
+    vertex_count, edge_count = next(parse)
     return EdgeStream(parse, vertex_count=vertex_count,
                       edge_count=edge_count, source=name)
 
@@ -374,25 +374,24 @@ def _dense_table(seen: set[int], n: int) -> bytearray:
     return table
 
 
-def _not_utf8(path, exc: UnicodeDecodeError) -> StreamFormatError:
-    """The error for a stream file that is not UTF-8: the line and file
-    offset of its first bad byte, found by reading the file again, split
-    as text mode splits it.  A pipe cannot be read again, so its error
-    keeps the decoder's message."""
-    offset = 0
-    if os.path.isfile(path):
-        with open(path, encoding="utf-8", errors="surrogateescape",
-                  newline="") as fh:
-            for line_no, line in enumerate(fh, 1):
-                raw = line.encode("utf-8", "surrogateescape")
-                try:
-                    raw.decode("utf-8")
-                except UnicodeDecodeError as bad:
-                    return StreamFormatError(
-                        f"not UTF-8 at byte {offset + bad.start} "
-                        f"(0x{raw[bad.start]:02x}): {bad.reason}", line_no)
-                offset += len(raw)
-    return StreamFormatError(str(exc))
+def _utf8(line: str, line_no: int) -> None:
+    """Raise StreamFormatError naming the first byte of `line` that is
+    not UTF-8, and its offset in the line: read with "surrogateescape",
+    such a byte is a lone surrogate, which the strict encoder refuses."""
+    try:
+        line.encode()
+    except UnicodeEncodeError as exc:
+        try:
+            raw = line.encode("utf-8", "surrogateescape")
+            raw.decode()
+        except UnicodeEncodeError:
+            # A surrogate no byte reads as: text handed in, not a file.
+            raise StreamFormatError(f"not UTF-8 at character {exc.start} "
+                                    f"of the line: {exc.reason}", line_no) from None
+        except UnicodeError as bad:
+            raise StreamFormatError(
+                f"not UTF-8 at byte {bad.start} of the line "
+                f"(0x{raw[bad.start]:02x}): {bad.reason}", line_no) from None
 
 
 def write_stream(edges: Iterable[Edge], fh: IO[str], *,

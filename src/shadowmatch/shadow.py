@@ -150,9 +150,10 @@ class TraceEvent:
     step unscored: it inserted nothing.  `candidates`, and a settled
     step's `decision`, are scored from the view at t by `_rank`, the
     step's own ranking, the first time either is read, then kept; a
-    decision or candidates given are kept as given.  The view is
-    immutable and the ranking reads no matcher state, so they are what
-    the step would have scored.
+    decision or candidates given are kept as given.  A view with no
+    shadow has one candidate, the given decision's set and score.  The
+    view is immutable and the ranking reads no matcher state, so they
+    are what the step would have scored.
     """
 
     __slots__ = ("index", "neighborhood", "inserted", "_candidates",
@@ -184,6 +185,12 @@ class TraceEvent:
 
     def _score(self) -> None:
         e, a, s1, c1, b, s2, c2 = self.neighborhood
+        d = self._decision
+        if d is not None and s1 is None and s2 is None:
+            # With no shadow in view the input edge is the one candidate,
+            # and the step scored it as `_rank` would.
+            self._candidates = ((d.chosen, d.gain),)
+            return
         sets, scores, chosen, removed, r, _ = _rank(self._threshold, e, a, b,
                                                     s1, c1, s2, c2)
         self._candidates = tuple(zip(sets, [score[0] for score in scores]))

@@ -8,11 +8,16 @@ import gc
 import io
 import json
 import logging
+import os
+import re
 import subprocess
 import sys
+import threading
 import warnings
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import package_env, reference_trace_record
 from shadowmatch import cli
@@ -25,6 +30,53 @@ from shadowmatch.harness import CSV_COLUMNS
 from shadowmatch.shadow import ShadowMatcher, drive, read_trace, trace_header
 
 GOOD = "p 6 3\n0 1 3.0\n2 3 4.0\n4 5 5.0\n"
+
+
+@contextlib.contextmanager
+def _piped(data: bytes):
+    """Yield a path, `/dev/fd/N`, that reads `data` through a pipe which
+    a thread fills; the pipe is closed on exit."""
+    r, w = os.pipe()
+
+    def feed():
+        try:
+            view = memoryview(data)
+            while view:
+                view = view[os.write(w, view):]
+        except BrokenPipeError:
+            pass  # the reader stopped at an error and the pipe is closed
+        finally:
+            os.close(w)
+
+    writer = threading.Thread(target=feed)
+    writer.start()
+    try:
+        yield f"/dev/fd/{r}"
+    finally:
+        os.close(r)
+        writer.join(timeout=10)
+        assert not writer.is_alive()
+
+
+def _main_on(argv: list[str]) -> tuple[int, str, str]:
+    """Run `main(argv)` and return its exit code, stdout and stderr."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+def _from_file_and_pipe(path, data: bytes, command: str, *options: str):
+    """`_main_on` for `command` reading `data` from the file `path`, then
+    through a pipe; the stream's name in stdout (compare's instance id)
+    is replaced by STREAM, so the two outcomes compare byte for byte."""
+    path.write_bytes(data)
+    outcomes = []
+    with _piped(data) as pipe:
+        for source in (str(path), pipe):
+            code, out, err = _main_on([command, source, *options])
+            outcomes.append((code, out.replace(source, "STREAM"), err))
+    return outcomes
 
 
 @pytest.fixture
@@ -76,19 +128,20 @@ def test_run_trace_writes_json_lines(stream_file, tmp_path, capsys):
 
 
 def test_run_trace_keeps_the_steps_before_an_input_error(tmp_path, capsys):
-    """A stream that fails at a later line exits 2 and leaves the header
-    and one line per step before the error, which read back."""
+    """A stream that fails at a later line, on a malformed token or on a
+    byte that is not UTF-8, exits 2 and leaves the header and one line
+    per step before the error, which read back."""
     path = tmp_path / "bad.txt"
-    path.write_text("0 1 3.0\n2 3 4.0\n1 2 9.0\n4 5 nope\n",
-                    encoding="utf-8")
     trace = tmp_path / "trace.jsonl"
-    assert main(["run", str(path), "--verify", "--trace", str(trace)]) == 2
-    assert "line 4" in capsys.readouterr().err
-    lines = trace.read_text(encoding="utf-8").splitlines()
-    assert lines[0] == trace_header(ShadowMatcher(K_STAR))
-    events = [ev for ev, _ in read_trace(lines)]
-    assert [ev.index for ev in events] == [0, 1, 2]
-    assert events[2].decision.removed == ((0, 1, 3.0), (2, 3, 4.0))
+    for last in (b"4 5 nope\n", b"4 5 \xff\n"):
+        path.write_bytes(b"0 1 3.0\n2 3 4.0\n1 2 9.0\n" + last)
+        assert main(["run", str(path), "--verify", "--trace", str(trace)]) == 2
+        assert capsys.readouterr().err.startswith("error: line 4: ")
+        lines = trace.read_text(encoding="utf-8").splitlines()
+        assert lines[0] == trace_header(ShadowMatcher(K_STAR))
+        events = [ev for ev, _ in read_trace(lines)]
+        assert [ev.index for ev in events] == [0, 1, 2]
+        assert events[2].decision.removed == ((0, 1, 3.0), (2, 3, 4.0))
 
 
 def test_run_trace_of_an_empty_stream_is_its_header(tmp_path, capsys):
@@ -376,21 +429,29 @@ _LONG = (b"p 5000 5000\n"
 
 
 @pytest.mark.parametrize("command", ["run", "compare"])
-def test_stream_that_is_not_utf8_is_an_input_error(tmp_path, capsys, command):
+def test_stream_that_is_not_utf8_is_an_input_error(tmp_path, command):
     """Bytes that do not decode as UTF-8 are bad input: exit 2 with one
     error line, for both commands that read a stream, naming the line
-    and the file offset of the first bad byte."""
+    and the offset within it of the first bad byte.  The first fault in
+    line order is named, and a pipe prints what the file prints."""
     path = tmp_path / "latin1.txt"
-    for data, line, offset in [
-            (b"p 3 2\n1 2 1.0\n2 3 \xff\xfe\n", 3, 18),
+    for data, want in [
+            (b"p 3 2\n1 2 1.0\n2 3 \xff\xfe\n",
+             "line 3: not UTF-8 at byte 4 of the line (0xff): invalid start byte"),
             # a lone CR ends a line, as it does for the parser
-            (b"p 3 2\r1 2 1.0\r\n2 3 \xe2\x82A\n", 3, 19),
-            (_LONG, 5001, len(_LONG) - 2)]:
-        path.write_bytes(data)
-        assert main([command, str(path)]) == 2
-        err = capsys.readouterr().err.splitlines()
-        assert len(err) == 1 and err[0].startswith(
-            f"error: line {line}: not UTF-8 at byte {offset} (")
+            (b"p 3 2\r1 2 1.0\r\n2 3 \xe2\x82A\n",
+             "line 3: not UTF-8 at byte 4 of the line (0xe2): "
+             "invalid continuation byte"),
+            (_LONG, "line 5001: not UTF-8 at byte 12 of the line (0xff): "
+                    "invalid start byte"),
+            # a malformed line before a bad byte is named first
+            (b"p 3 2\n1 2 nope\n2 3 \xff\n",
+             "line 2: weight must be a real number, got 'nope'"),
+            (b"p 3 2\n# caf\xe9\n1 2 1.0\n2 3 2.0\n",
+             "line 2: not UTF-8 at byte 5 of the line (0xe9): "
+             "invalid continuation byte")]:
+        outcomes = _from_file_and_pipe(path, data, command)
+        assert outcomes == [(2, "", f"error: {want}\n")] * 2
 
 
 def test_run_empty_file(tmp_path, capsys):
@@ -463,3 +524,38 @@ def test_run_baseline_trace_has_one_candidate_per_edge(tmp_path, capsys, gamma):
         assert [c["edges"] for c in rec["candidates"]] == [rec["decision"]["A"]]
         assert rec["decision"] == {"A": enc(d.chosen), "inserted": d.inserted,
                                    "r": d.gain, "removed": enc(d.removed)}
+
+
+# Pieces of stream text, well formed and not, that the fuzz below joins
+# with random bytes: headers, edges, bad tokens, comments, every line
+# ending, and bytes that are not UTF-8 (a lone continuation, a cut-off
+# sequence, an encoded surrogate) next to ones that are.
+_PIECES = (b"p 4 3", b"p 3", b"0 1 1.5", b"1 2 2.5", b"3 2 0.5", b"1 0 4.0",
+           b"2 2 1.0", b"1.7e308", b"nan", b"-1", b"x", b"#", b" ", b"\t",
+           b"\n", b"\n", b"\r\n", b"\r", b"\xff", b"\xe2\x82", b"\xc3\xa9",
+           b"\xed\xa0\x80")
+_STREAM_BYTES = st.lists(st.one_of(st.sampled_from(_PIECES),
+                                   st.binary(max_size=2)),
+                         max_size=24).map(b"".join)
+_NAMED = re.compile(r"error: (line \d+: |header declares \d+ edges, |"
+                    r"a result leaves the float range: )")
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=_STREAM_BYTES)
+def test_any_bytes_exit_0_or_2_alike_from_a_file_and_a_pipe(
+        tmp_path_factory, data):
+    """Any bytes, read by `run`, `run --verify` or `compare`, exit 0 or
+    2, never with a traceback.  An exit of 2 prints one `error: ` line
+    naming a line, the header's edge count or the float range.  A file
+    and a pipe give the same exit code, stdout and stderr (compare's as
+    CSV, since its table pads to the width of the stream's name)."""
+    path = tmp_path_factory.getbasetemp() / "fuzz-stream.txt"
+    for argv in (["run"], ["run", "--verify"],
+                 ["compare", "--format", "csv"]):
+        from_file, from_pipe = _from_file_and_pipe(path, data, *argv)
+        assert from_file == from_pipe
+        code, _, err = from_file
+        assert code in (0, 2)
+        if code == 2:
+            assert err.count("\n") == 1 and _NAMED.match(err), err

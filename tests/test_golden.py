@@ -34,8 +34,9 @@ from pathlib import Path
 import pytest
 
 from helpers import reference_trace_record
+from shadowmatch import shadow as shadow_module
 from shadowmatch.cli import main
-from shadowmatch.shadow import read_trace
+from shadowmatch.shadow import read_trace, trace_to_dict
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -122,15 +123,31 @@ def test_cli_bytes(golden, argv, trace_golden, tmp_path):
 
 @pytest.mark.parametrize("trace_golden", sorted(
     {trace for _, _, trace in RUNS if trace is not None}))
-def test_traces_read_back_as_their_records(trace_golden):
-    """Each pinned trace, read back and rendered by the test-side
-    renderer with sorted keys, is the record golden of the same run,
-    line for line."""
+def test_traces_read_back_as_their_records(trace_golden, monkeypatch):
+    """Each pinned trace, read back and rendered with sorted keys by the
+    test-side renderer and by `trace_to_dict`, is the record golden of
+    the same run, line for line.  A view with no shadow in it takes its
+    one candidate, the input edge, from the step's decision, so
+    rendering ranks no such view: a spy on `_rank` sees none."""
+    lone_ranked = []
+    rank = shadow_module._rank
+
+    def counted(t, e, a, b, s1, c1, s2, c2):
+        if s1 is None and s2 is None:
+            lone_ranked.append(e)
+        return rank(t, e, a, b, s1, c1, s2, c2)
+
+    monkeypatch.setattr(shadow_module, "_rank", counted)
     lines = gzip.decompress((GOLDEN / _v3(trace_golden)).read_bytes())
     records = gzip.decompress((GOLDEN / trace_golden).read_bytes())
-    got = [json.dumps(reference_trace_record(event, verdict), sort_keys=True)
-           for event, verdict in read_trace(lines.decode("utf-8").splitlines())]
-    assert got == records.decode("utf-8").splitlines()
+    events = list(read_trace(lines.decode("utf-8").splitlines()))
+    for render in (reference_trace_record, trace_to_dict):
+        got = [json.dumps(render(event, verdict), sort_keys=True)
+               for event, verdict in events]
+        assert got == records.decode("utf-8").splitlines()
+    assert any(event.neighborhood.a1g1 is event.neighborhood.a2g2 is None
+               for event, _ in events)
+    assert lone_ranked == []
 
 
 def _trace_lines(name: str) -> list[str]:

@@ -115,6 +115,22 @@ def test_parse_error_names_line_number():
     assert "line 3" in str(err.value)
 
 
+@pytest.mark.parametrize("text,message", [
+    ("# \ud800\n1 2 1.0\n", "line 1: not UTF-8 at character 2 of the line: "),
+    ("1 2 1.0\n2 3 \ud800\n", "line 2: not UTF-8 at character 4 of the line: "),
+    ("1 2 1.0\n2 3 \udcff\n",
+     "line 2: not UTF-8 at byte 4 of the line (0xff): invalid start byte"),
+], ids=["comment", "edge", "escaped-byte"])
+def test_text_holding_a_lone_surrogate_names_its_line(text, message):
+    """Text handed in may hold a lone surrogate, which no UTF-8 encodes:
+    a StreamFormatError names its line, in a comment as in an edge
+    line; one in the range "surrogateescape" maps bytes to is named as
+    the byte it stands for."""
+    with pytest.raises(StreamFormatError) as err:
+        list(open_stream(io.StringIO(text)))
+    assert str(err.value).startswith(message)
+
+
 def test_bad_header():
     with pytest.raises(StreamFormatError):
         open_stream(io.StringIO("p 4\n1 2 1.0\n"))

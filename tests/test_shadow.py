@@ -1008,8 +1008,10 @@ def _assert_step_scores_match_reference(m: ShadowMatcher, e: Edge) -> None:
     set against reference_conflict_score on the matching as it was
     before the step: the sets of the view in bitmask order, each with
     its `r` to the bit and its sorted `removed`, as a spy on
-    `shadow._score` sees them.  The step's decision, scored inline or
-    ranked, carries its set's candidate score to the bit."""
+    `shadow._score` sees them; a view with no shadow is not scored
+    again, and its one set's `removed` is the decision's.  The step's
+    decision, scored inline or ranked, carries its set's candidate
+    score to the bit."""
     before = dict(m.matching)
     nb = m.neighborhood(e)
     seen = []
@@ -1024,6 +1026,9 @@ def _assert_step_scores_match_reference(m: ShadowMatcher, e: Edge) -> None:
         candidates = event.candidates
     sets = _reference_sets(nb)
     assert [subset for subset, _ in candidates] == sets
+    if nb.a1g1 is None and nb.a2g2 is None:
+        assert seen == []
+        seen = [(event.decision.chosen, event.decision.removed)]
     assert [subset for subset, _ in seen] == sets
     for (subset, r), (_, removed) in zip(candidates, seen):
         r_ref, removed_ref, _ = reference_conflict_score(before, subset,
