@@ -39,27 +39,28 @@ times that edge, and any other set at most the candidates' total
 weight minus t times both.  When each bound lies below zero by more
 than its rounding bound, no set can score above zero and the step is
 an exact rejection: it leaves the state alone, as a scored rejection
-does, and only counts its sets and touched edges.  Untraced, no step
-with a shadow in view counts once a step has touched seven edges, and
-a settled one then ends at once.  Seven distinct edges in view make
-the three candidates pairwise disjoint, since a shadow that meets the
+does, and only counts its sets and touched edges.  No step with a
+shadow in view counts once a step has touched seven edges, and an
+untraced settled one then ends at once; a traced one still reads its
+far covers for its event.  Seven distinct edges in view make the
+three candidates pairwise disjoint, since a shadow that meets the
 input edge or the other shadow has a far cover equal to a matching
 edge at the input edge or to the other far cover.  So that step also
-counted seven sets, and no later count can raise either maximum.  A
-traced step keeps counting, as it still writes its line.  Its
+counted seven sets, and no later count can raise either maximum: a
+run's metrics are the same traced or not.  A traced step's
 TraceEvent carries the step's decision, or none when the step was
 settled, and scores the view only when its candidates, or a settled
 step's decision, are read.
 
 A trace is a header line (`trace_header`) and then one line per step
 (`trace_line`), written from the step's TraceEvent with no state kept
-between lines.  A line holds only what cannot be derived from it, the
-header and the lines before it: the input edge whole, the other roles
-by their endpoint pair and the inserted set's position.  `read_trace`
+between lines.  A line holds only what cannot be derived from the
+header and the lines before it: the input edge and the inserted set's
+position, which the step passes in its TraceEvent.  `read_trace`
 replays the run: it feeds each line's input edge to one matcher built
 from the header, checks that the step writes that very line, and gives
-back the step's TraceEvent, so it holds what the run holds.
-`trace_to_dict` renders an event as its full version 1 record.
+back the step's TraceEvent, roles and all, so it holds what the run
+holds.  `trace_to_dict` renders an event as its full version 1 record.
 
 An insertion candidate A (a set of one to three pairwise disjoint
 non-matching edges from the neighborhood) is scored by
@@ -104,8 +105,9 @@ _UNDERFLOW = 8 * math.ulp(0.0)
 
 
 class Neighborhood(NamedTuple):
-    """The bounded local view of one step, as a trace records it: the
-    seven roles in trace order, None where a role is empty.
+    """The bounded local view of one step, as a traced step hands it
+    over and `read_trace` gives it back: the seven roles, None where a
+    role is empty.
 
     Side 1 hangs off the smaller endpoint y1 of the input edge y1y2,
     side 2 off the larger one y2.  On side i, `giyi` is the matching
@@ -144,9 +146,10 @@ class InsertionDecision:
 class TraceEvent:
     """One step of a traced run: the view, all scored sets, the decision.
 
-    `inserted` says whether the step changed the state.  A step hands
-    over `TraceEvent(index, neighborhood, decision=decision,
-    threshold=t)`, with decision None when the reject bound settled the
+    `inserted` says whether the step changed the state, and `position`
+    where its set is in `enumerate_augmenting_sets` order, or None.  A
+    step hands over `TraceEvent(index, neighborhood, None, decision, t,
+    position)`, with decision None when the reject bound settled the
     step unscored: it inserted nothing.  `candidates`, and a settled
     step's `decision`, are scored from the view at t by `_rank`, the
     step's own ranking, the first time either is read, then kept; a
@@ -156,15 +159,16 @@ class TraceEvent:
     are what the step would have scored.
     """
 
-    __slots__ = ("index", "neighborhood", "inserted", "_candidates",
-                 "_decision", "_threshold")
+    __slots__ = ("index", "neighborhood", "inserted", "position",
+                 "_candidates", "_decision", "_threshold")
 
     def __init__(self, index: int, neighborhood: Neighborhood,
                  candidates: tuple[tuple[tuple[Edge, ...], float], ...] | None = None,
                  decision: InsertionDecision | None = None,
-                 threshold: float | None = None):
+                 threshold: float | None = None, position: int | None = None):
         self.index = index
         self.neighborhood = neighborhood
+        self.position = position
         self.inserted = decision is not None and decision.inserted
         self._candidates = candidates
         self._decision = decision
@@ -524,8 +528,8 @@ class ShadowMatcher:
         settles is rejected without scoring: no set could score above
         zero, so only its counts of sets and touched edges are kept, and
         a traced one hands over a TraceEvent that scores its view when
-        read.  Once a step has touched seven edges, an untraced step
-        keeps neither count, and a settled one reads no far cover: the
+        read.  Once a step has touched seven edges, no step keeps
+        either count, and an untraced settled one reads no far cover: the
         step that touched seven also counted seven sets (see the module
         docstring), so no count can raise either maximum.  A step whose
         one shadow is disjoint from the input edge scores its three sets
@@ -533,8 +537,9 @@ class ShadowMatcher:
         them and settles a winning pair as `_rank` does.  Otherwise the
         step hands `_rank` the view it read, e, a, b, s1, c1, s2 and c2.
         Either way it applies the set picked if it scores above zero,
-        and a traced step hands its event that decision, the view and
-        t, so the event scores its candidates only when they are read.
+        and a traced step hands its event that decision, the set's
+        position, the view and t, so the event scores its candidates
+        only when they are read.
         """
         matching = self.matching
         get = matching.get
@@ -545,6 +550,7 @@ class ShadowMatcher:
         underflow = _UNDERFLOW
         max_sets = max_touched = max_stored = 0
         i = -1
+        ranked = None
         for i, e in enumerate(edges):
             u, v, w = e
             a = get(u)
@@ -589,10 +595,10 @@ class ShadowMatcher:
                 settled = False
             else:
                 settled = _no_set_wins(t, w, a, b, s1, s2)
-                # Nothing reads an untraced step's counts once they
-                # cannot raise either maximum any more.
-                counted = max_touched < 7 or trace is not None
-                if settled and not counted:
+                # Nothing reads a step's counts once they cannot raise
+                # either maximum any more.
+                counted = max_touched < 7
+                if settled and not counted and trace is None:
                     continue
                 if s1 is not None:
                     c1 = get(s1.v if s1.u == p1 else s1.u)
@@ -606,7 +612,8 @@ class ShadowMatcher:
                     touched = 7  # what max_touched is already
                 if settled:
                     inserted = False
-                    sets = _disjoint_subset_count(_candidates(e, s1, s2))
+                    sets = (_disjoint_subset_count(_candidates(e, s1, s2))
+                            if counted else 7)
                 else:
                     chosen = None
                     if (s2 is None and v != s1.u and v != s1.v
@@ -665,11 +672,19 @@ class ShadowMatcher:
             if touched > max_touched:
                 max_touched = touched
             if trace is not None:
-                # A settled step's decision is scored when read.
-                decision = (None if settled else
-                            InsertionDecision(chosen, removed, r, inserted))
-                trace(TraceEvent(i, Neighborhood(e, a, s1, c1, b, s2, c2),
-                                 decision=decision, threshold=t))
+                # A settled step's decision is scored when read.  The
+                # inserted set is a lone edge's, one of `ranked`, this
+                # step's `_rank` sets, or of the inline x, y, xy (x < y).
+                decision = pos = None
+                if not settled:
+                    decision = InsertionDecision(chosen, removed, r, inserted)
+                if inserted:
+                    pos = (0 if s1 is None and s2 is None else
+                           ranked.index(chosen) if ranked is not None else
+                           2 if len(chosen) > 1 else int(chosen[0] is max(e, s)))
+                ranked = None
+                trace(TraceEvent(i, tuple.__new__(
+                    Neighborhood, (e, a, s1, c1, b, s2, c2)), None, decision, t, pos))
             # Only an insertion can grow the stored-edge count.
             if inserted:
                 stored = self.matched_edge_count + self.parked_edge_count
@@ -926,7 +941,7 @@ def run_stream(stream: EdgeStream | Iterable[Edge], k: float, *,
     return drive(ShadowMatcher(k), stream, trace=trace, on_insert=on_insert)
 
 
-_TRACE_VERSION = 3
+_TRACE_VERSION = 4
 
 
 def trace_header(matcher: ShadowMatcher) -> str:
@@ -941,37 +956,26 @@ def trace_line(event: TraceEvent, feasible: bool | None = None) -> str:
     """Render one TraceEvent as its trace line, without the newline.
 
     The line is a JSON array of what a reader cannot derive from the
-    same line, the header and the lines before it:
+    header and the lines before it:
 
-        [index, [u, v, w], g1y1, a1g1, a1c1, g2y2, a2g2, a2c2, chosen]
+        [index, [u, v, w], chosen]
 
-    The input edge is spelled whole, the six other roles by their
-    endpoint pair [u, v] (null where empty), since every stored edge
-    was inserted as an input edge earlier in the trace.  `chosen` is
-    the position of the inserted set among the candidate sets, in
-    `enumerate_augmenting_sets` order, or null on a rejection; finding
-    it scores nothing.  No score is spelled: :func:`read_trace` replays
-    the step at the header's threshold.  `feasible`, when not None,
-    is the verifier's verdict on an insertion and is appended as a
-    tenth item.
+    The input edge is spelled whole.  `chosen` is the position of the
+    inserted set among the candidate sets, in
+    `enumerate_augmenting_sets` order, or null on a rejection: the
+    event's `position`, found from its view only if the event was built
+    without one, which scores nothing.  No role and no score is spelled:
+    :func:`read_trace` replays the step at the header's threshold.
+    `feasible`, when not None, is the verifier's verdict on an
+    insertion and is appended as a fourth item.
     """
-    e, g1y1, a1g1, a1c1, g2y2, a2g2, a2c2 = event.neighborhood
-    if not event.inserted:
-        pos = "null"
-    elif a1g1 is None and a2g2 is None:
-        pos = 0
-    else:
-        pos = enumerate_augmenting_sets(event.neighborhood).index(
-            event.decision.chosen)
-    return (
-        f"[{event.index},[{e.u},{e.v},{e.w!r}],"
-        f"{'null' if g1y1 is None else f'[{g1y1.u},{g1y1.v}]'},"
-        f"{'null' if a1g1 is None else f'[{a1g1.u},{a1g1.v}]'},"
-        f"{'null' if a1c1 is None else f'[{a1c1.u},{a1c1.v}]'},"
-        f"{'null' if g2y2 is None else f'[{g2y2.u},{g2y2.v}]'},"
-        f"{'null' if a2g2 is None else f'[{a2g2.u},{a2g2.v}]'},"
-        f"{'null' if a2c2 is None else f'[{a2c2.u},{a2c2.v}]'},{pos}"
-        f"{'' if feasible is None else ',true' if feasible else ',false'}]")
+    e = event.neighborhood[0]
+    pos = event.position
+    if pos is None:
+        pos = ("null" if not event.inserted else enumerate_augmenting_sets(
+            event.neighborhood).index(event.decision.chosen))
+    return (f"[{event.index},[{e.u},{e.v},{e.w!r}],{pos}"
+            f"{'' if feasible is None else ',true' if feasible else ',false'}]")
 
 
 def trace_to_dict(event: TraceEvent, feasible: bool | None = None) -> dict:
@@ -1004,12 +1008,15 @@ def read_trace(lines: Iterable[str]
     to that matcher's step (`process_edge_traced`), numbered by the
     line's position after the header, and the line must be the one
     `trace_line` writes for the step's event and the line's verdict:
-    its index, its input edge, its six roles and its `chosen`.  So the
-    reader holds what the run holds, at most 3 * floor(n/2) edges, and
-    its events are scored lazily as the step's own are.  ValueError
+    its index, its input edge and its `chosen`.  Each event holds the
+    step's view, so its roles, candidates and decision come back.  So
+    the reader holds what the run holds, at most 3 * floor(n/2) edges,
+    and its events are scored lazily as the step's own are.  ValueError
     names a line that is malformed or that the step does not write: an
     edited or reordered trace, a line cut short, or a trace another
-    build wrote, or a verdict on a step that inserted nothing.
+    build wrote, or a verdict on a step that inserted nothing.  A trace
+    cut at a line boundary is a whole trace of the stream's first
+    steps, as a run that stops at a bad input line leaves it.
     """
     lines = iter(lines)
     try:
@@ -1036,7 +1043,7 @@ def read_trace(lines: Iterable[str]
             e = Edge(u, v, w)
             if edge(u, v, w) != e:
                 raise ValueError(f"input edge {items[1]} is not canonical")
-            feasible = items[9] if len(items) > 9 else None
+            feasible = items[3] if len(items) > 3 else None
             event = matcher.process_edge_traced(e, i)
             if feasible is not None and not event.inserted:
                 raise ValueError("a step that inserts nothing has no verdict")

@@ -116,7 +116,7 @@ def test_run_trace_writes_json_lines(stream_file, tmp_path, capsys):
                  "--trace", str(trace)]) == 0
     capsys.readouterr()
     lines = trace.read_text(encoding="utf-8").splitlines()
-    assert json.loads(lines[0]) == {"trace": 3, "threshold": 2.0,
+    assert json.loads(lines[0]) == {"trace": 4, "threshold": 2.0,
                                     "parks": True}
     records = [reference_trace_record(ev, f) for ev, f in read_trace(lines)]
     assert len(records) == 3
@@ -503,7 +503,7 @@ def test_run_baseline_trace_has_one_candidate_per_edge(tmp_path, capsys, gamma):
                  "--trace", str(trace)]) == 0
     out = capsys.readouterr().out
     lines = trace.read_text(encoding="utf-8").splitlines()
-    assert json.loads(lines[0]) == {"trace": 3, "threshold": 1.0 + float(gamma),
+    assert json.loads(lines[0]) == {"trace": 4, "threshold": 1.0 + float(gamma),
                                     "parks": False}
     records = [reference_trace_record(ev, f) for ev, f in read_trace(lines)]
     edges = list(open_stream(str(path)))

@@ -7,10 +7,10 @@ compares its output byte for byte.  Commands run with the fixture
 directory as the working directory and relative input paths, because
 `compare` prints the path it was given as the instance id.
 
-Traces are pinned twice.  `*.trace-v3.jsonl.gz` holds the trace bytes
+Traces are pinned twice.  `*.trace-v4.jsonl.gz` holds the trace bytes
 the CLI writes; `*.trace.jsonl.gz` holds the same runs in the first
 trace format, one full record per line, and is never rewritten: every
-version 3 trace must read back, through `read_trace` and the test-side
+version 4 trace must read back, through `read_trace` and the test-side
 renderer `reference_trace_record`, as those lines, scores and all,
 though its lines spell no score.
 
@@ -74,10 +74,10 @@ RUNS = [
 ]
 
 
-def _v3(trace_golden: str) -> str:
+def _v4(trace_golden: str) -> str:
     """The file pinning the trace bytes of the run whose records
     `trace_golden` holds."""
-    return trace_golden.replace(".trace.", ".trace-v3.")
+    return trace_golden.replace(".trace.", ".trace-v4.")
 
 
 def _run(argv: list[str], trace: Path | None = None
@@ -118,7 +118,7 @@ def test_cli_bytes(golden, argv, trace_golden, tmp_path):
     assert code == 0
     assert out == (GOLDEN / golden).read_bytes()
     if trace_golden is not None:
-        assert trace == gzip.decompress((GOLDEN / _v3(trace_golden)).read_bytes())
+        assert trace == gzip.decompress((GOLDEN / _v4(trace_golden)).read_bytes())
 
 
 @pytest.mark.parametrize("trace_golden", sorted(
@@ -138,7 +138,7 @@ def test_traces_read_back_as_their_records(trace_golden, monkeypatch):
         return rank(t, e, a, b, s1, c1, s2, c2)
 
     monkeypatch.setattr(shadow_module, "_rank", counted)
-    lines = gzip.decompress((GOLDEN / _v3(trace_golden)).read_bytes())
+    lines = gzip.decompress((GOLDEN / _v4(trace_golden)).read_bytes())
     records = gzip.decompress((GOLDEN / trace_golden).read_bytes())
     events = list(read_trace(lines.decode("utf-8").splitlines()))
     for render in (reference_trace_record, trace_to_dict):
@@ -151,45 +151,42 @@ def test_traces_read_back_as_their_records(trace_golden, monkeypatch):
 
 
 def _trace_lines(name: str) -> list[str]:
-    return gzip.decompress((GOLDEN / f"{name}.trace-v3.jsonl.gz")
+    return gzip.decompress((GOLDEN / f"{name}.trace-v4.jsonl.gz")
                            .read_bytes()).decode("utf-8").splitlines()
 
 
 @pytest.mark.parametrize("change", ["rejection", "insertion", "moved",
-                                    "role", "swapped"])
+                                    "past-last", "swapped"])
 def test_read_trace_names_a_line_the_ranking_disowns(change):
     """read_trace replays each line's step and raises ValueError naming
     the first line the step does not write: a rejection that claims set
     0, an insertion that claims none, an insertion of several candidate
-    sets whose position is moved, a role renamed to another stored pair
-    (line 31 of the ascending trace) and two swapped rejections (lines
-    23 and 24 of the gnp trace)."""
+    sets whose position is moved, an insertion whose position is one
+    past its last candidate set and two swapped rejections (lines 23
+    and 24 of the gnp trace)."""
     if change == "swapped":
         lines = _trace_lines("gnp")
         lines[22], lines[23] = lines[23], lines[22]
-        assert json.loads(lines[22])[8] is json.loads(lines[23])[8] is None
+        assert json.loads(lines[22])[2] is json.loads(lines[23])[2] is None
         with pytest.raises(ValueError, match=r"^trace line 23: "):
             list(read_trace(lines))
         return
     lines = _trace_lines("ascending")
-    if change == "role":
-        items = json.loads(lines[30])
-        assert items[2] == [3, 38]
-        items[2] = [25, 34]
-        i = 29
+    events = [event for event, _ in read_trace(lines)]
+    i = next(i for i, event in enumerate(events)
+             if event.inserted == (change != "rejection")
+             and (change not in ("moved", "past-last")
+                  or len(event.candidates) > 1))
+    items = json.loads(lines[i + 1])
+    if change == "rejection":
+        assert items[2] is None
+        items[2] = 0
+    elif change == "insertion":
+        items[2] = None
+    elif change == "moved":
+        items[2] = (items[2] + 1) % len(events[i].candidates)
     else:
-        events = [event for event, _ in read_trace(lines)]
-        i = next(i for i, event in enumerate(events)
-                 if event.inserted == (change != "rejection")
-                 and (change != "moved" or len(event.candidates) > 1))
-        items = json.loads(lines[i + 1])
-        if change == "rejection":
-            assert items[8] is None
-            items[8] = 0
-        elif change == "insertion":
-            items[8] = None
-        else:
-            items[8] = (items[8] + 1) % len(events[i].candidates)
+        items[2] = len(events[i].candidates)
     lines[i + 1] = json.dumps(items, separators=(",", ":"))
     with pytest.raises(ValueError, match=rf"^trace line {i + 2}: "):
         list(read_trace(lines))
@@ -226,7 +223,7 @@ def capture() -> None:
         assert code == 0, (argv, code)
         (GOLDEN / golden).write_bytes(out)
         if trace_golden is not None:
-            (GOLDEN / _v3(trace_golden)).write_bytes(
+            (GOLDEN / _v4(trace_golden)).write_bytes(
                 gzip.compress(trace, mtime=0))
     scratch.unlink(missing_ok=True)
 

@@ -1250,6 +1250,61 @@ def test_ascending_runs_end_alike_untraced_and_traced(data):
 
 
 @given(st.data())
+@settings(max_examples=80, deadline=None)
+def test_steady_state_runs_count_alike_untraced_and_traced(data):
+    """On uniform-weight streams of many edges over few vertices, where
+    steps with shadows in view are often settled after a step has
+    touched seven edges, `drive` ends with the same matching, weight
+    and metrics untraced, hooked and traced: the traced step stops
+    counting at the same cap as the untraced one, and not before."""
+    rng = random.Random(data.draw(st.integers(0, 10 ** 9)))
+    k = data.draw(st.sampled_from([1.1, 1.5, 1.717191779457857, 2.0, 3.0]))
+    n = data.draw(st.integers(6, 30))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    rng.shuffle(pairs)
+    pairs = pairs[:data.draw(st.integers(n, len(pairs)))]
+    stream = [edge(u, v, rng.uniform(0.1, 10.0)) for u, v in pairs]
+    events, hooked = [], []
+    traced = drive(ShadowMatcher(k), stream, trace=events.append)
+    assert (drive(ShadowMatcher(k), stream)
+            == drive(ShadowMatcher(k), stream, on_insert=hooked.append)
+            == traced)
+    assert hooked == [ev.decision for ev in events if ev.inserted]
+
+
+@given(st.data())
+@settings(max_examples=100, deadline=None)
+def test_step_passes_the_inserted_sets_position(data):
+    """Every inserting traced step passes, and its line writes, the
+    position of its set in `enumerate_augmenting_sets` order, whether
+    the step scored a lone edge, an inline pair (settled near a tie or
+    not) or had `_rank` rank its view; a rejecting step passes none.
+    Integer and ascending weights make ties and pair insertions."""
+    rng = random.Random(data.draw(st.integers(0, 10 ** 9)))
+    k = data.draw(st.sampled_from([1.1, 1.5, 1.717191779457857, 2.0, 3.0]))
+    n = data.draw(st.integers(4, 14))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    rng.shuffle(pairs)
+    kind = data.draw(st.sampled_from(["uniform", "integer", "ascending"]))
+    if kind == "uniform":
+        weights = [rng.uniform(0.1, 10.0) for _ in pairs]
+    elif kind == "integer":
+        weights = [float(rng.randint(1, 6)) for _ in pairs]
+    else:
+        weights = sorted(math.exp(rng.uniform(0.0, 150.0)) for _ in pairs)
+    events = []
+    drive(ShadowMatcher(k), [edge(u, v, w) for (u, v), w in zip(pairs, weights)],
+          trace=events.append)
+    for ev in events:
+        if not ev.inserted:
+            assert ev.position is None
+            continue
+        pos = enumerate_augmenting_sets(ev.neighborhood).index(ev.decision.chosen)
+        assert type(ev.position) is int and ev.position == pos
+        assert trace_line(ev).endswith(f",{pos}]")
+
+
+@given(st.data())
 @settings(max_examples=40, deadline=None)
 def test_replay_is_bit_identical(data):
     rng = random.Random(data.draw(st.integers(0, 10 ** 9)))
@@ -1422,7 +1477,7 @@ def test_trace_line_spells_no_scores():
     assert [r for _, r in read.candidates] == [-math.inf]
     assert read.decision.gain == -math.inf
     line = trace_line(ev)
-    assert line == "[1,[2,3,1e+308],[1,2],null,null,null,null,null,null]"
+    assert line == "[1,[2,3,1e+308],null]"
     for r in (math.inf, math.nan, 0.0, None):
         held = () if r is None else tuple(
             (subset, r) for subset, _ in ev.candidates)
@@ -1472,45 +1527,74 @@ def test_read_trace_names_a_pair_by_its_last_insertion():
     assert read[4].neighborhood.g1y1 == (0, 1, 50.0)
 
 
-_VALID_HEADER = '{"trace": 3, "threshold": 1.5, "parks": true}'
-_ROLES = "null,null,null,null,null,null"
+_VALID_HEADER = '{"trace": 4, "threshold": 1.5, "parks": true}'
 
 
 @pytest.mark.parametrize("header,line", [
     (_VALID_HEADER, "5"),
-    (_VALID_HEADER, f'[0,[1,2,"1.0"],{_ROLES},0]'),
+    (_VALID_HEADER, '[0,[1,2,"1.0"],0]'),
     (_VALID_HEADER, "not json"),
     (_VALID_HEADER, "[" * 100_000),
-    (_VALID_HEADER, f"[0,[2,1,1.0],{_ROLES},0]"),
-    (_VALID_HEADER, f"[0,[1,1,1.0],{_ROLES},0]"),
-    (_VALID_HEADER, f"[0,[1,2,-1.0],{_ROLES},null]"),
-    (_VALID_HEADER, f"[7,[1,2,1.0],{_ROLES},0]"),
-    (_VALID_HEADER, f'[0,[1,2,1.0],{_ROLES},0,"yes"]'),
-    ('{"trace": 3, "threshold": 1.5}', f"[0,[1,2,1.0],{_ROLES},0]"),
-    ('{"trace": 3, "threshold": 1.5, "parks": "maybe"}',
-     f"[0,[1,2,1.0],{_ROLES},0]"),
-    ("[" * 100_000, f"[0,[1,2,1.0],{_ROLES},0]"),
+    (_VALID_HEADER, "[0,[2,1,1.0],0]"),
+    (_VALID_HEADER, "[0,[1,1,1.0],0]"),
+    (_VALID_HEADER, "[0,[1,2,-1.0],null]"),
+    (_VALID_HEADER, "[7,[1,2,1.0],0]"),
+    (_VALID_HEADER, '[0,[1,2,1.0],0,"yes"]'),
+    ('{"trace": 4, "threshold": 1.5}', "[0,[1,2,1.0],0]"),
+    ('{"trace": 4, "threshold": 1.5, "parks": "maybe"}', "[0,[1,2,1.0],0]"),
+    ("[" * 100_000, "[0,[1,2,1.0],0]"),
+    ('{"trace": 3, "threshold": 1.5, "parks": true}', "[0,[1,2,1.0],0]"),
+    (_VALID_HEADER, "[0,[1,2,1.0]]"),
+    (_VALID_HEADER, "[0,[1,2,1.0],null,null,null,null,null,null,0]"),
 ], ids=["int", "string-weight", "not-json", "nested", "not-canonical",
         "loop", "negative-weight", "index", "verdict", "no-parks",
-        "parks-not-bool", "nested-header"])
+        "parks-not-bool", "nested-header", "version-3-header", "no-chosen",
+        "version-3-line"])
 def test_read_trace_names_a_malformed_line(header, line):
     """A malformed header or step line raises ValueError naming its
     line, never another exception, where the well-formed line `good`
-    under the valid header reads back."""
-    good = f"[0,[1,2,1.0],{_ROLES},0]"
+    under the valid header reads back: a version 3 header or line, and
+    a line without its `chosen`, among them."""
+    good = "[0,[1,2,1.0],0]"
     assert len(list(read_trace([_VALID_HEADER, good]))) == 1
     where = 1 if header != _VALID_HEADER else 2
     with pytest.raises(ValueError, match=rf"^trace line {where}: "):
         list(read_trace([header, line]))
 
 
+@pytest.mark.parametrize("chosen", ["1.0", "true", "-1", "7", "rejection"])
+def test_read_trace_refuses_a_chosen_the_step_does_not_write(chosen):
+    """`chosen` is compared as the step spells it, not as the value it
+    parses to.  The last step of lone_shadow.txt inserts set 1, the
+    parked shadow alone: its line claiming 1.0 or true, which Python
+    holds equal to 1, or -1 or 7, which name no set, is refused, naming
+    line 8.  A rejection claiming set 0 is refused too, naming line 3."""
+    if chosen == "rejection":
+        lines = [_VALID_HEADER, "[0,[1,2,10.0],0]", "[1,[2,3,1.0],null]"]
+        assert len(list(read_trace(lines))) == 2
+        lines[2] = "[1,[2,3,1.0],0]"
+        where = 3
+    else:
+        golden = Path(__file__).parent / "golden" / "lone_shadow.txt"
+        matcher = ShadowMatcher(K_STAR)
+        lines = [trace_header(matcher)]
+        drive(matcher, open_stream(golden),
+              trace=lambda ev: lines.append(trace_line(ev)))
+        assert lines[7] == "[6,[1,3,5.0],1]"
+        assert len(list(read_trace(lines))) == 7
+        lines[7] = f"[6,[1,3,5.0],{chosen}]"
+        where = 8
+    with pytest.raises(ValueError, match=rf"^trace line {where}: "):
+        list(read_trace(lines))
+
+
 def test_read_trace_refuses_a_verdict_on_a_rejection():
     """The verifier judges insertions only, so a line whose step
     inserted nothing carries no verdict: step 1 rejects (2, 3) and its
-    line with a tenth item is refused, naming the line, while the
+    line with a fourth item is refused, naming the line, while the
     same line without it and an inserting line with one read back."""
-    first = "[0,[1,2,10.0],null,null,null,null,null,null,0]"
-    rejected = "[1,[2,3,1.0],[1,2],null,null,null,null,null,null]"
+    first = "[0,[1,2,10.0],0]"
+    rejected = "[1,[2,3,1.0],null]"
     read = list(read_trace([_VALID_HEADER, first, rejected]))
     assert [(ev.inserted, f) for ev, f in read] == [(True, None),
                                                     (False, None)]
