@@ -75,7 +75,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--algo", choices=("shadow", "baseline"), default="shadow")
     p_run.add_argument("--k", type=float, default=None,
                        help="replacement threshold for shadow "
-                            "(default: 1.717191779457857, within 1.5e-8 "
+                            f"(default: {K_STAR!r}, within 1.5e-8 "
                             "of the bound's minimizer)")
     p_run.add_argument("--gamma", type=float, default=None,
                        help="baseline threshold (default 1.0)")
@@ -89,7 +89,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_cmp = sub.add_parser("compare", help="run the standard lineup over one instance")
     p_cmp.add_argument("stream", help="path to a stream text file")
-    p_cmp.add_argument("--k", type=float, default=None)
+    p_cmp.add_argument("--k", type=float, default=None,
+                       help=f"replacement threshold for shadow (default: {K_STAR!r})")
     p_cmp.add_argument("--orders", type=int, default=1,
                        help="number of edge orders to replay (default 1: "
                             "the file's own order)")
@@ -97,7 +98,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_cmp.add_argument("--no-oracle", action="store_true",
                        help="skip the exact optimum (no ratios)")
     p_cmp.add_argument("--oracle-limit", type=int, default=40)
-    p_cmp.add_argument("--verify", action="store_true")
+    p_cmp.add_argument("--verify", action="store_true",
+                       help="certify every shadow insertion with the exact "
+                            "allocation check")
     p_cmp.add_argument("--format", choices=("table", "csv", "json"),
                        default="table")
     p_cmp.add_argument("--jobs", type=int, default=1,
@@ -187,6 +190,8 @@ def cmd_compare(args) -> int:
         raise _UsageError("--orders must be at least 1")
     if args.jobs < 1:
         raise _UsageError("--jobs must be at least 1")
+    if args.oracle_limit < 0:
+        raise _UsageError("--oracle-limit must be at least 0")
     stream = open_stream(args.stream)
     edges = tuple(stream)
     graph = DenseGraph.from_edges(edges)

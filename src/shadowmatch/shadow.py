@@ -48,9 +48,9 @@ input edge or the other shadow has a far cover equal to a matching
 edge at the input edge or to the other far cover.  So that step also
 counted seven sets, and no later count can raise either maximum: a
 run's metrics are the same traced or not.  A traced step's
-TraceEvent carries the step's decision, or none when the step was
-settled, and scores the view only when its candidates, or a settled
-step's decision, are read.
+TraceEvent carries the step's decision, or None when the step was
+settled; `process_edge` ranks a settled view for the decision it
+returns.
 
 A trace is a header line (`trace_header`) and then one line per step
 (`trace_line`), written from the step's TraceEvent with no state kept
@@ -60,7 +60,8 @@ position, which the step passes in its TraceEvent.  `read_trace`
 replays the run: it feeds each line's input edge to one matcher built
 from the header, checks that the step writes that very line, and gives
 back the step's TraceEvent, roles and all, so it holds what the run
-holds.  `trace_to_dict` renders an event as its full version 1 record.
+holds.  `trace_to_dict` renders an event whose caller gave it its
+candidates and decision as its full version 1 record.
 
 An insertion candidate A (a set of one to three pairwise disjoint
 non-matching edges from the neighborhood) is scored by
@@ -143,75 +144,25 @@ class InsertionDecision:
     inserted: bool
 
 
+@dataclass(slots=True)
 class TraceEvent:
-    """One step of a traced run: the view, all scored sets, the decision.
+    """One step of a traced run, as the step hands it over.
 
-    `inserted` says whether the step changed the state, and `position`
-    where its set is in `enumerate_augmenting_sets` order, or None.  A
-    step hands over `TraceEvent(index, neighborhood, None, decision, t,
-    position)`, with decision None when the reject bound settled the
-    step unscored: it inserted nothing.  `candidates`, and a settled
-    step's `decision`, are scored from the view at t by `_rank`, the
-    step's own ranking, the first time either is read, then kept; a
-    decision or candidates given are kept as given.  A view with no
-    shadow has one candidate, the given decision's set and score.  The
-    view is immutable and the ranking reads no matcher state, so they
-    are what the step would have scored.
+    `neighborhood` is the step's view and `decision` what it decided, or
+    None when the reject bound settled the step unscored: it inserted
+    nothing.  `inserted` says whether the step changed the state, and
+    `position` where its set is in `enumerate_augmenting_sets` order, or
+    None.  `candidates`, every candidate set in that order with its score
+    r, is None unless a caller gives it: a step scores no set it need not
+    rank.  `trace_to_dict` renders an event that carries both.
     """
 
-    __slots__ = ("index", "neighborhood", "inserted", "position",
-                 "_candidates", "_decision", "_threshold")
-
-    def __init__(self, index: int, neighborhood: Neighborhood,
-                 candidates: tuple[tuple[tuple[Edge, ...], float], ...] | None = None,
-                 decision: InsertionDecision | None = None,
-                 threshold: float | None = None, position: int | None = None):
-        self.index = index
-        self.neighborhood = neighborhood
-        self.position = position
-        self.inserted = decision is not None and decision.inserted
-        self._candidates = candidates
-        self._decision = decision
-        self._threshold = threshold
-
-    @property
-    def candidates(self) -> tuple[tuple[tuple[Edge, ...], float], ...]:
-        """Every candidate set in enumeration order, with its score r."""
-        if self._candidates is None:
-            self._score()
-        return self._candidates
-
-    @property
-    def decision(self) -> InsertionDecision:
-        if self._decision is None:
-            self._score()
-        return self._decision
-
-    def _score(self) -> None:
-        e, a, s1, c1, b, s2, c2 = self.neighborhood
-        d = self._decision
-        if d is not None and s1 is None and s2 is None:
-            # With no shadow in view the input edge is the one candidate,
-            # and the step scored it as `_rank` would.
-            self._candidates = ((d.chosen, d.gain),)
-            return
-        sets, scores, chosen, removed, r, _ = _rank(self._threshold, e, a, b,
-                                                    s1, c1, s2, c2)
-        self._candidates = tuple(zip(sets, [score[0] for score in scores]))
-        if self._decision is None:
-            self._decision = InsertionDecision(chosen, removed, r, False)
-
-    def __eq__(self, other):
-        if not isinstance(other, TraceEvent):
-            return NotImplemented
-        return ((self.index, self.neighborhood, self.candidates, self.decision)
-                == (other.index, other.neighborhood, other.candidates,
-                    other.decision))
-
-    def __repr__(self):
-        return (f"TraceEvent(index={self.index!r}, neighborhood="
-                f"{self.neighborhood!r}, candidates={self.candidates!r}, "
-                f"decision={self.decision!r})")
+    index: int
+    neighborhood: Neighborhood
+    candidates: tuple[tuple[tuple[Edge, ...], float], ...] | None = None
+    decision: InsertionDecision | None = None
+    inserted: bool = False
+    position: int | None = None
 
 
 def real_parameter(name: str, x, floor: float, strict: bool) -> float:
@@ -499,9 +450,16 @@ class ShadowMatcher:
         Violations raise ValueError.
 
         It returns the decision of process_edge_traced, the loop `drive`
-        runs, as only a trace carries a rejected step's decision.
+        runs, as only a trace carries a rejected step's decision.  A step
+        that `_no_set_wins` settled carries none, so its view is ranked
+        here as the step would have ranked it: its best set, rejected.
         """
-        return self.process_edge_traced(e, 0).decision
+        event = self.process_edge_traced(e, 0)
+        if event.decision is not None:
+            return event.decision
+        e, a, s1, c1, b, s2, c2 = event.neighborhood
+        _, chosen, removed, r, _ = _rank(self.threshold, e, a, b, s1, c1, s2, c2)
+        return InsertionDecision(chosen, removed, r, False)
 
     def _steps(self, edges: Iterable[Edge], on_insert: InsertHook | None,
                trace: TraceSink | None = None):
@@ -527,19 +485,18 @@ class ShadowMatcher:
         order.  With a shadow in view, a step that `_no_set_wins`
         settles is rejected without scoring: no set could score above
         zero, so only its counts of sets and touched edges are kept, and
-        a traced one hands over a TraceEvent that scores its view when
-        read.  Once a step has touched seven edges, no step keeps
-        either count, and an untraced settled one reads no far cover: the
-        step that touched seven also counted seven sets (see the module
-        docstring), so no count can raise either maximum.  A step whose
+        a traced one hands over a TraceEvent with no decision.  Once a
+        step has touched seven edges, no step keeps either count, and an
+        untraced settled one reads no far cover: the step that touched
+        seven also counted seven sets (see the module docstring), so no
+        count can raise either maximum.  A step whose
         one shadow is disjoint from the input edge scores its three sets
         here as `_score` would and, when all are clear of zero, ranks
         them and settles a winning pair as `_rank` does.  Otherwise the
         step hands `_rank` the view it read, e, a, b, s1, c1, s2 and c2.
         Either way it applies the set picked if it scores above zero,
-        and a traced step hands its event that decision, the set's
-        position, the view and t, so the event scores its candidates
-        only when they are read.
+        and a traced step hands its event the view, that decision and
+        the set's position.
         """
         matching = self.matching
         get = matching.get
@@ -660,7 +617,7 @@ class ShadowMatcher:
                                         ((r_e, rem_e, r_e, b_e),
                                          (r_s, rem_s, r_s, b_s)))
                     if chosen is None:
-                        ranked, _, chosen, removed, r, inserted = _rank(
+                        ranked, chosen, removed, r, inserted = _rank(
                             t, e, a, b, s1, c1, s2, c2)
                         sets = len(ranked)
                     else:
@@ -672,9 +629,9 @@ class ShadowMatcher:
             if touched > max_touched:
                 max_touched = touched
             if trace is not None:
-                # A settled step's decision is scored when read.  The
-                # inserted set is a lone edge's, one of `ranked`, this
-                # step's `_rank` sets, or of the inline x, y, xy (x < y).
+                # A settled step has no decision.  The inserted set is a
+                # lone edge's, one of `ranked`, this step's `_rank` sets,
+                # or of the inline x, y, xy (x < y).
                 decision = pos = None
                 if not settled:
                     decision = InsertionDecision(chosen, removed, r, inserted)
@@ -684,7 +641,8 @@ class ShadowMatcher:
                            2 if len(chosen) > 1 else int(chosen[0] is max(e, s)))
                 ranked = None
                 trace(TraceEvent(i, tuple.__new__(
-                    Neighborhood, (e, a, s1, c1, b, s2, c2)), None, decision, t, pos))
+                    Neighborhood, (e, a, s1, c1, b, s2, c2)), None, decision,
+                    inserted, pos))
             # Only an insertion can grow the stored-edge count.
             if inserted:
                 stored = self.matched_edge_count + self.parked_edge_count
@@ -751,7 +709,7 @@ def _rank(t: float, e: Edge, a: Edge | None, b: Edge | None,
     """Score every disjoint subset of a view's candidate edges at
     threshold t and pick the one a step inserts if its score is above
     zero: the ranking behind a step that does not score its view
-    inline, and behind a lazily scored TraceEvent.
+    inline, and behind `process_edge`'s decision of a settled step.
 
     The view is a step's: input edge `e`, the matching edges `a` and
     `b` at its ends, the shadows `s1` behind `a` and `s2` behind `b`,
@@ -763,9 +721,8 @@ def _rank(t: float, e: Edge, a: Edge | None, b: Edge | None,
     under `_better` is settled against its own subsets when it would be
     inserted (`_settle_near_ties`).  Reads nothing but its arguments.
 
-    Returns (sets, their `_score` records, chosen, removed, r,
-    inserted), where `inserted` says whether the chosen set's ranking
-    key is above zero.
+    Returns (sets, chosen, removed, r, inserted), where `inserted`
+    says whether the chosen set's ranking key is above zero.
     """
     # The distinct matching edges in view, sorted.  a and b differ, as
     # e is not in the matching; c1 may be b, and c2 may be a or c1.
@@ -806,7 +763,7 @@ def _rank(t: float, e: Edge, a: Edge | None, b: Edge | None,
     inserted = best_key > 0
     if inserted and len(chosen) > 1:
         r, chosen, removed = _settle_near_ties(t, chosen, best, sets, scores)
-    return sets, scores, chosen, removed, r, inserted
+    return sets, chosen, removed, r, inserted
 
 
 def _settle_near_ties(t: float, chosen: tuple[Edge, ...], score: tuple,
@@ -898,8 +855,7 @@ def drive(matcher, stream: EdgeStream | Iterable[Edge], *,
     `matched_edge_count` and `parked_edge_count` keep the stored-edge
     count O(1).  `trace` and `on_insert` are as in run_stream; a step
     that provably inserts nothing is rejected unscored, with the same
-    result, and a traced one is scored only if its event is read for
-    it.
+    result.
 
     The result's weight is the `fsum` of the final matching, so a
     matching whose weight leaves the float range raises OverflowError
@@ -960,21 +916,18 @@ def trace_line(event: TraceEvent, feasible: bool | None = None) -> str:
 
         [index, [u, v, w], chosen]
 
-    The input edge is spelled whole.  `chosen` is the position of the
-    inserted set among the candidate sets, in
-    `enumerate_augmenting_sets` order, or null on a rejection: the
-    event's `position`, found from its view only if the event was built
-    without one, which scores nothing.  No role and no score is spelled:
-    :func:`read_trace` replays the step at the header's threshold.
+    The input edge is spelled whole.  `chosen` is the event's
+    `position`: where the inserted set is among the candidate sets, in
+    `enumerate_augmenting_sets` order, or null on a rejection.  No role
+    and no score is spelled: :func:`read_trace` replays the step at the
+    header's threshold.
     `feasible`, when not None, is the verifier's verdict on an
     insertion and is appended as a fourth item.
     """
     e = event.neighborhood[0]
     pos = event.position
-    if pos is None:
-        pos = ("null" if not event.inserted else enumerate_augmenting_sets(
-            event.neighborhood).index(event.decision.chosen))
-    return (f"[{event.index},[{e.u},{e.v},{e.w!r}],{pos}"
+    return (f"[{event.index},[{e.u},{e.v},{e.w!r}],"
+            f"{'null' if pos is None else pos}"
             f"{'' if feasible is None else ',true' if feasible else ',false'}]")
 
 
@@ -1008,15 +961,15 @@ def read_trace(lines: Iterable[str]
     to that matcher's step (`process_edge_traced`), numbered by the
     line's position after the header, and the line must be the one
     `trace_line` writes for the step's event and the line's verdict:
-    its index, its input edge and its `chosen`.  Each event holds the
-    step's view, so its roles, candidates and decision come back.  So
-    the reader holds what the run holds, at most 3 * floor(n/2) edges,
-    and its events are scored lazily as the step's own are.  ValueError
-    names a line that is malformed or that the step does not write: an
-    edited or reordered trace, a line cut short, or a trace another
-    build wrote, or a verdict on a step that inserted nothing.  A trace
-    cut at a line boundary is a whole trace of the stream's first
-    steps, as a run that stops at a bad input line leaves it.
+    its index, its input edge and its `chosen`.  Each event is the
+    step's, so its roles come back, and its decision unless the step was
+    settled.  So the reader holds what the run holds, at most
+    3 * floor(n/2) edges.  ValueError names a line that is malformed or
+    that the step does not write: an edited or reordered trace, a line
+    cut short, or a trace another build wrote, or a verdict on a step
+    that inserted nothing.  A trace cut at a line boundary is a whole
+    trace of the stream's first steps, as a run that stops at a bad
+    input line leaves it.
     """
     lines = iter(lines)
     try:

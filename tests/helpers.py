@@ -18,7 +18,7 @@ import shadowmatch
 from shadowmatch.baseline import run_baseline
 from shadowmatch.graph import (DuplicateEdgeError, Edge, StreamFormatError,
                                edge, parse_edge_line)
-from shadowmatch.shadow import run_stream
+from shadowmatch.shadow import InsertionDecision, TraceEvent, run_stream
 from shadowmatch.verify import _TOUCHED, _slack, check_locally_k_exceeding
 
 
@@ -190,6 +190,37 @@ def reference_rank(matching: dict[int, Edge], candidates, t: float):
     return sets, chosen, removed, r, inserted
 
 
+def reference_event(event, t: float) -> TraceEvent:
+    """`event`, a traced step's, with the candidates and decision of its
+    view scored at threshold t by reference_rank and
+    reference_conflict_score, never by the step's own ranking.
+
+    The view's four matching edges, g1y1, g2y2, a1c1 and a2c2, are every
+    matching edge at an end of the input edge or of a shadow, so they
+    alone make the matching the sets are scored against.  The step's
+    decision, when it has one, must be the reference's, its score to
+    the bit; a step without one must insert nothing."""
+    nb = event.neighborhood
+    matching = {}
+    for d in (nb.g1y1, nb.g2y2, nb.a1c1, nb.a2c2):
+        if d is not None:
+            matching[d.u] = matching[d.v] = d
+    cands = [f for f in (nb.y1y2, nb.a1g1, nb.a2g2) if f is not None]
+    sets, chosen, removed, r, inserted = reference_rank(matching, cands, t)
+    candidates = tuple((subset, reference_conflict_score(matching, subset, t)[0])
+                       for subset in sets)
+    decision = InsertionDecision(chosen, removed, r, inserted)
+    d = event.decision
+    assert event.inserted == inserted
+    if d is None:
+        assert not inserted
+    else:
+        assert ((d.chosen, d.removed, repr(d.gain), d.inserted)
+                == (chosen, removed, repr(r), inserted))
+    return TraceEvent(event.index, nb, candidates, decision, inserted,
+                      event.position)
+
+
 def check_matcher_invariants(matcher, n: int) -> None:
     """Assert the structural invariants of a ShadowMatcher state."""
     matching = matcher.matching
@@ -267,8 +298,9 @@ def package_env() -> dict[str, str]:
 
 
 def reference_trace_record(event, feasible: bool | None = None) -> dict:
-    """The trace record of one TraceEvent, built field by field as a
-    dict; `json.dumps(record, sort_keys=True)` is its trace line."""
+    """The trace record of one TraceEvent that carries its candidates
+    and decision (see reference_event), built field by field as a dict;
+    `json.dumps(record, sort_keys=True)` is its version 1 trace line."""
     def enc(e):
         return None if e is None else [e.u, e.v, e.w]
 

@@ -19,7 +19,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import package_env, reference_trace_record
+from helpers import package_env, reference_event, reference_trace_record
 from shadowmatch import cli
 from shadowmatch.baseline import BaselineMatcher, run_baseline
 from shadowmatch.bound import K_STAR
@@ -118,7 +118,8 @@ def test_run_trace_writes_json_lines(stream_file, tmp_path, capsys):
     lines = trace.read_text(encoding="utf-8").splitlines()
     assert json.loads(lines[0]) == {"trace": 4, "threshold": 2.0,
                                     "parks": True}
-    records = [reference_trace_record(ev, f) for ev, f in read_trace(lines)]
+    records = [reference_trace_record(reference_event(ev, 2.0), f)
+               for ev, f in read_trace(lines)]
     assert len(records) == 3
     for i, rec in enumerate(records):
         assert rec["index"] == i
@@ -310,6 +311,7 @@ def test_compare_no_oracle(stream_file, capsys):
 def test_compare_usage_errors(stream_file):
     assert main(["compare", stream_file, "--orders", "0"]) == 1
     assert main(["compare", stream_file, "--jobs", "0"]) == 1
+    assert main(["compare", stream_file, "--oracle-limit", "-1"]) == 1
 
 
 def test_gen_round_trips_through_run(tmp_path, capsys):
@@ -505,7 +507,8 @@ def test_run_baseline_trace_has_one_candidate_per_edge(tmp_path, capsys, gamma):
     lines = trace.read_text(encoding="utf-8").splitlines()
     assert json.loads(lines[0]) == {"trace": 4, "threshold": 1.0 + float(gamma),
                                     "parks": False}
-    records = [reference_trace_record(ev, f) for ev, f in read_trace(lines)]
+    records = [reference_trace_record(reference_event(ev, 1.0 + float(gamma)), f)
+               for ev, f in read_trace(lines)]
     edges = list(open_stream(str(path)))
     events = []
     traced = drive(BaselineMatcher(float(gamma)), edges, trace=events.append)

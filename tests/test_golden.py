@@ -10,9 +10,9 @@ directory as the working directory and relative input paths, because
 Traces are pinned twice.  `*.trace-v4.jsonl.gz` holds the trace bytes
 the CLI writes; `*.trace.jsonl.gz` holds the same runs in the first
 trace format, one full record per line, and is never rewritten: every
-version 4 trace must read back, through `read_trace` and the test-side
-renderer `reference_trace_record`, as those lines, scores and all,
-though its lines spell no score.
+version 4 trace must read back, through `read_trace`, the test-side
+scorer `reference_event` and renderer `reference_trace_record`, as
+those lines, scores and all, though its lines spell no score.
 
 After a deliberate output change, recapture with
 
@@ -33,7 +33,7 @@ from pathlib import Path
 
 import pytest
 
-from helpers import reference_trace_record
+from helpers import reference_event, reference_trace_record
 from shadowmatch import shadow as shadow_module
 from shadowmatch.cli import main
 from shadowmatch.shadow import read_trace, trace_to_dict
@@ -124,11 +124,12 @@ def test_cli_bytes(golden, argv, trace_golden, tmp_path):
 @pytest.mark.parametrize("trace_golden", sorted(
     {trace for _, _, trace in RUNS if trace is not None}))
 def test_traces_read_back_as_their_records(trace_golden, monkeypatch):
-    """Each pinned trace, read back and rendered with sorted keys by the
+    """Each pinned trace, read back, scored at its header's threshold by
+    the test-side `reference_event` and rendered with sorted keys by the
     test-side renderer and by `trace_to_dict`, is the record golden of
-    the same run, line for line.  A view with no shadow in it takes its
-    one candidate, the input edge, from the step's decision, so
-    rendering ranks no such view: a spy on `_rank` sees none."""
+    the same run, line for line, and each step's own decision is the
+    reference's.  No step ranks a view with no shadow in it, whose one
+    candidate is the input edge: a spy on `_rank` sees none."""
     lone_ranked = []
     rank = shadow_module._rank
 
@@ -140,7 +141,10 @@ def test_traces_read_back_as_their_records(trace_golden, monkeypatch):
     monkeypatch.setattr(shadow_module, "_rank", counted)
     lines = gzip.decompress((GOLDEN / _v4(trace_golden)).read_bytes())
     records = gzip.decompress((GOLDEN / trace_golden).read_bytes())
-    events = list(read_trace(lines.decode("utf-8").splitlines()))
+    lines = lines.decode("utf-8").splitlines()
+    t = json.loads(lines[0])["threshold"]
+    events = [(reference_event(event, t), verdict)
+              for event, verdict in read_trace(lines)]
     for render in (reference_trace_record, trace_to_dict):
         got = [json.dumps(render(event, verdict), sort_keys=True)
                for event, verdict in events]
@@ -172,7 +176,8 @@ def test_read_trace_names_a_line_the_ranking_disowns(change):
             list(read_trace(lines))
         return
     lines = _trace_lines("ascending")
-    events = [event for event, _ in read_trace(lines)]
+    t = json.loads(lines[0])["threshold"]
+    events = [reference_event(event, t) for event, _ in read_trace(lines)]
     i = next(i for i, event in enumerate(events)
              if event.inserted == (change != "rejection")
              and (change not in ("moved", "past-last")

@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 
 from helpers import (brute_force_disjoint, check_matcher_invariants,
                      random_edge_list, reference_conflict_score,
-                     reference_rank, reference_trace_record)
+                     reference_event, reference_rank, reference_trace_record)
 from shadowmatch.baseline import (GAMMA_RATIO_5_828, BaselineMatcher,
                                   run_baseline)
 from shadowmatch import shadow as shadow_module
@@ -212,10 +212,10 @@ def _if_inserted(d: InsertionDecision) -> InsertionDecision | None:
 @pytest.mark.parametrize("w", [4.0, 13.0])
 def test_traced_step_scores_a_shared_shadow_once(w):
     """On a 4-cycle both sides hold the same parked edge: the traced step
-    records the view neighborhood() reads, scores the subsets
-    enumerate_augmenting_sets gives, process_edge returns its decision,
-    and the untraced step decides and counts as it does, whether it
-    rejects or inserts."""
+    records the view neighborhood() reads and counts the subsets
+    enumerate_augmenting_sets gives, which the reference scores,
+    process_edge returns the reference's decision, and the untraced step
+    decides and counts as it does, whether it rejects or inserts."""
     def four_cycle():
         m = ShadowMatcher(2.0)
         for e in (edge(0, 2, 3.0), edge(1, 3, 3.0)):
@@ -230,13 +230,14 @@ def test_traced_step_scores_a_shared_shadow_once(w):
     nb = traced.neighborhood(y)
     sets = enumerate_augmenting_sets(nb)
     event, traced_sets, traced_touched = _traced_step(traced, y)
+    scored = reference_event(event, 2.0)
     assert event.neighborhood == nb
-    assert [subset for subset, _ in event.candidates] == sets
-    assert plain.process_edge(y) == event.decision
-    assert event.decision.inserted == (w > 12.0)
-    assert traced_sets == len(event.candidates) == 3
+    assert [subset for subset, _ in scored.candidates] == sets
+    assert plain.process_edge(y) == scored.decision
+    assert scored.decision.inserted == (w > 12.0)
+    assert traced_sets == len(scored.candidates) == 3
     assert traced_touched == 4
-    assert _untraced_step(lean, y) == (_if_inserted(event.decision), 3, 4)
+    assert _untraced_step(lean, y) == (_if_inserted(scored.decision), 3, 4)
     assert lean.matching == traced.matching
     assert lean.shadow_slots == traced.shadow_slots
 
@@ -547,7 +548,8 @@ def test_untraced_step_matches_traced_step(data):
     every scored set: twin matchers fed one stream must decide alike
     and report the same work per step, so tracing never changes a
     decision, and the view a traced step records from its own reads is
-    the one neighborhood() reads."""
+    the one neighborhood() reads.  The reference scores that view as the
+    step decided it and counts its sets as the step does."""
     rng = random.Random(data.draw(st.integers(0, 10 ** 9)))
     weights = data.draw(st.sampled_from(["uniform", "integer", "nextafter"]))
     k = data.draw(st.sampled_from([1.1, 1.5, 1.717191779457857, 2.0, 3.0]))
@@ -572,10 +574,11 @@ def test_untraced_step_matches_traced_step(data):
         nb = traced.neighborhood(e)
         decision, sets, lean_touched = _untraced_step(lean, e)
         event, traced_sets, traced_touched = _traced_step(traced, e)
+        scored = reference_event(event, k)
         assert event.neighborhood == nb
-        assert decision == _if_inserted(event.decision)
+        assert decision == _if_inserted(scored.decision)
         assert lean_touched == traced_touched == touched
-        assert sets == traced_sets == len(event.candidates)
+        assert sets == traced_sets == len(scored.candidates)
     assert lean.matching == traced.matching
     assert lean.shadow_slots == traced.shadow_slots
 
@@ -610,8 +613,8 @@ def test_baseline_untraced_step_matches_traced_step(data):
         event, traced_sets, traced_touched = _traced_step(traced, e)
         assert event.neighborhood == nb
         assert decision == _if_inserted(event.decision)
-        assert event.candidates == ((event.decision.chosen,
-                                     event.decision.gain),)
+        assert reference_event(event, traced.threshold).candidates == (
+            (event.decision.chosen, event.decision.gain),)
         assert touched == traced_touched
         assert sets == traced_sets == 1
         assert lean.matched_edge_count == traced.matched_edge_count
@@ -700,7 +703,7 @@ def test_hooked_run_matches_unhooked_run_and_traced_steps(data):
     assert hooked.metrics == bare.metrics
     assert hooked.metrics == drive(make(), edges, trace=lambda ev: None).metrics
     assert seen == [_decision_bits(ev.decision) for ev in events
-                    if ev.decision.inserted]
+                    if ev.inserted]
 
     calls, sunk, lone_rejects = [], [], []
     matcher = make()
@@ -708,8 +711,9 @@ def test_hooked_run_matches_unhooked_run_and_traced_steps(data):
     def sink(ev):
         calls.append(("trace", ev.index))
         sunk.append(ev)
-        d = ev.decision
-        if len(ev.candidates) == 1 and not d.inserted:
+        scored = reference_event(ev, t)
+        d = scored.decision
+        if len(scored.candidates) == 1 and not d.inserted:
             # A rejection left the matching as the step scored it.
             r, removed, _ = conflict_score(matcher.matching, d.chosen, t)
             lone_rejects.append(((d.removed, repr(d.gain)),
@@ -721,27 +725,27 @@ def test_hooked_run_matches_unhooked_run_and_traced_steps(data):
 
     both = drive(matcher, edges, trace=sink, on_insert=traced_hook)
     assert calls == [(kind, i) for i, ev in enumerate(events)
-                     for kind in ("trace", "hook")[:1 + ev.decision.inserted]]
+                     for kind in ("trace", "hook")[:1 + ev.inserted]]
     assert both.matching == bare.matching
     assert repr(both.weight) == repr(bare.weight)
     assert both.metrics == bare.metrics
-    assert ([_record_text(trace_to_dict(ev)) for ev in sunk]
-            == [_record_text(trace_to_dict(ev)) for ev in events])
+    assert ([_record_text(trace_to_dict(reference_event(ev, t))) for ev in sunk]
+            == [_record_text(trace_to_dict(reference_event(ev, t)))
+                for ev in events])
     for got, want in lone_rejects:
         assert got == want
 
 
 def test_unhooked_run_rejects_without_scoring(monkeypatch, tmp_path):
-    """A step the reject bound settles is not scored unless its event is
-    read for it.  On gnp.txt an unhooked run, a hooked one, a traced one
-    whose sink reads each event's index, neighborhood and inserted, one
-    that writes each event's trace line, and `run --verify --trace` all
-    rank the views of the same 4 steps.  A sink that reads every
-    event's decision ranks all 343 views with a shadow in view, the
-    settled ones as it reads them.  One spy is on `_rank`, the ranking
-    behind a step that does not score its view inline and behind a
-    lazily scored event, so lazy scoring is counted too.  The other is on `_no_set_wins`, whose False sends an
-    untraced step to be ranked, inline when its one shadow is disjoint
+    """A step the reject bound settles is not scored.  On gnp.txt an
+    unhooked run, a hooked one, a traced one whose sink reads each
+    event's index, neighborhood and inserted, one that writes each
+    event's trace line, one whose sink reads every event's decision,
+    and `run --verify --trace` all rank the views of the same 4 steps:
+    a settled event's decision is None, and reading it ranks nothing.
+    One spy is on `_rank`, the ranking behind a step that does not
+    score its view inline.  The other is on `_no_set_wins`, whose False
+    sends a step to be ranked, inline when its one shadow is disjoint
     from the input edge.  A view counts once, however many of them see
     it.  Every run ends the same."""
     golden = Path(__file__).parent / "golden" / "gnp.txt"
@@ -777,7 +781,7 @@ def test_unhooked_run_rejects_without_scoring(monkeypatch, tmp_path):
     read, read_steps = scored_steps(trace=lambda event: event.decision)
     assert hooked == bare == lean == written == read
     assert unhooked == hooked_steps == lean_steps == written_steps == 4
-    assert read_steps == 343
+    assert read_steps == 4
     steps.clear()
     with contextlib.redirect_stdout(io.StringIO()):
         assert main(["run", str(golden), "--verify", "--trace",
@@ -830,12 +834,12 @@ def test_settled_steps_count_until_seven_edges_are_touched(monkeypatch):
              + _shadow_pair(20, True) + inputs)
     events = []
     traced = drive(ShadowMatcher(k), edges, trace=events.append)
-    work = [(len(set(ev.neighborhood) - {None}), len(ev.candidates))
-            for ev in events]
+    work = [(len(set(ev.neighborhood) - {None}),
+             len(reference_event(ev, k).candidates)) for ev in events]
     assert all(sets == 1 for _, sets in work[:-3])
     assert work[-3:] == [(6, 7), (7, 7), (7, 7)]
     for ev in events[-3:]:
-        assert _settled(k, ev) and not ev.decision.inserted
+        assert _settled(k, ev) and ev.decision is None and not ev.inserted
 
     counted = _spy_on_set_counts(monkeypatch)
     bare = drive(ShadowMatcher(k), edges)
@@ -868,7 +872,7 @@ def test_seven_touched_edges_mean_seven_candidate_sets(data):
     for (u, v), w in zip(pairs, weights):
         event, sets, touched = _traced_step(m, edge(u, v, w))
         if touched == 7:
-            assert sets == 7 == len(event.candidates)
+            assert sets == 7 == len(reference_event(event, k).candidates)
 
 
 def test_golden_run_counts_settled_steps_until_seven_are_touched(
@@ -919,9 +923,9 @@ def _shadows_behind(k: float, wa: float, wb: float, ws1: float | None,
     (0.8, 0.6, 0.9, 0.4),      # W - t*(w(a) + w(b)) within rounding of 0
 ])
 def test_reject_bound_never_changes_a_step(weights):
-    """An untraced step, hooked or not, ends in the state a traced step,
-    which scores every set, ends in, and the hook sees the traced
-    step's decision when it inserts: when a lone shadow wins though the
+    """An untraced step, hooked or not, ends in the state a traced step
+    ends in, and the hook sees the traced step's decision, which is the
+    reference's, when it inserts: when a lone shadow wins though the
     input edge's bound is negative, and when the input weight is a few
     ulps either side of where the bound over all candidates crosses
     zero."""
@@ -946,8 +950,8 @@ def test_reject_bound_never_changes_a_step(weights):
         drive(scored, [edge(0, 1, w)], trace=events.append)
         assert bare.matching == hooked.matching == scored.matching
         assert bare.shadow_slots == hooked.shadow_slots == scored.shadow_slots
-        assert inserted == [ev.decision for ev in events
-                            if ev.decision.inserted]
+        assert inserted == [reference_event(ev, k).decision for ev in events
+                            if ev.inserted]
         outcomes.add(bare.insertions)
     # a lone shadow wins; at the margin some inputs win and some do not
     assert outcomes == ({1} if w0 > 1.0 else {0, 1})
@@ -965,7 +969,7 @@ def test_lone_shadow_wins_without_the_input_edge():
     traced = run_stream(open_stream(golden), k, trace=events.append)
     hooked = run_stream(open_stream(golden), k, on_insert=inserted.append)
     assert traced == hooked
-    assert inserted == [ev.decision for ev in events if ev.decision.inserted]
+    assert inserted == [ev.decision for ev in events if ev.inserted]
     last = events[6]
     assert last.index == 6
     assert last.neighborhood.y1y2 == edge(1, 3, 5.0)
@@ -1003,39 +1007,47 @@ def _reference_sets(nb) -> list[tuple[Edge, ...]]:
 
 
 def _assert_step_scores_match_reference(m: ShadowMatcher, e: Edge) -> None:
-    """Run `e` through a traced step of `m`, then read the event's
-    candidates, which it scores off its view, and check every scored
-    set against reference_conflict_score on the matching as it was
-    before the step: the sets of the view in bitmask order, each with
-    its `r` to the bit and its sorted `removed`, as a spy on
-    `shadow._score` sees them; a view with no shadow is not scored
-    again, and its one set's `removed` is the decision's.  The step's
-    decision, scored inline or ranked, carries its set's candidate
-    score to the bit."""
+    """Run `e` through a traced step of `m`, then have `_rank` rank the
+    step's view, and check every set it scores against
+    reference_conflict_score on the matching as it was before the step:
+    the sets of the view in bitmask order, each with its `r` to the bit
+    and its sorted `removed`, as a spy on `shadow._score` sees them.  A
+    view with no shadow is never ranked, and its step scores no set
+    through `_score`; its one set is the decision's.  `reference_event`
+    scores the same sets from the view alone, and the step's decision,
+    scored inline or ranked, or None when the step was settled, is the
+    reference's, with its set's candidate score to the bit."""
     before = dict(m.matching)
     nb = m.neighborhood(e)
     seen = []
     score = shadow_module._score
 
     def spy(chosen, w_chosen, removed, t):
-        seen.append((chosen, removed))
-        return score(chosen, w_chosen, removed, t)
+        record = score(chosen, w_chosen, removed, t)
+        seen.append((chosen, removed, record[0]))
+        return record
 
-    event = m.process_edge_traced(e, 0)
     with patch.object(shadow_module, "_score", spy):
-        candidates = event.candidates
+        event = m.process_edge_traced(e, 0)
+        if nb.a1g1 is None and nb.a2g2 is None:
+            assert seen == []
+            d = event.decision
+            seen = [(d.chosen, d.removed, d.gain)]
+        else:
+            seen.clear()
+            shadow_module._rank(m.threshold, nb.y1y2, nb.g1y1, nb.g2y2,
+                                nb.a1g1, nb.a1c1, nb.a2g2, nb.a2c2)
+    scored = reference_event(event, m.threshold)
     sets = _reference_sets(nb)
-    assert [subset for subset, _ in candidates] == sets
-    if nb.a1g1 is None and nb.a2g2 is None:
-        assert seen == []
-        seen = [(event.decision.chosen, event.decision.removed)]
-    assert [subset for subset, _ in seen] == sets
-    for (subset, r), (_, removed) in zip(candidates, seen):
+    assert [subset for subset, _ in scored.candidates] == sets
+    assert [subset for subset, _, _ in seen] == sets
+    for (subset, r), (_, removed, r_ranked) in zip(scored.candidates, seen):
         r_ref, removed_ref, _ = reference_conflict_score(before, subset,
                                                          m.threshold)
-        assert repr(r) == repr(r_ref)
+        assert repr(r) == repr(r_ranked) == repr(r_ref)
         assert removed == removed_ref
-    assert repr(event.decision.gain) == repr(dict(candidates)[event.decision.chosen])
+    d = scored.decision
+    assert repr(d.gain) == repr(dict(scored.candidates)[d.chosen])
 
 
 @given(st.data())
@@ -1155,14 +1167,15 @@ def test_untraced_ranked_step_matches_the_reference_ranking(view, data):
     disjoint shadow inline or ranks its sets with `_rank`, does what the
     record-based reference_rank chooses: it inserts the same set with
     the same removed and r (by repr) and counts as many sets, or
-    inserts nothing when that set would not insert.  The traced step's
-    decision is the reference's too.  Weights are uniform, small
-    integers (exact float ties), near 1e308, a few ulps from a zero
-    score or from a tie between two sets, or as on the sweep's
-    ascending slices, whose weights are exp(U(0, 150)): shadows and far
-    covers near an ulp of a huge input edge, where a set and its subset
-    often score within rounding of each other and the floats may rank
-    them the wrong way round."""
+    inserts nothing when that set would not insert.  Weights are
+    uniform, small integers (exact float ties), near 1e308, a few ulps
+    from a zero score or from a tie between two sets, or as on the
+    sweep's ascending slices, whose weights are exp(U(0, 150)): shadows
+    and far covers near an ulp of a huge input edge, where a set and its
+    subset often score within rounding of each other and the floats may
+    rank them the wrong way round.  `process_edge` returns the reference's
+    decision too, ranking a view itself when `_no_set_wins` settled it,
+    which is exactly when the traced step hands over no decision."""
     matched, parked = _RANKED_VIEWS[view]
     rng = random.Random(data.draw(st.integers(0, 10 ** 9)))
     family = data.draw(st.sampled_from(
@@ -1223,9 +1236,11 @@ def test_untraced_ranked_step_matches_the_reference_ranking(view, data):
     assert set_count == len(sets)
     assert ([(d.chosen, d.removed, repr(d.gain)) for d in hooked]
             == ([(chosen, removed, repr(r))] if inserted else []))
-    d = state().process_edge_traced(e, 0).decision
+    d = state().process_edge(e)
     assert ((d.chosen, d.removed, repr(d.gain), d.inserted)
             == (chosen, removed, repr(r), inserted))
+    event = state().process_edge_traced(e, 0)
+    assert (event.decision is None) == _settled(k, event)
 
 
 @given(st.data())
@@ -1328,7 +1343,8 @@ def test_trace_event_contents():
     ev = events[1]
     assert ev.index == 1
     assert ev.neighborhood.y1y2 == edge(2, 3, 10.0)
-    assert len(ev.candidates) >= 1
+    assert ev.candidates is None
+    assert len(reference_event(ev, 1.717).candidates) >= 1
     assert ev.decision.inserted
     assert ShadowMatcher(1.717).process_edge_traced(edge(1, 2, 1.0), 7).index == 7
 
@@ -1350,7 +1366,7 @@ def test_trace_sink_is_fed_as_the_stream_is_read():
 def test_trace_to_dict_schema():
     events = []
     run_stream([edge(1, 2, 1.0), edge(2, 3, 10.0)], 1.717, trace=events.append)
-    rec = trace_to_dict(events[1])
+    rec = trace_to_dict(reference_event(events[1], 1.717))
     assert rec["index"] == 1
     assert rec["input"] == [2, 3, 10.0]
     assert set(rec["S"]) == {"y1y2", "g1y1", "a1g1", "a1c1",
@@ -1368,9 +1384,10 @@ def test_trace_candidate_scores_match_decisions():
     events = []
     run_stream(edges, 1.717, trace=events.append)
     for ev in events:
-        best = max(r for _, r in ev.candidates)
-        assert ev.decision.gain == best
-        assert ev.decision.inserted == (best > 0)
+        scored = reference_event(ev, 1.717)
+        best = max(r for _, r in scored.candidates)
+        assert scored.decision.gain == best
+        assert scored.decision.inserted == (best > 0)
 
 
 def _record_text(record: dict) -> str:
@@ -1384,23 +1401,28 @@ def _assert_trace_reads_back(matcher, events, verdicts) -> list[str]:
     of each, and assert that `read_trace` gives back every event, whose
     reference record and verdict are the written one's, and that
     `trace_to_dict` builds the same record.  Returns the trace lines."""
+    t = matcher.threshold
     lines = [trace_header(matcher)]
     lines += [trace_line(ev, f) for ev, f in zip(events, verdicts)]
+    scored = [reference_event(ev, t) for ev in events]
     want = [_record_text(reference_trace_record(ev, f))
-            for ev, f in zip(events, verdicts)]
-    assert [_record_text(reference_trace_record(ev, f))
+            for ev, f in zip(scored, verdicts)]
+    assert [_record_text(reference_trace_record(reference_event(ev, t), f))
             for ev, f in read_trace(lines)] == want
     assert [_record_text(trace_to_dict(ev, f))
-            for ev, f in zip(events, verdicts)] == want
+            for ev, f in zip(scored, verdicts)] == want
     return lines
 
 
 def _assert_scored_eagerly(before: dict[int, Edge], t: float,
-                           event: TraceEvent) -> None:
-    """The lazily read candidates and decision of a settled step's
-    event are those of an eager scoring: conflict_score of every
-    enumerated set against `before`, the matching before the step, r
-    compared by repr, and the best set under `_better`, rejected."""
+                           event: TraceEvent,
+                           decision: InsertionDecision) -> None:
+    """A settled step's event carries no decision.  The `decision`
+    process_edge returned for the step, and the candidates and decision
+    `reference_event` scores from the event's view, are those of an
+    eager scoring: conflict_score of every enumerated set against
+    `before`, the matching before the step, r compared by repr, and the
+    best set under `_better`, rejected."""
     want = []
     best = None
     for subset in enumerate_augmenting_sets(event.neighborhood):
@@ -1409,11 +1431,12 @@ def _assert_scored_eagerly(before: dict[int, Edge], t: float,
         if best is None or shadow_module._better(key, subset, best[0],
                                                  best[1]):
             best = (key, subset, removed, repr(r))
-    assert [(subset, repr(r)) for subset, r in event.candidates] == want
-    d = event.decision
-    assert (d.chosen, d.removed, repr(d.gain), d.inserted) == (*best[1:],
-                                                               False)
-    assert not event.inserted
+    scored = reference_event(event, t)
+    assert [(subset, repr(r)) for subset, r in scored.candidates] == want
+    for d in (scored.decision, decision):
+        assert (d.chosen, d.removed, repr(d.gain), d.inserted) == (*best[1:],
+                                                                   False)
+    assert event.decision is None and not event.inserted
 
 
 @given(st.data())
@@ -1423,16 +1446,18 @@ def test_trace_line_matches_sorted_json_dumps(data):
     before it, dumps with sorted keys to the bytes of its reference
     record: for the shadow matcher and the baseline, with and without
     a verifier verdict, at float ties and with scores past the float
-    range.  A step the reject bound settles is scored only when its
-    event is read; what it reads then is each set of the view scored
-    eagerly by conflict_score against the matching before the step,
-    and the best of those sets under `_better`."""
+    range.  A step the reject bound settles hands over no decision; a
+    twin matcher's process_edge, which ranks the view, and the
+    reference both score each set of the view as conflict_score does
+    eagerly against the matching before the step, and pick the best of
+    those sets under `_better`."""
     rng = random.Random(data.draw(st.integers(0, 10 ** 9)))
     weights = data.draw(st.sampled_from(
         ["uniform", "integer", "nextafter", "huge"]))
     k = data.draw(st.sampled_from([1.1, 1.717191779457857, 3.0]))
-    matcher = (ShadowMatcher(k) if data.draw(st.booleans())
-               else BaselineMatcher(k - 1.0))
+    make = ((lambda: ShadowMatcher(k)) if data.draw(st.booleans())
+            else (lambda: BaselineMatcher(k - 1.0)))
+    matcher, twin = make(), make()
     n = data.draw(st.integers(2, 9))
     pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
     rng.shuffle(pairs)
@@ -1453,8 +1478,10 @@ def test_trace_line_matches_sorted_json_dumps(data):
                 w = math.nextafter(w, math.inf if steps > 0 else 0.0)
         before = dict(matcher.matching)
         events.append(matcher.process_edge_traced(edge(u, v, w), i))
+        decision = twin.process_edge(edge(u, v, w))
         if _settled(matcher.threshold, events[-1]):
-            _assert_scored_eagerly(before, matcher.threshold, events[-1])
+            _assert_scored_eagerly(before, matcher.threshold, events[-1],
+                                   decision)
     # A verdict judges an insertion, so only an inserting line has one.
     verdicts = [rng.choice([None, True, False]) if ev.inserted else None
                 for ev in events]
@@ -1474,15 +1501,17 @@ def test_trace_line_spells_no_scores():
     assert ev.decision.gain == -math.inf
     lines = _assert_trace_reads_back(m, events, [None, None])
     read, _ = list(read_trace(lines))[1]
-    assert [r for _, r in read.candidates] == [-math.inf]
+    scored = reference_event(read, m.threshold)
+    assert [r for _, r in scored.candidates] == [-math.inf]
     assert read.decision.gain == -math.inf
     line = trace_line(ev)
     assert line == "[1,[2,3,1e+308],null]"
     for r in (math.inf, math.nan, 0.0, None):
         held = () if r is None else tuple(
-            (subset, r) for subset, _ in ev.candidates)
+            (subset, r) for subset, _ in scored.candidates)
         assert trace_line(TraceEvent(ev.index, ev.neighborhood, held,
-                                     ev.decision)) == line
+                                     ev.decision, ev.inserted,
+                                     ev.position)) == line
 
 
 def test_trace_encoder_never_shares_text_between_equal_edges():
@@ -1499,7 +1528,8 @@ def test_trace_encoder_never_shares_text_between_equal_edges():
               trace=events.append)
         lines = _assert_trace_reads_back(matcher, events, [None] * 3)
         assert lines[1].startswith(f"[0,{spelled},")
-        read = [reference_trace_record(ev) for ev, _ in read_trace(lines)]
+        read = [reference_trace_record(reference_event(ev, 1.5))
+                for ev, _ in read_trace(lines)]
         # (2, 3) evicts (1, 2) and parks it; (3, 4) sees it as a shadow.
         assert read[2]["S"]["a1g1"] == json.loads(spelled)
 
@@ -1516,8 +1546,8 @@ def test_read_trace_names_a_pair_by_its_last_insertion():
     matcher = ShadowMatcher(1.5)
     events = []
     drive(matcher, stream, trace=events.append)
-    assert [ev.decision.inserted for ev in events] == [True, True, False,
-                                                        True, False]
+    assert [ev.inserted for ev in events] == [True, True, False, True,
+                                               False]
     assert events[2].neighborhood.a1g1 is twin
     assert events[4].neighborhood.g1y1 is parallel
     assert twin not in matcher.shadow_slots.values()
