@@ -176,8 +176,7 @@ def cmd_run(args) -> int:
             trace_fh.close()
 
     print(f"weight {result.weight!r}")
-    for e in result.matching:
-        print(format_edge(e))
+    sys.stdout.write("".join(format_edge(e) + "\n" for e in result.matching))
     if args.verify:
         print(f"verifier_failures {failures}")
         if failures:

@@ -144,10 +144,12 @@ def run_experiment(graph: DenseGraph, algorithms: Iterable[AlgorithmSpec], *,
     the instance is small enough and `orders` asks for them all),
     except that `orders=1` with an explicit `file_order` replays that
     order verbatim.  The oracle runs once per instance; if the
-    instance exceeds `oracle_limit` edges the reports carry no
-    optimum and no ratio.  `jobs > 1` fans runs out over processes;
-    reports come back in a deterministic sorted order either way.
+    instance exceeds `oracle_limit` edges (a negative limit is a
+    ValueError) the reports carry no optimum and no ratio.  `jobs > 1`
+    fans runs out over processes; reports come back sorted either way.
     """
+    if oracle_limit < 0:
+        raise ValueError(f"oracle_limit must be at least 0, got {oracle_limit}")
     algorithms = list(algorithms)
     if file_order is not None and orders == 1:
         labeled = [("file", tuple(file_order))]

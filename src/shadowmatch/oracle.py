@@ -71,13 +71,15 @@ def max_weight_matching(graph: DenseGraph, *, edge_limit: int = 40) -> OptimalRe
     graph : DenseGraph
         The instance; edge order does not influence the result weight.
     edge_limit : int
-        Refuse instances with more edges than this (default 40) by
-        raising OracleCapacityError, forests included.
+        Refuse instances with more edges than this (default 40; below
+        0 is a ValueError) by raising OracleCapacityError, forests included.
 
     Returns
     -------
     OptimalResult
     """
+    if edge_limit < 0:
+        raise ValueError(f"edge_limit must be at least 0, got {edge_limit}")
     m = len(graph.edges)
     if m > edge_limit:
         raise OracleCapacityError(

@@ -23,13 +23,14 @@ reads the view straight from the matching and slot dicts into locals,
 and knows each candidate's conflicts from it with no further read of
 the matching: the input edge removes the matching edges at its ends,
 each shadow the one it is parked behind and the one at its far end.
-When the input edge is the only candidate, or the step sees one
-shadow disjoint from it, the step scores its sets inline; `_rank`
-ranks any other view.  Only a traced step packs those locals into a
-Neighborhood, the flat record of the seven roles, and hands over a
-TraceEvent for each step; an untraced step builds an InsertionDecision
-only for an insertion hook, and only when it inserts.  Tracing changes
-what a step reports, never what it decides.
+When the candidates are pairwise disjoint (the input edge alone, or
+with one or two shadows that meet neither it nor each other), the step
+scores its one, three or seven sets inline; `_rank` ranks any other
+view, and one with a score within rounding of zero.  Only a traced
+step packs those locals into a Neighborhood of the seven roles and
+hands over a TraceEvent for each step; an untraced step builds an
+InsertionDecision only for an insertion hook, and only when it
+inserts.  Tracing changes what a step reports, not what it decides.
 
 A step is not scored when three comparisons settle it
 (`_no_set_wins`).  Every candidate removes a matching edge at an end
@@ -93,7 +94,6 @@ import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import itemgetter
 from typing import Callable, Iterable, Iterator, NamedTuple
 
 from .graph import Edge, EdgeStream, edge
@@ -216,8 +216,8 @@ def _score(chosen: tuple[Edge, ...], w_chosen: float,
     sorted `removed`: (r, removed,
     key) as conflict_score returns them, then `bound`, how far the
     float r can lie from the exact score short of the underflow term.
-    conflict_score and `_rank` score through it; a step whose input
-    edge is the only candidate scores inline as it does."""
+    conflict_score and `_rank` score through it; a step whose
+    candidates are pairwise disjoint scores inline as it does."""
     w_removed = 0.0
     for d in removed:
         w_removed += d.w
@@ -228,20 +228,6 @@ def _score(chosen: tuple[Edge, ...], w_chosen: float,
         return r, removed, r, bound
     exact = _exact_score(chosen, removed, t)
     return _signed_float(exact), removed, exact, bound
-
-
-def _picker(m: int) -> Callable[[tuple], tuple]:
-    """The function from a tuple to the tuple of its items at the set
-    bits of m, in order: how a step reads a set's conflicts off its
-    view.  itemgetter of one index gives the bare item, so one bit or
-    none takes a slice."""
-    js = [j for j in range(4) if m >> j & 1]
-    if len(js) > 1:
-        return itemgetter(*js)
-    return itemgetter(slice(js[0], js[0] + 1) if js else slice(0))
-
-
-_PICK = tuple(_picker(m) for m in range(16))
 
 
 def _exact_score(chosen: tuple[Edge, ...], removed: tuple[Edge, ...],
@@ -489,14 +475,14 @@ class ShadowMatcher:
         step has touched seven edges, no step keeps either count, and an
         untraced settled one reads no far cover: the step that touched
         seven also counted seven sets (see the module docstring), so no
-        count can raise either maximum.  A step whose
-        one shadow is disjoint from the input edge scores its three sets
-        here as `_score` would and, when all are clear of zero, ranks
-        them and settles a winning pair as `_rank` does.  Otherwise the
-        step hands `_rank` the view it read, e, a, b, s1, c1, s2 and c2.
-        Either way it applies the set picked if it scores above zero,
-        and a traced step hands its event the view, that decision and
-        the set's position.
+        count can raise either maximum.  A step whose candidates are
+        pairwise disjoint, e with one shadow (three sets) or two (seven),
+        scores each set here from the roles as `_score` would and, when
+        all are clear of zero, ranks them and settles an insertion as
+        `_rank` does.  Otherwise the step hands `_rank` the view it read,
+        e, a, b, s1, c1, s2 and c2.  Either way it applies the set picked
+        if it scores above zero, and a traced step hands its event the
+        view, that decision and the set's position.
         """
         matching = self.matching
         get = matching.get
@@ -558,9 +544,11 @@ class ShadowMatcher:
                 if settled and not counted and trace is None:
                     continue
                 if s1 is not None:
-                    c1 = get(s1.v if s1.u == p1 else s1.u)
+                    f1 = s1.v if s1.u == p1 else s1.u
+                    c1 = get(f1)
                 if s2 is not None:
-                    c2 = get(s2.v if s2.u == p2 else s2.u)
+                    f2 = s2.v if s2.u == p2 else s2.u
+                    c2 = get(f2)
                 if counted:
                     view = {e, a, b, s1, c1, s2, c2}
                     view.discard(None)
@@ -573,13 +561,16 @@ class ShadowMatcher:
                             if counted else 7)
                 else:
                     chosen = None
-                    if (s2 is None and v != s1.u and v != s1.v
-                            or s1 is None and u != s2.u and u != s2.v):
-                        # One shadow s, disjoint from e and parked behind
-                        # g: e removes g and o, s removes g and its far
-                        # cover c, the pair their union, each sorted and
-                        # summed in that order as `_score` sums it.
-                        s, g, c, o = ((s1, a, c1, b) if s2 is None
+                    # Pairwise disjoint candidates are scored here: e, a
+                    # shadow s behind g and, if distinct, z = s2 behind o
+                    # (a shadow can meet e or z only at its far end).  e
+                    # removes g and o, s g and its far cover c, z o and c2,
+                    # and a set the union, summed sorted as `_score` does.
+                    z = s2 if s1 is not None and s2 is not None and s2 != s1 else None
+                    if (f1 != v if z is None and s1 is not None else
+                            f2 != u if s1 is None else f1 != v and f2 != u
+                            and f1 != p2 and f2 != p1 and f1 != f2):
+                        s, g, c, o = ((s1, a, c1, b) if s1 is not None
                                       else (s2, b, c2, a))
                         rem_e = (g,) if o is None else (g, o) if g < o else (o, g)
                         rem_s = (g,) if c is None else (g, c) if g < c else (c, g)
@@ -590,32 +581,82 @@ class ShadowMatcher:
                         elif o is None:
                             rem_p, t_p = rem_s, t_s
                         else:
-                            x, y, z = rem_p = tuple(sorted((g, o, c)))
-                            t_p = t * (x.w + y.w + z.w)
+                            x, y, q = rem_p = tuple(sorted((g, o, c)))
+                            t_p = t * (x.w + y.w + q.w)
                         w_p = w + s.w
                         r_e, b_e = w - t_e, rounding * (w + t_e)
                         r_s, b_s = s.w - t_s, rounding * (s.w + t_s)
                         r_p, b_p = w_p - t_p, rounding * (w_p + t_p)
-                        sets = 3
-                        # Clear of their rounding bounds, the floats are
-                        # the ranking keys, as in `_rank`.
-                        if (abs(r_e) > b_e + underflow and abs(r_s) > b_s + underflow
-                                and abs(r_p) > b_p + underflow):
-                            chosen, r, removed = (e,), r_e, rem_e
-                            if r_s > r or r_s == r and _better(r_s, (s,), r, chosen):
-                                chosen, r, removed = (s,), r_s, rem_s
-                            pair = (e, s) if e < s else (s, e)
-                            if r_p > r or r_p == r and _better(r_p, pair, r, chosen):
-                                chosen, r, removed = pair, r_p, rem_p
-                                # `_settle_near_ties` would skip a
-                                # subset past both rounding bounds.
-                                bound = b_p + underflow
-                                if r > 0 and (abs(r_e - r) <= bound + b_e
-                                              or abs(r_s - r) <= bound + b_s):
-                                    r, chosen, removed = _settle_near_ties(
-                                        t, pair, (r, rem_p, r, b_p), ((e,), (s,)),
-                                        ((r_e, rem_e, r_e, b_e),
-                                         (r_s, rem_s, r_s, b_s)))
+                        pair = (e, s) if e < s else (s, e)
+                        sets, cands = 3, pair
+                        # Clear of rounding, the floats rank as in `_rank`.
+                        clear = (abs(r_e) > b_e + underflow
+                                 and abs(r_s) > b_s + underflow
+                                 and abs(r_p) > b_p + underflow)
+                        if clear and z is not None:
+                            if c2 is None:
+                                rem_z, t_z, rem_ez, t_ez = (o,), t * o.w, rem_e, t_e
+                            else:
+                                rem_z = (o, c2) if o < c2 else (c2, o)
+                                t_z = t * (o.w + c2.w)
+                                x, y, q = rem_ez = tuple(sorted((g, o, c2)))
+                                t_ez = t * (x.w + y.w + q.w)
+                            if c is None:
+                                rem_sz, t_sz = rem_ez, t_ez
+                            elif c2 is None or c2 is c:
+                                rem_sz, t_sz = rem_p, t_p
+                            else:
+                                x, y, q, h = rem_sz = tuple(sorted((g, o, c, c2)))
+                                t_sz = t * (x.w + y.w + q.w + h.w)
+                            x, y, q = cands = tuple(sorted((e, s, z)))
+                            sets = 7
+                            w_3 = x.w + y.w + q.w
+                            r_z, b_z = z.w - t_z, rounding * (z.w + t_z)
+                            r_ez, b_ez = w + z.w - t_ez, rounding * (w + z.w + t_ez)
+                            r_sz, b_sz = s.w + z.w - t_sz, rounding * (s.w + z.w + t_sz)
+                            r_3, b_3 = w_3 - t_sz, rounding * (w_3 + t_sz)
+                            clear = (abs(r_z) > b_z + underflow
+                                     and abs(r_ez) > b_ez + underflow
+                                     and abs(r_sz) > b_sz + underflow
+                                     and abs(r_3) > b_3 + underflow)
+                        if clear:
+                            chosen, r, removed, bound = (e,), r_e, rem_e, b_e
+                            if r_s > r or r_s == r and _better(r, (s,), r, chosen):
+                                chosen, r, removed, bound = (s,), r_s, rem_s, b_s
+                            if r_p > r or r_p == r and _better(r, pair, r, chosen):
+                                chosen, r, removed, bound = pair, r_p, rem_p, b_p
+                            if z is not None:
+                                if r_z > r or r_z == r and _better(r, (z,), r, chosen):
+                                    chosen, r, removed, bound = (z,), r_z, rem_z, b_z
+                                ez = (e, z) if e < z else (z, e)
+                                if r_ez > r or r_ez == r and _better(r, ez, r, chosen):
+                                    chosen, r, removed, bound = ez, r_ez, rem_ez, b_ez
+                                sz = (s, z) if s < z else (z, s)
+                                if r_sz > r or r_sz == r and _better(r, sz, r, chosen):
+                                    chosen, r, removed, bound = sz, r_sz, rem_sz, b_sz
+                                if r_3 > r or r_3 == r and _better(r, cands, r, chosen):
+                                    chosen, r, removed, bound = cands, r_3, rem_sz, b_3
+                            # Settle an insertion if a lone edge, or under all
+                            # three a pair, scores within both bounds below it.
+                            if r > 0 and len(chosen) > 1 and (
+                                    r - r_e <= bound + underflow + b_e
+                                    or r - r_s <= bound + underflow + b_s
+                                    or z is not None and (
+                                        r - r_z <= bound + underflow + b_z
+                                        or chosen is cands and (
+                                            r - r_p <= bound + underflow + b_p
+                                            or r - r_ez <= bound + underflow + b_ez
+                                            or r - r_sz <= bound + underflow + b_sz))):
+                                r, chosen, removed = _settle_near_ties(
+                                    t, chosen, (r, removed, r, bound),
+                                    [(e,), (s,), pair]
+                                    + ([] if z is None else [(z,), ez, sz]),
+                                    [(r_e, rem_e, r_e, b_e), (r_s, rem_s, r_s, b_s),
+                                     (r_p, rem_p, r_p, b_p)]
+                                    + ([] if z is None else [
+                                        (r_z, rem_z, r_z, b_z),
+                                        (r_ez, rem_ez, r_ez, b_ez),
+                                        (r_sz, rem_sz, r_sz, b_sz)]))
                     if chosen is None:
                         ranked, chosen, removed, r, inserted = _rank(
                             t, e, a, b, s1, c1, s2, c2)
@@ -631,14 +672,14 @@ class ShadowMatcher:
             if trace is not None:
                 # A settled step has no decision.  The inserted set is a
                 # lone edge's, one of `ranked`, this step's `_rank` sets,
-                # or of the inline x, y, xy (x < y).
+                # or the inline set of `cands` at its bitmask.
                 decision = pos = None
                 if not settled:
                     decision = InsertionDecision(chosen, removed, r, inserted)
                 if inserted:
                     pos = (0 if s1 is None and s2 is None else
                            ranked.index(chosen) if ranked is not None else
-                           2 if len(chosen) > 1 else int(chosen[0] is max(e, s)))
+                           sum(1 << cands.index(f) for f in chosen) - 1)
                 ranked = None
                 trace(TraceEvent(i, tuple.__new__(
                     Neighborhood, (e, a, s1, c1, b, s2, c2)), None, decision,
@@ -708,39 +749,24 @@ def _rank(t: float, e: Edge, a: Edge | None, b: Edge | None,
           c2: Edge | None):
     """Score every disjoint subset of a view's candidate edges at
     threshold t and pick the one a step inserts if its score is above
-    zero: the ranking behind a step that does not score its view
-    inline, and behind `process_edge`'s decision of a settled step.
+    zero: the ranking behind a step that cannot score its view inline
+    (two candidates meet, or a score lies within rounding of zero; see
+    `_steps`), and behind `process_edge`'s decision of a settled step.
 
     The view is a step's: input edge `e`, the matching edges `a` and
     `b` at its ends, the shadows `s1` behind `a` and `s2` behind `b`,
     and the matching edges `c1` and `c2` at the shadows' far ends, None
     where a role is empty.  Their conflicts are known from it: `e`
-    removes a and b, `s1` a and c1, `s2` b and c2.  So each set's
-    conflicts are read off the view, as a bitmask over the distinct
-    matching edges in it, with no read of the matching.  The best set
-    under `_better` is settled against its own subsets when it would be
+    removes a and b, `s1` a and c1, `s2` b and c2, and a set the union
+    of its edges', so no set reads the matching.  The best set under
+    `_better` is settled against its own subsets when it would be
     inserted (`_settle_near_ties`).  Reads nothing but its arguments.
 
     Returns (sets, chosen, removed, r, inserted), where `inserted`
     says whether the chosen set's ranking key is above zero.
     """
-    # The distinct matching edges in view, sorted.  a and b differ, as
-    # e is not in the matching; c1 may be b, and c2 may be a or c1.
-    if a is None or b is None:
-        held = [] if a is b else [a if b is None else b]
-    else:
-        held = [a, b]
-    if c1 is not None and c1 != b:
-        held.append(c1)
-    if c2 is not None and c2 != a and c2 != c1:
-        held.append(c2)
-    held.sort()
-    held = tuple(held)
-    ma = 0 if a is None else 1 << held.index(a)
-    mb = 0 if b is None else 1 << held.index(b)
-    me = ma | mb
-    m1 = ma if c1 is None else ma | 1 << held.index(c1)
-    m2 = mb if c2 is None else mb | 1 << held.index(c2)
+    # The two shadows coincide on a 4-cycle, with the same conflicts.
+    conflicts = {e: (a, b), s1: (a, c1), s2: (b, c2)}
     cands = _candidates(e, s1, s2)
     cands.sort()
     sets = _disjoint_subsets(cands)
@@ -748,11 +774,12 @@ def _rank(t: float, e: Edge, a: Edge | None, b: Edge | None,
     chosen = None
     for subset in sets:
         w_chosen = 0.0
-        m = 0
+        held = set()
         for f in subset:
             w_chosen += f.w
-            m |= me if f is e else m1 if f is s1 else m2
-        score = _score(subset, w_chosen, _PICK[m](held), t)
+            held.update(conflicts[f])
+        held.discard(None)
+        score = _score(subset, w_chosen, tuple(sorted(held)), t)
         scores.append(score)
         key = score[2]
         if (chosen is None or key > best_key or key == best_key
@@ -866,8 +893,8 @@ def drive(matcher, stream: EdgeStream | Iterable[Edge], *,
         stream, on_insert, trace)
     metrics = RunMetrics(steps, matcher.insertions, max_stored, max_sets,
                          max_touched)
-    return RunResult(matcher.matching_edges(), matcher.matching_weight(),
-                     metrics)
+    matching = matcher.matching_edges()
+    return RunResult(matching, math.fsum(e.w for e in matching), metrics)
 
 
 def run_stream(stream: EdgeStream | Iterable[Edge], k: float, *,

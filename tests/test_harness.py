@@ -196,6 +196,16 @@ def test_run_experiment_oracle_capacity_degrades_gracefully():
     assert report.opt_weight is None
 
 
+def test_run_experiment_refuses_a_negative_oracle_limit():
+    """A negative oracle limit is an error naming it, before any run,
+    where it used to report no optimum even for an empty instance."""
+    for graph in DenseGraph.from_edges([]), DenseGraph.from_edges(DISJOINT):
+        with pytest.raises(ValueError,
+                           match=r"^oracle_limit must be at least 0, got -1$"):
+            run_experiment(graph, [AlgorithmSpec("shadow", 2.0)],
+                           oracle_limit=-1)
+
+
 def test_run_experiment_parallel_matches_serial():
     graph, _ = generate(GeneratorSpec("gnp-random", n=9, p=0.5, seed=21))
     kwargs = dict(instance_id="par", orders=6, seed=3, verify=True)

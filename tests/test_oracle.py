@@ -68,6 +68,13 @@ def test_capacity_error():
     assert res.weight == 23.0
 
 
+def test_negative_edge_limit_is_refused():
+    """A negative budget is an error naming it, not a budget that even
+    an empty instance exceeds."""
+    with pytest.raises(ValueError, match=r"^edge_limit must be at least 0, got -1$"):
+        max_weight_matching(DenseGraph.from_edges([]), edge_limit=-1)
+
+
 def test_oracle_vs_naive_enumeration():
     rng = random.Random(13)
     done = 0

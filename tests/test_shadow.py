@@ -1157,31 +1157,30 @@ _RANKED_VIEWS = dict(_COINCIDENCES, **{
     "three disjoint": ([(0, 2), (1, 3), (4, 6), (5, 7)],
                        {2: (2, 4), 3: (3, 5)}),
 })
+# The views above whose three candidates are pairwise disjoint.
+_SEVEN_SET_VIEWS = {"three disjoint", "equal far covers", "missing far cover",
+                    "missing far covers"}
 
 
-@pytest.mark.parametrize("view", sorted(_RANKED_VIEWS))
-@given(data=st.data())
-@settings(max_examples=40, deadline=None)
-def test_untraced_ranked_step_matches_the_reference_ranking(view, data):
-    """An untraced step with a shadow in view, whether it scores a lone
-    disjoint shadow inline or ranks its sets with `_rank`, does what the
-    record-based reference_rank chooses: it inserts the same set with
-    the same removed and r (by repr) and counts as many sets, or
-    inserts nothing when that set would not insert.  Weights are
-    uniform, small integers (exact float ties), near 1e308, a few ulps
-    from a zero score or from a tie between two sets, or as on the
-    sweep's ascending slices, whose weights are exp(U(0, 150)): shadows
-    and far covers near an ulp of a huge input edge, where a set and its
-    subset often score within rounding of each other and the floats may
-    rank them the wrong way round.  `process_edge` returns the reference's
-    decision too, ranking a view itself when `_no_set_wins` settled it,
-    which is exactly when the traced step hands over no decision."""
+# How a view's weights are drawn; see the ranked-step test.
+_VIEW_WEIGHTS = ["uniform", "integer", "spread", "huge", "sweep", "one tiny",
+                 "zero", "tie"]
+_KS = [1.1, 1.5, 1.717191779457857, 2.0, 3.0]
+
+
+def _assert_ranks_as_the_reference(view: str, rng: random.Random, family: str,
+                                   k: float, relabel: bool,
+                                   positions: list | None = None) -> bool:
+    """Draw the weights of `view` as `family` says, feed its input edge
+    to an untraced step, to `process_edge` and to a traced step, and
+    check each against reference_rank; see the ranked-step test.
+    Appends the traced step's position to `positions`.  Returns False,
+    having checked nothing, when the drawn input weight is not a
+    positive finite float."""
     matched, parked = _RANKED_VIEWS[view]
-    rng = random.Random(data.draw(st.integers(0, 10 ** 9)))
-    family = data.draw(st.sampled_from(
-        ["uniform", "integer", "huge", "sweep", "zero", "tie"]))
-    k = data.draw(st.sampled_from([1.1, 1.5, 1.717191779457857, 2.0, 3.0]))
     shadows = set(parked.values())
+    last = parked[max(parked)]
+    tiny_side = {last} | {p for p in matched if sum(last) - max(parked) in p}
     big = math.exp(rng.uniform(100.0, 150.0))
 
     def weight(pair):
@@ -1189,26 +1188,42 @@ def test_untraced_ranked_step_matches_the_reference_ranking(view, data):
             return float(rng.randint(1, 4))
         if family == "huge":
             return rng.choice([1e308, 1.7e308, rng.uniform(1e307, 1.7e308)])
-        if family == "sweep":
+        if family in ("sweep", "one tiny"):
             # the input edge and the matching edges at its ends are
             # heavy; each other edge is near an ulp of the input edge,
-            # a far cover about what the shadow beside it can pay for
+            # a far cover about what the shadow beside it can pay for.
+            # Under "one tiny" that holds for the last shadow and its
+            # far cover only; the other shadow outweighs its far cover.
             if pair not in shadows and (0 in pair or 1 in pair):
                 return big / rng.uniform(2.0, 6.0)
+            if family == "one tiny" and pair not in tiny_side:
+                return big * (rng.uniform(0.3, 1.0) if pair in shadows
+                              else rng.uniform(0.01, 0.1))
             tiny = math.ulp(big) * rng.uniform(0.5, 1.0)
             return (tiny if pair in shadows
                     else tiny / k * rng.uniform(0.99, 1.02))
+        if family == "spread":
+            return math.exp(rng.uniform(-3.0, 3.0))
         return rng.uniform(0.05, 20.0)
 
     ws = {pair: weight(pair) for pair in matched + sorted(shadows)}
+    # Relabelled vertices let a far cover sort before the matching edges
+    # at the ends of the input edge.
+    label = list(range(8))
+    if relabel:
+        rng.shuffle(label)
+
+    def relabelled(pair):
+        x, y = pair
+        return edge(label[x], label[y], ws[pair])
 
     def state():
-        return _view_state(k, [edge(*p, ws[p]) for p in matched],
-                           {x: edge(*p, ws[p]) for x, p in parked.items()})
+        return _view_state(k, [relabelled(p) for p in matched],
+                           {label[x]: relabelled(p) for x, p in parked.items()})
 
     m = state()
-    nb = m.neighborhood(edge(0, 1, 1.0))
-    if family == "sweep":
+    nb = m.neighborhood(edge(label[0], label[1], 1.0))
+    if family in ("sweep", "one tiny"):
         w = big
     elif family in ("zero", "tie"):
         # where a set holding the input edge scores zero, or scores what
@@ -1225,15 +1240,30 @@ def test_untraced_ranked_step_matches_the_reference_ranking(view, data):
             w = _nudge(w, rng)
     else:
         w = weight((0, 1))
-    assume(0.0 < w < math.inf)
-    e = edge(0, 1, w)
-    sets, chosen, removed, r, inserted = reference_rank(
-        m.matching, [f for f in (e, nb.a1g1, nb.a2g2) if f is not None], k)
-    hooked = []
+    if not 0.0 < w < math.inf:
+        return False
+    e = edge(label[0], label[1], w)
+    cands = {f for f in (e, nb.a1g1, nb.a2g2) if f is not None}
+    sets, chosen, removed, r, inserted = reference_rank(m.matching, cands, k)
+    # Every disjoint subset of the candidates is a set iff they are
+    # pairwise disjoint; a ranking key is a Fraction only near zero.
+    inline = (len(sets) == 2 ** len(cands) - 1 and all(
+        isinstance(reference_conflict_score(m.matching, x, k)[2], float)
+        for x in sets))
+    assert (len(sets) == 7) == (view in _SEVEN_SET_VIEWS)
+    hooked, ranked = [], []
+    rank = shadow_module._rank
+
+    def counted(*roles):
+        ranked.append(roles)
+        return rank(*roles)
+
     # the loop drive runs, without the matching's weight, which may
     # leave the float range here
-    _, set_count, _, _ = m._steps([e], hooked.append)
+    with patch.object(shadow_module, "_rank", counted):
+        _, set_count, _, _ = m._steps([e], hooked.append)
     assert set_count == len(sets)
+    assert not (inline and ranked)
     assert ([(d.chosen, d.removed, repr(d.gain)) for d in hooked]
             == ([(chosen, removed, repr(r))] if inserted else []))
     d = state().process_edge(e)
@@ -1241,6 +1271,60 @@ def test_untraced_ranked_step_matches_the_reference_ranking(view, data):
             == (chosen, removed, repr(r), inserted))
     event = state().process_edge_traced(e, 0)
     assert (event.decision is None) == _settled(k, event)
+    assert event.position == (enumerate_augmenting_sets(
+        event.neighborhood).index(chosen) if inserted else None)
+    if positions is not None:
+        positions.append(event.position)
+    return True
+
+
+@pytest.mark.parametrize("view", sorted(_RANKED_VIEWS))
+@given(data=st.data())
+@settings(max_examples=40, deadline=None)
+def test_untraced_ranked_step_matches_the_reference_ranking(view, data):
+    """An untraced step with a shadow in view, whether it scores one or
+    two disjoint shadows inline or ranks its sets with `_rank`, does
+    what the record-based reference_rank chooses: it inserts the same
+    set with the same removed and r (by repr) and counts as many sets,
+    or inserts nothing when that set would not insert.  A spy shows
+    that `_rank` never sees a view of pairwise disjoint candidates
+    whose scores are all clear of zero, seven-set views included, and
+    a traced step that inserts passes its set's position in
+    `enumerate_augmenting_sets` order.  Weights are uniform, small
+    integers (exact float ties), log-uniform over e^-3..e^3, near
+    1e308, a few ulps from a zero score or from a tie between two sets,
+    or as on the sweep's ascending slices, whose weights are
+    exp(U(0, 150)): shadows and far covers near an ulp of a huge input
+    edge, or only the last shadow and its far cover, where a set and
+    its subset often score within rounding of each other and the floats
+    may rank them the wrong way round.  Half the time the vertices are
+    relabelled, so that a removed set is not always summed in role
+    order.  `process_edge` returns the reference's decision too,
+    ranking a view itself when `_no_set_wins` settled it, which is
+    exactly when the traced step hands over no decision."""
+    rng = random.Random(data.draw(st.integers(0, 10 ** 9)))
+    assume(_assert_ranks_as_the_reference(
+        view, rng, data.draw(st.sampled_from(_VIEW_WEIGHTS)),
+        data.draw(st.sampled_from(_KS)), data.draw(st.booleans())))
+
+
+@pytest.mark.parametrize("view", sorted(_SEVEN_SET_VIEWS))
+def test_seven_set_views_rank_as_the_reference(view):
+    """The ranked-step test's checks on 1,500 seeded draws of each view
+    whose three candidates are pairwise disjoint, every other one
+    relabelled, and one in four more with small integer weights, whose
+    scores tie exactly: the inline scorer sums every removed set in
+    `_score`'s order and breaks every float tie as `_better` does.
+    Three disjoint shadows with both far covers let each of the seven
+    sets win, and each is inserted in some draw."""
+    rng = random.Random(view)
+    positions = []
+    for i in range(1500):
+        family = "integer" if i % 8 < 2 else rng.choice(_VIEW_WEIGHTS)
+        _assert_ranks_as_the_reference(view, rng, family, rng.choice(_KS),
+                                       i % 2 == 1, positions)
+    if view == "three disjoint":
+        assert set(range(7)) <= set(positions)
 
 
 @given(st.data())
